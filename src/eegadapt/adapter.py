@@ -8,7 +8,7 @@ output length rather than padding silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,11 +18,8 @@ from .nnops import conv1d_backward, conv1d_forward, conv1d_output_len, gelu, gel
 __all__ = [
     "ConvLayerSpec",
     "AdapterConfig",
-    "AdapterParams",
     "default_adapter_config",
     "init_adapter_params",
-    "adapter_forward",
-    "adapter_grad",
     "adapter_forward_batch",
     "adapter_backward_batch",
 ]
@@ -80,30 +77,6 @@ class AdapterConfig:
                 f"out_channels is {self.out_channels}"
             )
 
-    def feature_map_chain(self) -> list[int]:
-        maps = [self.in_channels]
-        for layer in self.layers:
-            maps.append(layer.out_maps)
-        return maps
-
-
-@dataclass
-class ConvLayerParams:
-    w: np.ndarray  # (out_maps, in_maps, kernel_len)
-    b: np.ndarray  # (out_maps,)
-
-
-@dataclass
-class AdapterParams:
-    layers: list[ConvLayerParams] = field(default_factory=list)
-
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.append((f"layers.{i}.w", layer.w))
-            out.append((f"layers.{i}.b", layer.b))
-        return out
-
 
 def default_adapter_config(in_channels: int, in_timesteps: int,
                            out_channels: int = 23,
@@ -149,27 +122,23 @@ def default_adapter_config(in_channels: int, in_timesteps: int,
     )
 
 
-def init_adapter_params(cfg: AdapterConfig, rng: np.random.Generator) -> AdapterParams:
-    """Uniform +-sqrt(1/fan_in) weights, zero biases."""
-    params = AdapterParams()
+def init_adapter_params(cfg: AdapterConfig,
+                        rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Uniform +-sqrt(1/fan_in) weights, zero biases, keyed ``layers.<i>.w``
+    (out_maps, in_maps, kernel_len) and ``layers.<i>.b`` (out_maps,)."""
+    params: dict[str, np.ndarray] = {}
     in_maps = cfg.in_channels
-    for layer in cfg.layers:
+    for i, layer in enumerate(cfg.layers):
         fan_in = in_maps * layer.kernel_len
         bound = np.sqrt(1.0 / fan_in)
-        w = rng.uniform(-bound, bound, size=(layer.out_maps, in_maps, layer.kernel_len))
-        params.layers.append(ConvLayerParams(w=w, b=np.zeros(layer.out_maps)))
+        params[f"layers.{i}.w"] = rng.uniform(
+            -bound, bound, size=(layer.out_maps, in_maps, layer.kernel_len))
+        params[f"layers.{i}.b"] = np.zeros(layer.out_maps)
         in_maps = layer.out_maps
     return params
 
 
-def _check_params(cfg: AdapterConfig, params: AdapterParams) -> None:
-    if len(params.layers) != len(cfg.layers):
-        raise DimensionError(
-            f"params carry {len(params.layers)} layers for a {len(cfg.layers)}-layer config"
-        )
-
-
-def adapter_forward_batch(x: np.ndarray, params: AdapterParams,
+def adapter_forward_batch(x: np.ndarray, params: dict[str, np.ndarray],
                           cfg: AdapterConfig, keep_cache: bool = False):
     """Run the cascade on a batch (N, E, T) -> (N, out_channels, out_timesteps).
 
@@ -182,11 +151,11 @@ def adapter_forward_batch(x: np.ndarray, params: AdapterParams,
             f"expected batch of shape (N, {cfg.in_channels}, {cfg.in_timesteps}), "
             f"got {x.shape}"
         )
-    _check_params(cfg, params)
     h = x
     cache = [] if keep_cache else None
-    for spec, lp in zip(cfg.layers, params.layers):
-        z = conv1d_forward(h, lp.w, lp.b, spec.stride)
+    for i, spec in enumerate(cfg.layers):
+        z = conv1d_forward(h, params[f"layers.{i}.w"], params[f"layers.{i}.b"],
+                           spec.stride)
         if keep_cache:
             cache.append((h, z))
         h = gelu(z) if spec.activation == "gelu" else z
@@ -195,45 +164,24 @@ def adapter_forward_batch(x: np.ndarray, params: AdapterParams,
     return h, cache
 
 
-def adapter_backward_batch(cache, params: AdapterParams, cfg: AdapterConfig,
-                           dout: np.ndarray):
-    """Reverse-mode gradients for a batch; returns (grads dict, dx)."""
+def adapter_backward_batch(cache, params: dict[str, np.ndarray],
+                           cfg: AdapterConfig, dout: np.ndarray):
+    """Reverse-mode gradients for a batch; returns (grads dict, dx).
+
+    ``dout`` must match the forward output's shape.
+    """
     grads: dict[str, np.ndarray] = {}
     dh = np.asarray(dout, dtype=np.float64)
+    if dh.shape != cache[-1][1].shape:
+        raise DimensionError(
+            f"upstream shape {dh.shape} does not match the output "
+            f"{cache[-1][1].shape}"
+        )
     for i in reversed(range(len(cfg.layers))):
         spec = cfg.layers[i]
         x_in, z = cache[i]
         dz = dh * gelu_grad(z) if spec.activation == "gelu" else dh
-        dh, dw, db = conv1d_backward(x_in, params.layers[i].w, spec.stride, dz)
+        dh, dw, db = conv1d_backward(x_in, params[f"layers.{i}.w"], spec.stride, dz)
         grads[f"layers.{i}.w"] = dw
         grads[f"layers.{i}.b"] = db
     return grads, dh
-
-
-def adapter_forward(x: np.ndarray, params: AdapterParams,
-                    cfg: AdapterConfig) -> np.ndarray:
-    """Single-sample forward: (E, T) -> (out_channels, out_timesteps)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"expected a 2-D sample, got shape {x.shape}")
-    out, _ = adapter_forward_batch(x[None], params, cfg)
-    return out[0]
-
-
-def adapter_grad(x: np.ndarray, params: AdapterParams, cfg: AdapterConfig,
-                 upstream: np.ndarray):
-    """Gradients of the forward map contracted with ``upstream``.
-
-    ``upstream`` must match the output shape; returns (grads dict keyed by
-    parameter name, gradient with respect to x).
-    """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (cfg.out_channels, cfg.out_timesteps):
-        raise DimensionError(
-            f"upstream shape {upstream.shape} does not match output "
-            f"({cfg.out_channels}, {cfg.out_timesteps})"
-        )
-    x = np.asarray(x, dtype=np.float64)
-    _, cache = adapter_forward_batch(x[None], params, cfg, keep_cache=True)
-    grads, dx = adapter_backward_batch(cache, params, cfg, upstream[None])
-    return grads, dx[0]

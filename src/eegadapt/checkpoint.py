@@ -8,15 +8,12 @@ inference refuse data that was prepared differently than the training run.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
 
-import numpy as np
-
-from .adapter import AdapterConfig, AdapterParams, ConvLayerParams, ConvLayerSpec
-from .encoder import BfmConfig, BlockParams, EncoderParams
+from .adapter import AdapterConfig, ConvLayerSpec
+from .encoder import BfmConfig
 from .errors import IntegrityError
 from .fileio import read_bundle, write_bundle
-from .model import EegClassifier
+from .model import EegClassifier, build_classifier
 
 CHECKPOINT_VERSION = 1
 
@@ -25,33 +22,10 @@ __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint"]
 
 @dataclass
 class Checkpoint:
-    encoder_config: BfmConfig
-    encoder: EncoderParams
+    model: EegClassifier
     classes: dict[str, int]
     fingerprint: dict
-    adapter_config: Optional[AdapterConfig] = None
-    adapter: Optional[AdapterParams] = None
     version: int = CHECKPOINT_VERSION
-
-    def to_model(self) -> EegClassifier:
-        return EegClassifier(
-            encoder_config=self.encoder_config,
-            encoder=self.encoder,
-            adapter_config=self.adapter_config,
-            adapter=self.adapter,
-        )
-
-    @classmethod
-    def from_model(cls, model: EegClassifier, classes: dict[str, int],
-                   fingerprint: dict) -> "Checkpoint":
-        return cls(
-            encoder_config=model.encoder_config,
-            encoder=model.encoder,
-            classes=classes,
-            fingerprint=fingerprint,
-            adapter_config=model.adapter_config,
-            adapter=model.adapter,
-        )
 
 
 def _adapter_config_meta(cfg: AdapterConfig | None):
@@ -76,58 +50,24 @@ def _adapter_config_from_meta(meta) -> AdapterConfig | None:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    arrays = []
-    if ckpt.adapter is not None:
-        arrays.extend((f"adapter.{n}", a) for n, a in ckpt.adapter.named_arrays())
-    arrays.extend((f"encoder.{n}", a) for n, a in ckpt.encoder.named_arrays())
+    model = ckpt.model
     meta = {
         "kind": "checkpoint",
         "version": ckpt.version,
-        "adapter_config": _adapter_config_meta(ckpt.adapter_config),
-        "encoder_config": asdict(ckpt.encoder_config),
+        "adapter_config": _adapter_config_meta(model.adapter_config),
+        "encoder_config": asdict(model.encoder_config),
         "classes": ckpt.classes,
         "fingerprint": ckpt.fingerprint,
     }
-    write_bundle(path, meta, arrays)
-
-
-def _rebuild_adapter(cfg: AdapterConfig, arrays: dict[str, np.ndarray]) -> AdapterParams:
-    params = AdapterParams()
-    for i in range(len(cfg.layers)):
-        try:
-            w = arrays[f"adapter.layers.{i}.w"]
-            b = arrays[f"adapter.layers.{i}.b"]
-        except KeyError as exc:
-            raise IntegrityError(f"checkpoint is missing adapter array {exc}") from exc
-        params.layers.append(ConvLayerParams(w=w, b=b))
-    return params
-
-
-def _rebuild_encoder(cfg: BfmConfig, arrays: dict[str, np.ndarray]) -> EncoderParams:
-    def get(name):
-        try:
-            return arrays[f"encoder.{name}"]
-        except KeyError as exc:
-            raise IntegrityError(f"checkpoint is missing encoder array {exc}") from exc
-
-    blocks = []
-    for i in range(cfg.num_layers):
-        kwargs = {name: get(f"blocks.{i}.{name}") for name in BlockParams._ORDER}
-        blocks.append(BlockParams(**kwargs))
-    return EncoderParams(
-        patch_w=get("patch_w"),
-        patch_b=get("patch_b"),
-        channel_embed=get("channel_embed"),
-        temporal_embed=get("temporal_embed"),
-        blocks=blocks,
-        final_g=get("final_g"),
-        final_b=get("final_b"),
-        head_w=get("head_w"),
-        head_b=get("head_b"),
-    )
+    write_bundle(path, meta, model.named_arrays())
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint, refusing a meta or array table that does not match.
+
+    The stored configs describe the model; every array it names must be
+    present with exactly its shape, and no other array may be present.
+    """
     meta, arrays = read_bundle(path)
     if meta.get("kind") != "checkpoint":
         raise IntegrityError(f"{path} is not a checkpoint bundle")
@@ -137,15 +77,32 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path} has checkpoint version {version!r}; this build reads "
             f"version {CHECKPOINT_VERSION}"
         )
-    encoder_config = BfmConfig(**meta["encoder_config"])
-    adapter_config = _adapter_config_from_meta(meta.get("adapter_config"))
-    adapter = _rebuild_adapter(adapter_config, arrays) if adapter_config else None
-    return Checkpoint(
-        encoder_config=encoder_config,
-        encoder=_rebuild_encoder(encoder_config, arrays),
-        classes={str(k): int(v) for k, v in meta["classes"].items()},
-        fingerprint=meta["fingerprint"],
-        adapter_config=adapter_config,
-        adapter=adapter,
-        version=version,
-    )
+    for key in ("encoder_config", "classes", "fingerprint"):
+        if not isinstance(meta.get(key), dict):
+            raise IntegrityError(f"{path}: checkpoint meta has no {key!r} table")
+    try:
+        model = build_classifier(
+            BfmConfig(**meta["encoder_config"]),
+            _adapter_config_from_meta(meta.get("adapter_config")),
+            seed=0,
+        )
+        classes = {str(k): int(v) for k, v in meta["classes"].items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(f"{path}: malformed checkpoint meta: {exc!r}") from exc
+
+    expected = dict(model.named_arrays())
+    problems = [f"missing {n}" for n in expected if n not in arrays]
+    problems += [f"unexpected {n}" for n in arrays if n not in expected]
+    problems += [
+        f"{n} has shape {arrays[n].shape}, expected {a.shape}"
+        for n, a in expected.items()
+        if n in arrays and arrays[n].shape != a.shape
+    ]
+    if problems:
+        raise IntegrityError(
+            f"{path}: arrays do not match the stored configs: " + "; ".join(problems)
+        )
+    for name, arr in expected.items():
+        arr[...] = arrays[name]
+    return Checkpoint(model=model, classes=classes,
+                      fingerprint=meta["fingerprint"], version=version)

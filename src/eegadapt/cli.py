@@ -39,8 +39,10 @@ from .synthetic import SynthSpec, write_synthetic_dataset
 from .training import (
     LabeledSet,
     TrainConfig,
+    confusion_matrix,
     evaluate,
     format_metrics_report,
+    metrics_from_confusion,
     predict,
     train_loop,
 )
@@ -267,7 +269,7 @@ def cmd_train(args) -> int:
     model = build_classifier(encoder_cfg, adapter_cfg, seed=args.seed)
 
     def subset(split):
-        split_mask = mask & np.array([s == split for s in wset.splits])
+        split_mask = mask & wset.mask(split)
         return LabeledSet(
             x=wset.data[split_mask],
             y=labels[split_mask],
@@ -288,8 +290,7 @@ def cmd_train(args) -> int:
 
     fingerprint = dict(wset.fingerprint)
     fingerprint["mode"] = args.mode
-    ckpt = Checkpoint.from_model(model, classes, fingerprint)
-    save_checkpoint(args.out_checkpoint, ckpt)
+    save_checkpoint(args.out_checkpoint, Checkpoint(model, classes, fingerprint))
 
     header = repro_header("train", args)
     log_path = Path(str(args.out_checkpoint) + ".log.csv")
@@ -359,8 +360,7 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     wset = _eval_window_set(args, ckpt)
     mask, remapped = _remap_to_checkpoint_classes(wset, ckpt)
-    if args.split != "all":
-        mask = mask & np.array([s == args.split for s in wset.splits])
+    mask &= wset.mask(args.split)
     if not mask.any():
         raise ConfigurationError(
             f"split {args.split!r} holds no samples of the checkpoint's classes"
@@ -370,12 +370,12 @@ def cmd_eval(args) -> int:
         y=remapped[mask],
         subjects=[s for s, m in zip(wset.subjects, mask) if m],
     )
-    model = ckpt.to_model()
-    report = evaluate(model, data)
+    preds, probs = predict(ckpt.model, data)
+    report = metrics_from_confusion(
+        confusion_matrix(data.y, preds, ckpt.model.num_classes))
     header = [f"# {line}" for line in repro_header("eval", args)]
     text = format_metrics_report(report, header_lines=header)
     if args.subject_level:
-        preds, probs = predict(model, data)
         subject_preds, subject_report = subject_aggregate(
             data.subjects, preds, probs, data.y
         )
@@ -393,18 +393,15 @@ def cmd_eval(args) -> int:
 def cmd_extract(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     wset = _eval_window_set(args, ckpt)
-    if args.split == "all":
-        mask = np.ones(len(wset), dtype=bool)
-    else:
-        mask = np.array([s == args.split for s in wset.splits])
+    mask = wset.mask(args.split)
     if not mask.any():
         raise ConfigurationError(f"split {args.split!r} is empty")
-    model = ckpt.to_model()
     x = wset.data[mask]
-    embeddings = np.empty((x.shape[0], ckpt.encoder_config.embed_dim))
+    embed_dim = ckpt.model.encoder_config.embed_dim
+    embeddings = np.empty((x.shape[0], embed_dim))
     for start in range(0, x.shape[0], 64):
         stop = min(start + 64, x.shape[0])
-        embeddings[start:stop] = model.embed_batch(x[start:stop])
+        embeddings[start:stop] = ckpt.model.embed_batch(x[start:stop])
     write_embeddings_text(
         args.out_embeddings,
         embeddings,
@@ -412,8 +409,7 @@ def cmd_extract(args) -> int:
         [s for s, m in zip(wset.subjects, mask) if m],
         header_lines=repro_header("extract", args),
     )
-    print(f"wrote {args.out_embeddings}: {x.shape[0]} embeddings of dim "
-          f"{ckpt.encoder_config.embed_dim}")
+    print(f"wrote {args.out_embeddings}: {x.shape[0]} embeddings of dim {embed_dim}")
     return 0
 
 

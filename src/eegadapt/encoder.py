@@ -9,7 +9,7 @@ be verified against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,8 @@ from .nnops import (
 
 __all__ = [
     "BfmConfig",
-    "BlockParams",
-    "EncoderParams",
     "EmbeddingBatch",
     "init_encoder_params",
-    "patchify",
-    "encode",
-    "classify",
-    "bfm_grad",
     "encoder_forward_batch",
     "encoder_backward_batch",
 ]
@@ -80,62 +74,6 @@ class BfmConfig:
         return 4 * self.embed_dim
 
 
-@dataclass
-class BlockParams:
-    ln1_g: np.ndarray
-    ln1_b: np.ndarray
-    wq: np.ndarray
-    bq: np.ndarray
-    wk: np.ndarray
-    bk: np.ndarray
-    wv: np.ndarray
-    bv: np.ndarray
-    wo: np.ndarray
-    bo: np.ndarray
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    _ORDER = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-              "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
-
-    def named_arrays(self, prefix: str) -> list[tuple[str, np.ndarray]]:
-        return [(f"{prefix}.{name}", getattr(self, name)) for name in self._ORDER]
-
-
-@dataclass
-class EncoderParams:
-    patch_w: np.ndarray       # (embed_dim, patch_len)
-    patch_b: np.ndarray       # (embed_dim,)
-    channel_embed: np.ndarray  # (channel_vocab, embed_dim)
-    temporal_embed: np.ndarray  # (max_patches, embed_dim)
-    blocks: list[BlockParams] = field(default_factory=list)
-    final_g: np.ndarray = None
-    final_b: np.ndarray = None
-    head_w: np.ndarray = None  # (embed_dim, num_classes)
-    head_b: np.ndarray = None  # (num_classes,)
-
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = [
-            ("patch_w", self.patch_w),
-            ("patch_b", self.patch_b),
-            ("channel_embed", self.channel_embed),
-            ("temporal_embed", self.temporal_embed),
-        ]
-        for i, block in enumerate(self.blocks):
-            out.extend(block.named_arrays(f"blocks.{i}"))
-        out.extend([
-            ("final_g", self.final_g),
-            ("final_b", self.final_b),
-            ("head_w", self.head_w),
-            ("head_b", self.head_b),
-        ])
-        return out
-
-
 @dataclass(frozen=True)
 class EmbeddingBatch:
     """Pooled representations with their labels and subjects, row aligned."""
@@ -160,11 +98,17 @@ class EmbeddingBatch:
         object.__setattr__(self, "subject_ids", list(self.subject_ids))
 
 
-def init_encoder_params(cfg: BfmConfig, rng: np.random.Generator) -> EncoderParams:
+def init_encoder_params(cfg: BfmConfig,
+                        rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Uniform fan-in init for projections, 0.02 normals for embedding tables.
 
-    The classification head starts at zero so the initial mean loss is
-    exactly ln(num_classes).
+    Keys, in checkpoint order: ``patch_w`` (embed_dim, patch_len),
+    ``patch_b``, ``channel_embed`` (channel_vocab, embed_dim),
+    ``temporal_embed`` (max_patches, embed_dim), then ``blocks.<i>.<name>``
+    for each layer, ``final_g``, ``final_b``, ``head_w`` (embed_dim,
+    num_classes) and ``head_b``. The blocks draw from ``rng`` first. The
+    classification head starts at zero so the initial mean loss is exactly
+    ln(num_classes).
     """
     d, f = cfg.embed_dim, cfg.ff_dim
 
@@ -172,29 +116,36 @@ def init_encoder_params(cfg: BfmConfig, rng: np.random.Generator) -> EncoderPara
         bound = np.sqrt(1.0 / fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
-    blocks = []
-    for _ in range(cfg.num_layers):
-        blocks.append(BlockParams(
-            ln1_g=np.ones(d), ln1_b=np.zeros(d),
-            wq=uniform((d, d), d), bq=np.zeros(d),
-            wk=uniform((d, d), d), bk=np.zeros(d),
-            wv=uniform((d, d), d), bv=np.zeros(d),
-            wo=uniform((d, d), d), bo=np.zeros(d),
-            ln2_g=np.ones(d), ln2_b=np.zeros(d),
-            w1=uniform((d, f), d), b1=np.zeros(f),
-            w2=uniform((f, d), f), b2=np.zeros(d),
-        ))
-    return EncoderParams(
-        patch_w=uniform((d, cfg.patch_len), cfg.patch_len),
-        patch_b=np.zeros(d),
-        channel_embed=rng.normal(0.0, 0.02, size=(cfg.channel_vocab, d)),
-        temporal_embed=rng.normal(0.0, 0.02, size=(cfg.max_patches, d)),
-        blocks=blocks,
-        final_g=np.ones(d),
-        final_b=np.zeros(d),
-        head_w=np.zeros((d, cfg.num_classes)),
-        head_b=np.zeros(cfg.num_classes),
-    )
+    blocks: dict[str, np.ndarray] = {}
+    for i in range(cfg.num_layers):
+        block = {
+            "ln1_g": np.ones(d), "ln1_b": np.zeros(d),
+            "wq": uniform((d, d), d), "bq": np.zeros(d),
+            "wk": uniform((d, d), d), "bk": np.zeros(d),
+            "wv": uniform((d, d), d), "bv": np.zeros(d),
+            "wo": uniform((d, d), d), "bo": np.zeros(d),
+            "ln2_g": np.ones(d), "ln2_b": np.zeros(d),
+            "w1": uniform((d, f), d), "b1": np.zeros(f),
+            "w2": uniform((f, d), f), "b2": np.zeros(d),
+        }
+        blocks.update((f"blocks.{i}.{name}", arr) for name, arr in block.items())
+    return {
+        "patch_w": uniform((d, cfg.patch_len), cfg.patch_len),
+        "patch_b": np.zeros(d),
+        "channel_embed": rng.normal(0.0, 0.02, size=(cfg.channel_vocab, d)),
+        "temporal_embed": rng.normal(0.0, 0.02, size=(cfg.max_patches, d)),
+        **blocks,
+        "final_g": np.ones(d),
+        "final_b": np.zeros(d),
+        "head_w": np.zeros((d, cfg.num_classes)),
+        "head_b": np.zeros(cfg.num_classes),
+    }
+
+
+def _block(params: dict[str, np.ndarray], i: int) -> dict[str, np.ndarray]:
+    """The arrays of block ``i`` under their short names (``wq``, ``b1``, ...)."""
+    prefix = f"blocks.{i}."
+    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
 
 
 def _validate_input(x: np.ndarray, cfg: BfmConfig) -> tuple[int, int]:
@@ -215,42 +166,46 @@ def _validate_input(x: np.ndarray, cfg: BfmConfig) -> tuple[int, int]:
     return c, p
 
 
-def _patchify_batch(x: np.ndarray, params: EncoderParams, cfg: BfmConfig):
-    """(N, C, T) -> tokens (N, C*P, D) with patches cached for backward."""
+def _patchify_batch(x: np.ndarray, params: dict[str, np.ndarray], cfg: BfmConfig):
+    """(N, C, T) -> tokens (N, C*P, D) with patches cached for backward.
+
+    Token c*P + p is the patch embedding of x[:, c, p*patch_len:(p+1)*patch_len]
+    plus the channel and temporal position embeddings.
+    """
     n = x.shape[0]
     c, p = _validate_input(x, cfg)
     patches = x.reshape(n, c, p, cfg.patch_len)
-    emb = patches @ params.patch_w.T + params.patch_b
-    emb = emb + params.channel_embed[None, :c, None, :]
-    emb = emb + params.temporal_embed[None, None, :p, :]
+    emb = patches @ params["patch_w"].T + params["patch_b"]
+    emb = emb + params["channel_embed"][None, :c, None, :]
+    emb = emb + params["temporal_embed"][None, None, :p, :]
     return emb.reshape(n, c * p, cfg.embed_dim), patches
 
 
-def _block_forward(x, bp: BlockParams, cfg: BfmConfig):
+def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig):
     n, s, d = x.shape
     h, dh = cfg.num_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
 
-    h1, ln1_cache = layer_norm_forward(x, bp.ln1_g, bp.ln1_b)
-    q = (h1 @ bp.wq + bp.bq).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
-    k = (h1 @ bp.wk + bp.bk).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
-    v = (h1 @ bp.wv + bp.bv).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
+    h1, ln1_cache = layer_norm_forward(x, bp["ln1_g"], bp["ln1_b"])
+    q = (h1 @ bp["wq"] + bp["bq"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
+    k = (h1 @ bp["wk"] + bp["bk"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
+    v = (h1 @ bp["wv"] + bp["bv"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
     attn = softmax_last(scores)
     ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(n, s, d)
-    attn_out = ctx @ bp.wo + bp.bo
+    attn_out = ctx @ bp["wo"] + bp["bo"]
     x2 = x + attn_out
 
-    h2, ln2_cache = layer_norm_forward(x2, bp.ln2_g, bp.ln2_b)
-    a1 = h2 @ bp.w1 + bp.b1
+    h2, ln2_cache = layer_norm_forward(x2, bp["ln2_g"], bp["ln2_b"])
+    a1 = h2 @ bp["w1"] + bp["b1"]
     g1 = gelu(a1)
-    x3 = x2 + g1 @ bp.w2 + bp.b2
+    x3 = x2 + g1 @ bp["w2"] + bp["b2"]
 
     cache = (x, h1, ln1_cache, q, k, v, attn, ctx, x2, h2, ln2_cache, a1, g1)
     return x3, cache
 
 
-def _block_backward(dout, bp: BlockParams, cfg: BfmConfig, cache):
+def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache):
     x, h1, ln1_cache, q, k, v, attn, ctx, x2, h2, ln2_cache, a1, g1 = cache
     n, s, d = x.shape
     h, dh = cfg.num_heads, cfg.head_dim
@@ -261,19 +216,19 @@ def _block_backward(dout, bp: BlockParams, cfg: BfmConfig, cache):
     df = dout
     g["w2"] = g1.reshape(-1, cfg.ff_dim).T @ df.reshape(-1, d)
     g["b2"] = df.sum(axis=(0, 1))
-    dg1 = df @ bp.w2.T
+    dg1 = df @ bp["w2"].T
     da1 = dg1 * gelu_grad(a1)
     g["w1"] = h2.reshape(-1, d).T @ da1.reshape(-1, cfg.ff_dim)
     g["b1"] = da1.sum(axis=(0, 1))
-    dh2 = da1 @ bp.w1.T
-    dx2_ln, g["ln2_g"], g["ln2_b"] = layer_norm_backward(ln2_cache, bp.ln2_g, dh2)
+    dh2 = da1 @ bp["w1"].T
+    dx2_ln, g["ln2_g"], g["ln2_b"] = layer_norm_backward(ln2_cache, bp["ln2_g"], dh2)
     dx2 = dout + dx2_ln
 
     # Attention branch.
     dattn_out = dx2
     g["wo"] = ctx.reshape(-1, d).T @ dattn_out.reshape(-1, d)
     g["bo"] = dattn_out.sum(axis=(0, 1))
-    dctx = (dattn_out @ bp.wo.T).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
+    dctx = (dattn_out @ bp["wo"].T).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
     dattn = dctx @ v.transpose(0, 1, 3, 2)
     dv = attn.transpose(0, 1, 3, 2) @ dctx
     dscores = softmax_backward(attn, dattn) * scale
@@ -291,14 +246,14 @@ def _block_backward(dout, bp: BlockParams, cfg: BfmConfig, cache):
     g["bk"] = dk_m.sum(axis=(0, 1))
     g["wv"] = h1_flat.T @ dv_m.reshape(-1, d)
     g["bv"] = dv_m.sum(axis=(0, 1))
-    dh1 = dq_m @ bp.wq.T + dk_m @ bp.wk.T + dv_m @ bp.wv.T
-    dx_ln, g["ln1_g"], g["ln1_b"] = layer_norm_backward(ln1_cache, bp.ln1_g, dh1)
+    dh1 = dq_m @ bp["wq"].T + dk_m @ bp["wk"].T + dv_m @ bp["wv"].T
+    dx_ln, g["ln1_g"], g["ln1_b"] = layer_norm_backward(ln1_cache, bp["ln1_g"], dh1)
     dx = dx2 + dx_ln
     return dx, g
 
 
-def encoder_forward_batch(x: np.ndarray, params: EncoderParams, cfg: BfmConfig,
-                          keep_cache: bool = False):
+def encoder_forward_batch(x: np.ndarray, params: dict[str, np.ndarray],
+                          cfg: BfmConfig, keep_cache: bool = False):
     """Full forward on a batch (N, C, T); returns (logits, pooled, cache)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -306,13 +261,13 @@ def encoder_forward_batch(x: np.ndarray, params: EncoderParams, cfg: BfmConfig,
     tokens, patches = _patchify_batch(x, params, cfg)
     h = tokens
     block_caches = [] if keep_cache else None
-    for bp in params.blocks:
-        h, cache = _block_forward(h, bp, cfg)
+    for i in range(cfg.num_layers):
+        h, cache = _block_forward(h, _block(params, i), cfg)
         if keep_cache:
             block_caches.append(cache)
-    hf, lnf_cache = layer_norm_forward(h, params.final_g, params.final_b)
+    hf, lnf_cache = layer_norm_forward(h, params["final_g"], params["final_b"])
     pooled = hf.mean(axis=1)
-    logits = pooled @ params.head_w + params.head_b
+    logits = pooled @ params["head_w"] + params["head_b"]
     if not np.all(np.isfinite(logits)):
         raise NumericError("encoder forward produced non-finite logits")
     full_cache = None
@@ -321,7 +276,7 @@ def encoder_forward_batch(x: np.ndarray, params: EncoderParams, cfg: BfmConfig,
     return logits, pooled, full_cache
 
 
-def encoder_backward_batch(cache, params: EncoderParams, cfg: BfmConfig,
+def encoder_backward_batch(cache, params: dict[str, np.ndarray], cfg: BfmConfig,
                            dlogits: np.ndarray):
     """Gradients for all encoder parameters and the input batch."""
     x_shape, patches, block_caches, lnf_cache, seq_len, pooled = cache
@@ -331,73 +286,23 @@ def encoder_backward_batch(cache, params: EncoderParams, cfg: BfmConfig,
 
     grads["head_w"] = pooled.T @ dlogits
     grads["head_b"] = dlogits.sum(axis=0)
-    dpooled = dlogits @ params.head_w.T
+    dpooled = dlogits @ params["head_w"].T
     dhf = np.repeat(dpooled[:, None, :] / seq_len, seq_len, axis=1)
     dh, grads["final_g"], grads["final_b"] = layer_norm_backward(
-        lnf_cache, params.final_g, dhf
+        lnf_cache, params["final_g"], dhf
     )
-    for i in reversed(range(len(params.blocks))):
-        dh, block_grads = _block_backward(dh, params.blocks[i], cfg, block_caches[i])
+    for i in reversed(range(cfg.num_layers)):
+        dh, block_grads = _block_backward(dh, _block(params, i), cfg, block_caches[i])
         for name, value in block_grads.items():
             grads[f"blocks.{i}.{name}"] = value
 
     demb = dh.reshape(n, c, p, cfg.embed_dim)
-    grads["channel_embed"] = np.zeros_like(params.channel_embed)
+    grads["channel_embed"] = np.zeros_like(params["channel_embed"])
     grads["channel_embed"][:c] = demb.sum(axis=(0, 2))
-    grads["temporal_embed"] = np.zeros_like(params.temporal_embed)
+    grads["temporal_embed"] = np.zeros_like(params["temporal_embed"])
     grads["temporal_embed"][:p] = demb.sum(axis=(0, 1))
     demb_flat = demb.reshape(-1, cfg.embed_dim)
     grads["patch_w"] = demb_flat.T @ patches.reshape(-1, cfg.patch_len)
     grads["patch_b"] = demb_flat.sum(axis=0)
-    dx = (demb @ params.patch_w).reshape(n, c, t)
+    dx = (demb @ params["patch_w"]).reshape(n, c, t)
     return grads, dx
-
-
-def patchify(x: np.ndarray, params: EncoderParams, cfg: BfmConfig) -> np.ndarray:
-    """Single-sample token construction: (C, T) -> (C * T/patch_len, D).
-
-    Token (c, p) is the patch embedding of x[c, p*patch_len:(p+1)*patch_len]
-    plus the channel and temporal position embeddings.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"expected a 2-D sample, got shape {x.shape}")
-    tokens, _ = _patchify_batch(x[None], params, cfg)
-    return tokens[0]
-
-
-def encode(tokens: np.ndarray, params: EncoderParams, cfg: BfmConfig) -> np.ndarray:
-    """Run the attention stack over a token sequence and mean-pool."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2 or tokens.shape[1] != cfg.embed_dim:
-        raise DimensionError(f"expected tokens of shape (S, {cfg.embed_dim})")
-    if tokens.shape[0] < 1:
-        raise DimensionError("token sequence must be nonempty")
-    h = tokens[None]
-    for bp in params.blocks:
-        h, _ = _block_forward(h, bp, cfg)
-    hf, _ = layer_norm_forward(h, params.final_g, params.final_b)
-    pooled = hf.mean(axis=1)[0]
-    if not np.all(np.isfinite(pooled)):
-        raise NumericError("encode produced non-finite values")
-    return pooled
-
-
-def classify(embedding: np.ndarray, params: EncoderParams) -> np.ndarray:
-    """Affine head on a pooled embedding; softmax is left to the loss."""
-    embedding = np.asarray(embedding, dtype=np.float64)
-    return embedding @ params.head_w + params.head_b
-
-
-def bfm_grad(x: np.ndarray, params: EncoderParams, cfg: BfmConfig,
-             upstream: np.ndarray):
-    """Single-sample gradients of the logits contracted with ``upstream``."""
-    upstream = np.asarray(upstream, dtype=np.float64).reshape(-1)
-    if upstream.shape[0] != cfg.num_classes:
-        raise DimensionError(
-            f"upstream has {upstream.shape[0]} entries for {cfg.num_classes} classes"
-        )
-    x = np.asarray(x, dtype=np.float64)
-    _, _, cache = encoder_forward_batch(x[None], params, cfg, keep_cache=True)
-    grads, dx = encoder_backward_batch(cache, params, cfg, upstream[None])
-    return grads, dx[0]

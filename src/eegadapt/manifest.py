@@ -76,18 +76,13 @@ class DatasetManifest:
     def subjects(self) -> list[str]:
         return sorted({entry.subject_id for entry in self.recordings})
 
-    def entries_for_split(self, split: str) -> list[RecordingEntry]:
-        if split == "all":
-            return list(self.recordings)
-        return [e for e in self.recordings if e.split == split]
-
 
 def _validate_classes(classes: dict) -> dict[str, int]:
     if not classes:
         raise ManifestError("manifest defines no classes")
     table = {}
     for name, idx in classes.items():
-        if not isinstance(idx, int):
+        if isinstance(idx, bool) or not isinstance(idx, int):
             raise ManifestError(f"class {name!r} has non-integer index {idx!r}")
         table[str(name)] = idx
     indices = sorted(table.values())

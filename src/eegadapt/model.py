@@ -14,14 +14,12 @@ import numpy as np
 
 from .adapter import (
     AdapterConfig,
-    AdapterParams,
     adapter_backward_batch,
     adapter_forward_batch,
     init_adapter_params,
 )
 from .encoder import (
     BfmConfig,
-    EncoderParams,
     encoder_backward_batch,
     encoder_forward_batch,
     init_encoder_params,
@@ -33,10 +31,13 @@ __all__ = ["EegClassifier", "build_classifier"]
 
 @dataclass
 class EegClassifier:
+    """Configs plus parameters: ``encoder`` and ``adapter`` map parameter
+    names (``head_w``, ``layers.0.w``, ...) to arrays, in checkpoint order."""
+
     encoder_config: BfmConfig
-    encoder: EncoderParams
+    encoder: dict[str, np.ndarray]
     adapter_config: Optional[AdapterConfig] = None
-    adapter: Optional[AdapterParams] = None
+    adapter: Optional[dict[str, np.ndarray]] = None
 
     def __post_init__(self):
         if (self.adapter_config is None) != (self.adapter is None):
@@ -60,8 +61,8 @@ class EegClassifier:
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
         out = []
         if self.adapter is not None:
-            out.extend((f"adapter.{n}", a) for n, a in self.adapter.named_arrays())
-        out.extend((f"encoder.{n}", a) for n, a in self.encoder.named_arrays())
+            out.extend((f"adapter.{n}", a) for n, a in self.adapter.items())
+        out.extend((f"encoder.{n}", a) for n, a in self.encoder.items())
         return out
 
     def forward_batch(self, x: np.ndarray, keep_cache: bool = False):

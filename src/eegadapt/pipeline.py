@@ -72,12 +72,15 @@ class WindowSet:
     def __len__(self) -> int:
         return int(self.data.shape[0])
 
+    def mask(self, split: str) -> np.ndarray:
+        """Boolean row mask of one split ('train', 'val', 'test', or 'all')."""
+        if split == "all":
+            return np.ones(len(self), dtype=bool)
+        return np.array([s == split for s in self.splits], dtype=bool)
+
     def select(self, split: str) -> LabeledSet:
         """Materialize one split ('train', 'val', 'test', or 'all')."""
-        if split == "all":
-            mask = np.ones(len(self), dtype=bool)
-        else:
-            mask = np.array([s == split for s in self.splits])
+        mask = self.mask(split)
         return LabeledSet(
             x=self.data[mask],
             y=self.labels[mask],

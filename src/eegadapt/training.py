@@ -28,7 +28,6 @@ __all__ = [
     "MetricsReport",
     "EpochStats",
     "TrainResult",
-    "cross_entropy",
     "cross_entropy_batch",
     "AdamW",
     "Sgd",
@@ -85,24 +84,6 @@ class LabeledSet:
         return int(self.y.shape[0])
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Categorical cross entropy of one sample.
-
-    Returns (-log softmax(logits)[label], softmax(logits) - onehot(label)),
-    computed with max subtraction for stability.
-    """
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    k = logits.shape[0]
-    if not 0 <= label < k:
-        raise DomainError(f"label {label} out of range for {k} classes")
-    shifted = logits - logits.max()
-    log_z = np.log(np.sum(np.exp(shifted)))
-    loss = log_z - shifted[label]
-    grad = np.exp(shifted - log_z)
-    grad[label] -= 1.0
-    return float(loss), grad
-
-
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
     """Mean cross entropy over a batch and the gradient of that mean.
 
@@ -121,6 +102,15 @@ def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
     return float(losses.mean()), grad / n
 
 
+def _cosine_lr(lr: float, t: int, total_steps: int | None) -> float:
+    """Learning rate at step ``t``: cosine decay from ``lr`` to 0 over
+    ``total_steps``, constant when no horizon is given."""
+    if not total_steps:
+        return lr
+    frac = min(t, total_steps) / total_steps
+    return lr * 0.5 * (1.0 + np.cos(np.pi * frac))
+
+
 class AdamW:
     """Adam with decoupled weight decay and optional cosine learning-rate decay."""
 
@@ -137,14 +127,8 @@ class AdamW:
         self.m = {name: np.zeros_like(p) for name, p in self.arrays}
         self.v = {name: np.zeros_like(p) for name, p in self.arrays}
 
-    def _lr_t(self) -> float:
-        if not self.total_steps:
-            return self.lr
-        frac = min(self.t, self.total_steps) / self.total_steps
-        return self.lr * 0.5 * (1.0 + np.cos(np.pi * frac))
-
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        lr_t = self._lr_t()
+        lr_t = _cosine_lr(self.lr, self.t, self.total_steps)
         self.t += 1
         b1, b2 = self.betas
         bias1 = 1.0 - b1 ** self.t
@@ -173,10 +157,7 @@ class Sgd:
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        lr_t = self.lr
-        if self.total_steps:
-            frac = min(self.t, self.total_steps) / self.total_steps
-            lr_t = self.lr * 0.5 * (1.0 + np.cos(np.pi * frac))
+        lr_t = _cosine_lr(self.lr, self.t, self.total_steps)
         self.t += 1
         for name, p in self.arrays:
             p -= lr_t * (grads[name] + self.weight_decay * p)

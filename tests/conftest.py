@@ -28,7 +28,7 @@ class AdapterOnlyClassifier:
         self.num_classes = num_classes
 
     def named_arrays(self):
-        return [(name, arr) for name, arr in self.params.named_arrays()]
+        return list(self.params.items())
 
     def forward_batch(self, x, keep_cache=False):
         out, cache = adapter_forward_batch(x, self.params, self.config,

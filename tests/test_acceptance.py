@@ -130,8 +130,8 @@ def test_c03_gradient_correctness():
                      embed_dim=16, num_layers=2, num_heads=4,
                      channel_vocab=23, max_patches=2)
     full_model = build_classifier(bcfg, acfg, seed=5)
-    full_model.encoder.head_w[:] = rng.normal(0, 0.3,
-                                              full_model.encoder.head_w.shape)
+    full_model.encoder["head_w"][:] = rng.normal(
+        0, 0.3, full_model.encoder["head_w"].shape)
     rep_b = gradient_check(full_model, rng.normal(size=(6, 48)), 1,
                            num_coordinates=220, seed=7)
     elapsed = time.monotonic() - start

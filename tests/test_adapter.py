@@ -5,11 +5,9 @@ import pytest
 
 from eegadapt.adapter import (
     AdapterConfig,
-    AdapterParams,
-    ConvLayerParams,
     ConvLayerSpec,
-    adapter_forward,
-    adapter_grad,
+    adapter_backward_batch,
+    adapter_forward_batch,
     default_adapter_config,
     init_adapter_params,
 )
@@ -18,9 +16,10 @@ from eegadapt.nnops import gelu
 
 
 def naive_forward(x, params, cfg):
-    """Direct nested-loop convolution, the independent oracle."""
+    """Direct nested-loop convolution of one sample, the independent oracle."""
     h = np.asarray(x, dtype=np.float64)
-    for spec, lp in zip(cfg.layers, params.layers):
+    for i, spec in enumerate(cfg.layers):
+        w, b = params[f"layers.{i}.w"], params[f"layers.{i}.b"]
         t_out = (h.shape[1] - spec.kernel_len) // spec.stride + 1
         z = np.zeros((spec.out_maps, t_out))
         for o in range(spec.out_maps):
@@ -28,10 +27,20 @@ def naive_forward(x, params, cfg):
                 acc = 0.0
                 for c in range(h.shape[0]):
                     for j in range(spec.kernel_len):
-                        acc += lp.w[o, c, j] * h[c, t * spec.stride + j]
-                z[o, t] = acc + lp.b[o]
+                        acc += w[o, c, j] * h[c, t * spec.stride + j]
+                z[o, t] = acc + b[o]
         h = gelu(z) if spec.activation == "gelu" else z
     return h
+
+
+def forward(x, params, cfg):
+    return adapter_forward_batch(x, params, cfg)[0]
+
+
+def forward_backward(x, params, cfg, upstream):
+    """Gradients of sum(forward(x) * upstream); returns (grads, dx)."""
+    _, cache = adapter_forward_batch(x, params, cfg, keep_cache=True)
+    return adapter_backward_batch(cache, params, cfg, upstream)
 
 
 class TestConfigArithmetic:
@@ -74,8 +83,8 @@ class TestForward:
     def test_zero_input_zero_bias_gives_zero(self):
         cfg = default_adapter_config(4, 40, out_timesteps=16)
         params = init_adapter_params(cfg, np.random.default_rng(0))
-        out = adapter_forward(np.zeros((4, 40)), params, cfg)
-        np.testing.assert_array_equal(out, np.zeros((23, 16)))
+        out = forward(np.zeros((3, 4, 40)), params, cfg)
+        np.testing.assert_array_equal(out, np.zeros((3, 23, 16)))
 
     def test_unit_kernel_identity_selection(self):
         # One layer, kernel 1, stride 1, each output map copies one input row.
@@ -85,20 +94,22 @@ class TestForward:
         w = np.zeros((2, 3, 1))
         w[0, 2, 0] = 1.0
         w[1, 0, 0] = 1.0
-        params = AdapterParams(layers=[ConvLayerParams(w=w, b=np.zeros(2))])
-        x = np.arange(15, dtype=float).reshape(3, 5)
-        out = adapter_forward(x, params, cfg)
-        np.testing.assert_array_equal(out[0], x[2])
-        np.testing.assert_array_equal(out[1], x[0])
+        params = {"layers.0.w": w, "layers.0.b": np.zeros(2)}
+        x = np.arange(30, dtype=float).reshape(2, 3, 5)
+        out = forward(x, params, cfg)
+        np.testing.assert_array_equal(out[:, 0], x[:, 2])
+        np.testing.assert_array_equal(out[:, 1], x[:, 0])
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(42)
         cfg = default_adapter_config(8, 64, out_timesteps=16)
         params = init_adapter_params(cfg, rng)
-        x = rng.normal(size=(8, 64))
-        out = adapter_forward(x, params, cfg)
-        assert out.shape == (23, 16)
-        np.testing.assert_allclose(out, naive_forward(x, params, cfg), atol=1e-10)
+        x = rng.normal(size=(2, 8, 64))
+        out = forward(x, params, cfg)
+        assert out.shape == (2, 23, 16)
+        for i in range(2):
+            np.testing.assert_allclose(out[i], naive_forward(x[i], params, cfg),
+                                       atol=1e-10)
 
     def test_shape_contract_over_random_configs(self):
         rng = np.random.default_rng(9)
@@ -114,22 +125,24 @@ class TestForward:
                 out_timesteps=t_out, layers=(ConvLayerSpec(out_ch, k, stride),),
             )
             params = init_adapter_params(cfg, rng)
-            out = adapter_forward(rng.normal(size=(e, t_in)), params, cfg)
-            assert out.shape == (out_ch, t_out)
+            out = forward(rng.normal(size=(2, e, t_in)), params, cfg)
+            assert out.shape == (2, out_ch, t_out)
 
     def test_shape_mismatch_rejected(self):
         cfg = default_adapter_config(4, 40, out_timesteps=16)
         params = init_adapter_params(cfg, np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            adapter_forward(np.zeros((5, 40)), params, cfg)
+            forward(np.zeros((1, 5, 40)), params, cfg)
+        with pytest.raises(DimensionError):
+            forward(np.zeros((4, 40)), params, cfg)
 
     def test_determinism(self):
         rng = np.random.default_rng(2)
         cfg = default_adapter_config(6, 48, out_timesteps=16)
         params = init_adapter_params(cfg, rng)
-        x = rng.normal(size=(6, 48))
-        a = adapter_forward(x, params, cfg)
-        b = adapter_forward(x, params, cfg)
+        x = rng.normal(size=(2, 6, 48))
+        a = forward(x, params, cfg)
+        b = forward(x, params, cfg)
         np.testing.assert_array_equal(a, b)
 
 
@@ -138,20 +151,20 @@ class TestGradients:
         rng = np.random.default_rng(17)
         self.cfg = default_adapter_config(5, 36, out_timesteps=8)
         self.params = init_adapter_params(self.cfg, rng)
-        self.x = rng.normal(size=(5, 36))
-        self.upstream = rng.normal(size=(23, 8))
+        self.x = rng.normal(size=(1, 5, 36))
+        self.upstream = rng.normal(size=(1, 23, 8))
 
     def test_zero_upstream_zero_gradients(self):
-        grads, dx = adapter_grad(self.x, self.params, self.cfg,
-                                 np.zeros((23, 8)))
+        grads, dx = forward_backward(self.x, self.params, self.cfg,
+                                     np.zeros((1, 23, 8)))
         assert np.all(dx == 0)
         for g in grads.values():
             assert np.all(g == 0)
 
     def test_upstream_linearity(self):
-        grads, dx = adapter_grad(self.x, self.params, self.cfg, self.upstream)
-        grads2, dx2 = adapter_grad(self.x, self.params, self.cfg,
-                                   2.0 * self.upstream)
+        grads, dx = forward_backward(self.x, self.params, self.cfg, self.upstream)
+        grads2, dx2 = forward_backward(self.x, self.params, self.cfg,
+                                       2.0 * self.upstream)
         np.testing.assert_allclose(dx2, 2.0 * dx, rtol=1e-12)
         for name in grads:
             np.testing.assert_allclose(grads2[name], 2.0 * grads[name], rtol=1e-12)
@@ -161,12 +174,12 @@ class TestGradients:
         rng = np.random.default_rng(3)
 
         def objective():
-            return float(np.sum(adapter_forward(self.x, self.params, self.cfg)
+            return float(np.sum(forward(self.x, self.params, self.cfg)
                                 * self.upstream))
 
-        grads, dx = adapter_grad(self.x, self.params, self.cfg, self.upstream)
+        grads, dx = forward_backward(self.x, self.params, self.cfg, self.upstream)
         worst = 0.0
-        for name, arr in self.params.named_arrays():
+        for name, arr in self.params.items():
             flat = arr.reshape(-1)
             picks = rng.choice(flat.size, size=min(25, flat.size), replace=False)
             for idx in picks:
@@ -196,4 +209,4 @@ class TestGradients:
 
     def test_upstream_shape_checked(self):
         with pytest.raises(DimensionError):
-            adapter_grad(self.x, self.params, self.cfg, np.zeros((23, 9)))
+            forward_backward(self.x, self.params, self.cfg, np.zeros((1, 23, 9)))

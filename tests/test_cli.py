@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eegadapt.cli import main
-from eegadapt.fileio import read_embeddings_text
+from eegadapt.fileio import read_bundle, read_embeddings_text, write_bundle
 from eegadapt.pipeline import load_window_set
 
 
@@ -160,6 +160,21 @@ class TestEval:
         ])
         assert rc != 0
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_malformed_checkpoint_fails_in_one_line(self, dataset, mix_checkpoint,
+                                                    tmp_path, capsys):
+        meta, arrays = read_bundle(mix_checkpoint)
+        del meta["encoder_config"]
+        bad = tmp_path / "bad.ckpt"
+        write_bundle(bad, meta, list(arrays.items()))
+        rc = main([
+            "eval", "--checkpoint", str(bad),
+            "--manifest", str(dataset / "manifest.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "encoder_config" in err
+        assert err.count("\n") == 1
 
     def test_eval_writes_report(self, dataset, mix_checkpoint, tmp_path):
         out = tmp_path / "report.txt"

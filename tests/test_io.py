@@ -190,6 +190,13 @@ class TestManifest:
         with pytest.raises(ManifestError, match="not found"):
             load_manifest(write_manifest(tmp_path, [entry]))
 
+    def test_bool_class_index_rejected(self, tmp_path):
+        # JSON true/false are Python bools, which isinstance treats as ints.
+        entry, _ = basic_entry(tmp_path, "a.raw", label="b")
+        path = write_manifest(tmp_path, [entry], classes={"a": False, "b": True})
+        with pytest.raises(ManifestError, match="non-integer"):
+            load_manifest(path)
+
     def test_unknown_format_rejected(self, tmp_path):
         entry, _ = basic_entry(tmp_path, "a.raw")
         entry["format"] = "edf"
@@ -269,7 +276,17 @@ def small_checkpoint(with_adapter=True):
         p += rng.normal(0, 0.01, p.shape)
     fingerprint = {"window_len": 32, "alignment": "none", "channels": 4,
                    "mode": "adapter" if with_adapter else "raw"}
-    return Checkpoint.from_model(model, {"a": 0, "b": 1, "c": 2}, fingerprint)
+    return Checkpoint(model, {"a": 0, "b": 1, "c": 2}, fingerprint)
+
+
+def rewrite_bundle(path, edit_meta=None, edit_arrays=None):
+    """Apply edits to a bundle's meta and array table, keeping a valid CRC."""
+    meta, arrays = read_bundle(path)
+    if edit_meta:
+        edit_meta(meta)
+    if edit_arrays:
+        edit_arrays(arrays)
+    write_bundle(path, meta, list(arrays.items()))
 
 
 class TestCheckpoint:
@@ -280,10 +297,12 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.classes == ckpt.classes
         assert loaded.fingerprint == ckpt.fingerprint
-        assert loaded.encoder_config == ckpt.encoder_config
-        assert loaded.adapter_config == ckpt.adapter_config
-        original = dict(ckpt.to_model().named_arrays())
-        for name, arr in loaded.to_model().named_arrays():
+        assert loaded.model.encoder_config == ckpt.model.encoder_config
+        assert loaded.model.adapter_config == ckpt.model.adapter_config
+        original = dict(ckpt.model.named_arrays())
+        loaded_arrays = loaded.model.named_arrays()
+        assert [n for n, _ in loaded_arrays] == list(original)
+        for name, arr in loaded_arrays:
             np.testing.assert_array_equal(arr, original[name])
 
     def test_round_trip_without_adapter(self, tmp_path):
@@ -291,8 +310,63 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, ckpt)
         loaded = load_checkpoint(path)
-        assert loaded.adapter is None
-        assert loaded.adapter_config is None
+        assert loaded.model.adapter is None
+        assert loaded.model.adapter_config is None
+
+    def test_array_names_in_file_order(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+        _, arrays = read_bundle(path)
+        block = ["ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv",
+                 "wo", "bo", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2"]
+        assert list(arrays) == [
+            "adapter.layers.0.w", "adapter.layers.0.b",
+            "adapter.layers.1.w", "adapter.layers.1.b",
+            "encoder.patch_w", "encoder.patch_b",
+            "encoder.channel_embed", "encoder.temporal_embed",
+            *(f"encoder.blocks.0.{name}" for name in block),
+            "encoder.final_g", "encoder.final_b",
+            "encoder.head_w", "encoder.head_b",
+        ]
+
+    @pytest.mark.parametrize("key", ["encoder_config", "classes", "fingerprint"])
+    def test_missing_meta_table_rejected(self, tmp_path, key):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+        rewrite_bundle(path, edit_meta=lambda meta: meta.pop(key))
+        with pytest.raises(IntegrityError, match=key):
+            load_checkpoint(path)
+
+    def test_malformed_config_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+        rewrite_bundle(path, edit_meta=lambda meta: meta["encoder_config"]
+                       .update(depth=3))
+        with pytest.raises(IntegrityError, match="malformed"):
+            load_checkpoint(path)
+
+    def test_missing_array_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+        rewrite_bundle(path, edit_arrays=lambda a: a.pop("adapter.layers.1.b"))
+        with pytest.raises(IntegrityError, match="missing adapter.layers.1.b"):
+            load_checkpoint(path)
+
+    def test_unexpected_array_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+        rewrite_bundle(path, edit_arrays=lambda a: a.update(
+            {"encoder.blocks.9.wq": np.zeros((16, 16))}))
+        with pytest.raises(IntegrityError, match="unexpected encoder.blocks.9.wq"):
+            load_checkpoint(path)
+
+    def test_wrong_shape_array_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+        rewrite_bundle(path, edit_arrays=lambda a: a.update(
+            {"encoder.head_w": np.zeros((16, 5))}))
+        with pytest.raises(IntegrityError, match=r"encoder.head_w has shape \(16, 5\)"):
+            load_checkpoint(path)
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -13,7 +13,6 @@ from eegadapt.model import build_classifier
 from eegadapt.training import (
     LabeledSet,
     TrainConfig,
-    cross_entropy,
     cross_entropy_batch,
     evaluate,
     gradient_check,
@@ -22,16 +21,22 @@ from eegadapt.training import (
 )
 
 
+def cross_entropy(logits, label):
+    """Loss and logit gradient of one sample, as a batch of one."""
+    loss, grad = cross_entropy_batch(np.asarray(logits)[None], [label])
+    return loss, grad[0]
+
+
 class TestCrossEntropy:
     def test_uniform_logits_forty_classes(self):
-        loss, grad = cross_entropy(np.zeros(40), 0)
+        loss, grad = cross_entropy_batch(np.zeros((3, 40)), [0, 7, 39])
         assert abs(loss - np.log(40)) < 1e-12
-        np.testing.assert_allclose(grad[1:], 1.0 / 40.0, atol=1e-12)
+        np.testing.assert_allclose(grad[0, 1:], 1.0 / 120.0, atol=1e-12)
 
     def test_saturated_correct_logit(self):
-        logits = np.zeros(5)
-        logits[3] = 1e4
-        loss, _ = cross_entropy(logits, 3)
+        logits = np.zeros((2, 5))
+        logits[:, 3] = 1e4
+        loss, _ = cross_entropy_batch(logits, [3, 3])
         assert loss <= 1e-6
 
     def test_matches_direct_softmax_oracle(self):
@@ -56,7 +61,9 @@ class TestCrossEntropy:
 
     def test_label_out_of_range(self):
         with pytest.raises(DomainError):
-            cross_entropy(np.zeros(4), 4)
+            cross_entropy_batch(np.zeros((2, 4)), [0, 4])
+        with pytest.raises(DomainError):
+            cross_entropy_batch(np.zeros((2, 4)), [-1, 0])
 
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(2)
@@ -249,7 +256,7 @@ class TestGradientCheck:
                          channel_vocab=23, max_patches=2)
         model = build_classifier(bcfg, acfg, seed=5)
         rng = np.random.default_rng(6)
-        model.encoder.head_w[:] = rng.normal(0, 0.3, model.encoder.head_w.shape)
+        model.encoder["head_w"][:] = rng.normal(0, 0.3, model.encoder["head_w"].shape)
         x = rng.normal(size=(6, 48))
         report = gradient_check(model, x, 1, num_coordinates=220, seed=7)
         assert report.max_rel_error <= 1e-4
