@@ -37,7 +37,6 @@ from .pipeline import (
 )
 from .synthetic import SynthSpec, write_synthetic_dataset
 from .training import (
-    LabeledSet,
     TrainConfig,
     confusion_matrix,
     evaluate,
@@ -151,7 +150,7 @@ def cmd_align(args) -> int:
         print(f"wrote {args.out} (pass-through)")
         return 0
     montage = load_montage(args.montage)
-    target_len = args.target_len or wset.data.shape[2]
+    target_len = wset.data.shape[2] if args.target_len is None else args.target_len
     aligned = align_window_set(wset, args.mode, montage,
                                montage_identity(montage), target_len)
     save_window_set(args.out, aligned, header={"repro": repro_header("align", args)})
@@ -220,7 +219,8 @@ def cmd_train(args) -> int:
     if args.mode in ("select", "mix"):
         if wset.fingerprint.get("alignment") == "none":
             montage = _resolve_montage(args, manifest)
-            target_len = args.target_len or wset.data.shape[2]
+            target_len = (wset.data.shape[2] if args.target_len is None
+                          else args.target_len)
             wset = align_window_set(wset, args.mode, montage,
                                     montage_identity(montage), target_len)
         elif wset.fingerprint.get("alignment") != args.mode:
@@ -268,15 +268,8 @@ def cmd_train(args) -> int:
     )
     model = build_classifier(encoder_cfg, adapter_cfg, seed=args.seed)
 
-    def subset(split):
-        split_mask = mask & wset.mask(split)
-        return LabeledSet(
-            x=wset.data[split_mask],
-            y=labels[split_mask],
-            subjects=[s for s, m in zip(wset.subjects, split_mask) if m],
-        )
-
-    train_set, val_set = subset("train"), subset("val")
+    train_set = wset.select("train", mask, labels)
+    val_set = wset.select("val", mask, labels)
     cfg = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch,
@@ -359,17 +352,11 @@ def _remap_to_checkpoint_classes(wset: WindowSet, ckpt: Checkpoint):
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     wset = _eval_window_set(args, ckpt)
-    mask, remapped = _remap_to_checkpoint_classes(wset, ckpt)
-    mask &= wset.mask(args.split)
-    if not mask.any():
+    data = wset.select(args.split, *_remap_to_checkpoint_classes(wset, ckpt))
+    if not len(data):
         raise ConfigurationError(
             f"split {args.split!r} holds no samples of the checkpoint's classes"
         )
-    data = LabeledSet(
-        x=wset.data[mask],
-        y=remapped[mask],
-        subjects=[s for s, m in zip(wset.subjects, mask) if m],
-    )
     preds, probs = predict(ckpt.model, data)
     report = metrics_from_confusion(
         confusion_matrix(data.y, preds, ckpt.model.num_classes))
@@ -393,10 +380,10 @@ def cmd_eval(args) -> int:
 def cmd_extract(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     wset = _eval_window_set(args, ckpt)
-    mask = wset.mask(args.split)
-    if not mask.any():
+    data = wset.select(args.split)
+    if not len(data):
         raise ConfigurationError(f"split {args.split!r} is empty")
-    x = wset.data[mask]
+    x = data.x
     embed_dim = ckpt.model.encoder_config.embed_dim
     embeddings = np.empty((x.shape[0], embed_dim))
     for start in range(0, x.shape[0], 64):
@@ -405,8 +392,8 @@ def cmd_extract(args) -> int:
     write_embeddings_text(
         args.out_embeddings,
         embeddings,
-        wset.labels[mask],
-        [s for s, m in zip(wset.subjects, mask) if m],
+        data.y,
+        data.subjects,
         header_lines=repro_header("extract", args),
     )
     print(f"wrote {args.out_embeddings}: {x.shape[0]} embeddings of dim {embed_dim}")

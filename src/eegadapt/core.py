@@ -1,4 +1,4 @@
-"""Core signal types, unit conversion, length fitting, and windowing.
+"""Core signal types, unit conversion, and windowing.
 
 All operations are pure functions on immutable inputs and are safe to call
 from parallel workers.
@@ -16,9 +16,7 @@ from .errors import DimensionError, DomainError
 __all__ = [
     "Recording",
     "QuantizedRecording",
-    "SampleWindow",
     "quantized_to_microvolts",
-    "fit_length",
     "extract_windows",
 ]
 
@@ -58,14 +56,6 @@ class Recording:
             raise DomainError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         object.__setattr__(self, "data", data)
 
-    @property
-    def num_channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def num_samples(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class QuantizedRecording:
@@ -98,20 +88,6 @@ class QuantizedRecording:
         object.__setattr__(self, "resolution", resolution)
 
 
-@dataclass(frozen=True)
-class SampleWindow:
-    """A fixed-length, non-overlapping slice of one recording."""
-
-    data: np.ndarray
-    label: Optional[int]
-    subject_id: str
-    source_index: int
-    window_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float64))
-
-
 def quantized_to_microvolts(q: QuantizedRecording) -> Recording:
     """Scale raw counts into microvolts, channel by channel.
 
@@ -128,45 +104,17 @@ def quantized_to_microvolts(q: QuantizedRecording) -> Recording:
     )
 
 
-def fit_length(signal: np.ndarray, target_len: int) -> np.ndarray:
-    """Trim or repeat a 1-D signal to exactly ``target_len`` samples.
-
-    Longer signals keep their head (stimulus-onset-aligned data carries the
-    early evoked response); shorter ones are tiled end-to-end and truncated.
-    """
-    signal = np.asarray(signal, dtype=np.float64).reshape(-1)
-    if signal.size < 1:
-        raise DomainError("cannot fit an empty signal")
-    if target_len < 1:
-        raise DomainError(f"target_len must be >= 1, got {target_len}")
-    if signal.size >= target_len:
-        return signal[:target_len].copy()
-    reps = -(-target_len // signal.size)
-    return np.tile(signal, reps)[:target_len]
-
-
-def extract_windows(rec: Recording, window_len: int,
-                    source_index: int = 0) -> list[SampleWindow]:
-    """Cut a recording into floor(T / window_len) non-overlapping windows.
+def extract_windows(data: np.ndarray, window_len: int) -> np.ndarray:
+    """Cut an (E, T) matrix into (T // window_len, E, window_len) windows.
 
     Window k covers columns [k * window_len, (k + 1) * window_len); the
     trailing remainder is discarded so every window is identically
-    distributed. Each window inherits the recording's label and subject;
-    ``source_index`` tags which recording the windows came from.
+    distributed. The windows are a copy, so ``data`` can be freed once cut;
+    keeping every recording alive behind views raises peak RSS.
     """
     if window_len < 1:
         raise DomainError(f"window_len must be >= 1, got {window_len}")
-    count = rec.num_samples // window_len
-    windows = []
-    for k in range(count):
-        chunk = rec.data[:, k * window_len : (k + 1) * window_len].copy()
-        windows.append(
-            SampleWindow(
-                data=chunk,
-                label=rec.label,
-                subject_id=rec.subject_id,
-                source_index=source_index,
-                window_index=k,
-            )
-        )
-    return windows
+    e, t = data.shape
+    count = t // window_len
+    windows = data[:, : count * window_len].reshape(e, count, window_len)
+    return windows.transpose(1, 0, 2).copy()

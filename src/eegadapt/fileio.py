@@ -21,6 +21,7 @@ beginning with ``#`` are header comments.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -125,11 +126,27 @@ def read_bundle(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"{path} has a corrupt header: {exc}") from exc
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("arrays"), list)):
+        raise IntegrityError(
+            f"{path} header must be an object with a 'meta' object and an "
+            "'arrays' list"
+        )
     offset = 16 + header_len
     arrays: dict[str, np.ndarray] = {}
     for spec in header["arrays"]:
+        if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
+                and isinstance(spec.get("dtype"), str)
+                and spec["dtype"] in _ALLOWED_DTYPES
+                and isinstance(spec.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in spec["shape"])):
+            raise IntegrityError(
+                f"{path} has a malformed array spec {spec!r}; expected a str "
+                f"name, a dtype in {sorted(_ALLOWED_DTYPES)} and a list of "
+                "non-negative int dims"
+            )
         dtype = np.dtype(spec["dtype"])
-        count = int(np.prod(spec["shape"])) if spec["shape"] else 1
+        count = math.prod(spec["shape"])
         nbytes = dtype.itemsize * count
         if offset + nbytes > len(raw) - 4:
             raise IntegrityError(f"{path} is truncated inside array {spec['name']}")

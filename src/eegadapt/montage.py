@@ -1,10 +1,11 @@
 """Map an arbitrary source montage onto the fixed 23-channel encoder montage.
 
-Two strategies are supported: picking the anatomically nearest source
-electrode per target, or mixing a target's neighboring sources into one
-composite signal by length-fitting each and concatenating on the time axis.
-Lookups are by electrode label (after whitespace trimming), never by storage
-position.
+Alignment is one gather: every target sample is one sample of one source
+electrode, so a whole batch of windows is aligned by a single pair of index
+maps. Mix mode fills a target row with its neighboring sources, each
+length-fitted and concatenated on the time axis; select mode is mix over
+each target's first (nearest) source only. Lookups are by electrode label
+(after whitespace trimming), never by storage position.
 """
 
 from __future__ import annotations
@@ -14,16 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Recording, fit_length
-from .errors import AlignmentError, DomainError, ManifestError
+from .errors import AlignmentError, DimensionError, DomainError, ManifestError
 
 __all__ = [
     "MontageTarget",
     "MontageMap",
-    "AlignmentMode",
     "BUILTIN_MONTAGE_TOKEN",
     "builtin_montage",
-    "nearest_channel_select",
     "mix_channels",
     "parse_montage_text",
     "format_montage_text",
@@ -101,29 +99,11 @@ class MontageMap:
             )
         object.__setattr__(self, "targets", targets)
 
-    def max_sources(self) -> int:
-        return max(len(t.sources) for t in self.targets)
-
-
-@dataclass(frozen=True)
-class AlignmentMode:
-    """Either nearest-source selection or composite mixing to ``target_len``."""
-
-    kind: str  # "select" or "mix"
-    target_len: int
-
-    def __post_init__(self):
-        if self.kind not in ("select", "mix"):
-            raise DomainError(f"alignment kind must be 'select' or 'mix', got {self.kind!r}")
-        if self.target_len < 1:
-            raise DomainError(f"target_len must be >= 1, got {self.target_len}")
-
-    def validate_for(self, montage: MontageMap) -> None:
-        if self.kind == "mix" and self.target_len < montage.max_sources():
-            raise DomainError(
-                f"mix target_len {self.target_len} is below the largest source "
-                f"count {montage.max_sources()}"
-            )
+    def first_sources(self) -> MontageMap:
+        """The map select mode aligns with: each target's nearest source only."""
+        return MontageMap(targets=tuple(
+            MontageTarget(t.target_label, t.sources[:1]) for t in self.targets
+        ))
 
 
 def builtin_montage() -> MontageMap:
@@ -135,57 +115,41 @@ def builtin_montage() -> MontageMap:
     )
 
 
-def _row_lookup(rec: Recording) -> dict[str, int]:
-    return {lab: i for i, lab in enumerate(rec.channel_labels)}
-
-
-def nearest_channel_select(rec: Recording, montage: MontageMap,
-                           target_len: int) -> Recording:
-    """Build the 23-channel recording from each target's first source.
-
-    Row i of the output is the first source electrode of target i, length
-    fitted to ``target_len``. Missing electrodes raise AlignmentError naming
-    the label.
-    """
-    rows = _row_lookup(rec)
-    out = []
-    for target in montage.targets:
-        source = target.sources[0]
-        if source not in rows:
-            raise AlignmentError(
-                f"recording has no electrode {source!r} needed for target "
-                f"{target.target_label}"
-            )
-        out.append(fit_length(rec.data[rows[source]], target_len))
-    return Recording(
-        channel_labels=list(TARGET_ORDER),
-        sample_rate_hz=rec.sample_rate_hz,
-        data=np.stack(out),
-        subject_id=rec.subject_id,
-        label=rec.label,
-    )
-
-
-def mix_channels(rec: Recording, montage: MontageMap, target_len: int) -> Recording:
-    """Build each target row as a time-axis concatenation of its sources.
+def mix_channels(data: np.ndarray, channel_labels, montage: MontageMap,
+                 target_len: int) -> np.ndarray:
+    """Align (N, E, T) windows onto the 23 targets: (N, 23, target_len).
 
     A target with k sources contributes floor(target_len / k) samples per
     source; the first (target_len mod k) sources get one extra sample so the
-    segments sum exactly to target_len. Each segment is the source signal
-    length-fitted to its segment length, concatenated in listed order.
+    segments sum exactly to target_len. Sample i of a segment is source
+    sample i mod T: a longer source keeps its head (stimulus-onset-aligned
+    data carries the early evoked response), a shorter one is tiled. The
+    whole rule is one (23, target_len) pair of channel and time index maps,
+    applied to every window at once. Missing electrodes raise
+    AlignmentError naming the label.
     """
-    rows = _row_lookup(rec)
-    out = []
-    for target in montage.targets:
+    data = np.asarray(data)
+    if data.ndim != 3 or data.shape[1] != len(channel_labels):
+        raise DimensionError(
+            f"expected (N, {len(channel_labels)}, T) windows, got shape {data.shape}"
+        )
+    if target_len < 1:
+        raise DomainError(f"target_len must be >= 1, got {target_len}")
+    t = data.shape[2]
+    if t < 1:
+        raise DomainError("cannot fit an empty signal")
+    rows = {str(lab).strip(): i for i, lab in enumerate(channel_labels)}
+    ci = np.empty((len(montage.targets), target_len), dtype=np.intp)
+    ti = np.empty_like(ci)
+    for r, target in enumerate(montage.targets):
         k = len(target.sources)
         if k > target_len:
             raise DomainError(
                 f"target {target.target_label} has {k} sources but target_len "
                 f"is only {target_len}"
             )
-        base = target_len // k
-        extra = target_len % k
-        segments = []
+        base, extra = divmod(target_len, k)
+        offset = 0
         for j, source in enumerate(target.sources):
             if source not in rows:
                 raise AlignmentError(
@@ -193,15 +157,13 @@ def mix_channels(rec: Recording, montage: MontageMap, target_len: int) -> Record
                     f"{target.target_label}"
                 )
             seg_len = base + (1 if j < extra else 0)
-            segments.append(fit_length(rec.data[rows[source]], seg_len))
-        out.append(np.concatenate(segments))
-    return Recording(
-        channel_labels=list(TARGET_ORDER),
-        sample_rate_hz=rec.sample_rate_hz,
-        data=np.stack(out),
-        subject_id=rec.subject_id,
-        label=rec.label,
-    )
+            ci[r, offset : offset + seg_len] = rows[source]
+            ti[r, offset : offset + seg_len] = np.arange(seg_len) % t
+            offset += seg_len
+    # data[:, ci, ti], taken over the flattened (E * T) axis so the result is
+    # C-contiguous and no writer has to copy it again.
+    flat = data.reshape(data.shape[0], data.shape[1] * t)
+    return flat.take(ci * t + ti, axis=1)
 
 
 def parse_montage_text(text: str) -> MontageMap:

@@ -12,17 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Recording, extract_windows
-from .errors import ConfigurationError, FingerprintMismatchError
+from .core import extract_windows
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    FingerprintMismatchError,
+    IntegrityError,
+)
 from .fileio import read_bundle, write_bundle
 from .filters import apply_chain_to_rows, design_bandpass, design_notch
 from .manifest import DatasetManifest, load_recording
-from .montage import (
-    AlignmentMode,
-    MontageMap,
-    mix_channels,
-    nearest_channel_select,
-)
+from .montage import TARGET_ORDER, MontageMap, mix_channels
 from .training import LabeledSet
 
 logger = logging.getLogger(__name__)
@@ -78,12 +78,20 @@ class WindowSet:
             return np.ones(len(self), dtype=bool)
         return np.array([s == split for s in self.splits], dtype=bool)
 
-    def select(self, split: str) -> LabeledSet:
-        """Materialize one split ('train', 'val', 'test', or 'all')."""
+    def select(self, split: str, keep: np.ndarray | None = None,
+               labels: np.ndarray | None = None) -> LabeledSet:
+        """Materialize one split ('train', 'val', 'test', or 'all').
+
+        ``keep`` is an optional row mask ANDed with the split's; ``labels``
+        optionally replaces ``self.labels`` (e.g. remapped class indices).
+        """
         mask = self.mask(split)
+        if keep is not None:
+            mask &= keep
+        y = self.labels if labels is None else labels
         return LabeledSet(
             x=self.data[mask],
-            y=self.labels[mask],
+            y=y[mask],
             subjects=[s for s, m in zip(self.subjects, mask) if m],
         )
 
@@ -103,7 +111,7 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
     designed per distinct sample rate and cached.
     """
     chains: dict[float, tuple] = {}
-    data, labels, subjects, splits, rates = [], [], [], [], []
+    blocks, labels, subjects, splits, rates = [], [], [], [], []
     channel_labels: list[str] | None = None
 
     for idx, entry in enumerate(manifest.recordings):
@@ -124,23 +132,16 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
             )
         notch, band = chains[fs]
         filtered = apply_chain_to_rows(band, apply_chain_to_rows(notch, rec.data))
-        clean = Recording(
-            channel_labels=rec.channel_labels,
-            sample_rate_hz=fs,
-            data=filtered,
-            subject_id=rec.subject_id,
-            label=rec.label,
-        )
-        for window in extract_windows(clean, window_len, source_index=idx):
-            data.append(window.data)
-            labels.append(window.label)
-            subjects.append(window.subject_id)
-            splits.append(entry.split)
-            rates.append(fs)
-        logger.debug("recording %d (%s): %d windows", idx, entry.path,
-                     clean.num_samples // window_len)
+        block = extract_windows(filtered, window_len)
+        n = block.shape[0]
+        blocks.append(block)
+        labels += [rec.label] * n
+        subjects += [rec.subject_id] * n
+        splits += [entry.split] * n
+        rates += [fs] * n
+        logger.debug("recording %d (%s): %d windows", idx, entry.path, n)
 
-    if not data:
+    if not labels:
         raise ConfigurationError(
             f"no windows of length {window_len} could be extracted"
         )
@@ -154,7 +155,7 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
         "timesteps": window_len,
     })
     return WindowSet(
-        data=np.stack(data),
+        data=np.concatenate(blocks),
         labels=np.array(labels, dtype=np.int64),
         subjects=subjects,
         splits=splits,
@@ -167,27 +168,14 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
 
 def align_window_set(wset: WindowSet, mode: str, montage: MontageMap,
                      montage_name: str, target_len: int) -> WindowSet:
-    """Apply select or mix alignment to every window."""
+    """Apply select or mix alignment to every window in one gather."""
     if mode not in ("select", "mix"):
         raise ConfigurationError(f"alignment mode must be 'select' or 'mix', got {mode!r}")
     if wset.fingerprint.get("alignment") != "none":
         raise ConfigurationError("window set is already aligned")
-    AlignmentMode(kind=mode, target_len=target_len).validate_for(montage)
-    fn = nearest_channel_select if mode == "select" else mix_channels
-    aligned = np.empty((len(wset), 23, target_len))
-    out_labels: list[str] | None = None
-    for i in range(len(wset)):
-        rec = Recording(
-            channel_labels=wset.channel_labels,
-            sample_rate_hz=float(wset.sample_rates[i]),
-            data=wset.data[i],
-            subject_id=wset.subjects[i],
-            label=int(wset.labels[i]),
-        )
-        out = fn(rec, montage, target_len)
-        aligned[i] = out.data
-        if out_labels is None:
-            out_labels = out.channel_labels
+    if mode == "select":
+        montage = montage.first_sources()
+    aligned = mix_channels(wset.data, wset.channel_labels, montage, target_len)
     fingerprint = dict(wset.fingerprint)
     fingerprint.update({
         "alignment": mode,
@@ -202,7 +190,7 @@ def align_window_set(wset: WindowSet, mode: str, montage: MontageMap,
         subjects=list(wset.subjects),
         splits=list(wset.splits),
         sample_rates=wset.sample_rates.copy(),
-        channel_labels=out_labels,
+        channel_labels=list(TARGET_ORDER),
         classes=dict(wset.classes),
         fingerprint=fingerprint,
     )
@@ -226,18 +214,54 @@ def save_window_set(path, wset: WindowSet, header: dict | None = None) -> None:
     ])
 
 
+_META_TYPES = (("subjects", list), ("splits", list), ("channel_labels", list),
+               ("classes", dict), ("fingerprint", dict))
+
+
 def load_window_set(path) -> WindowSet:
+    """Read a window set, checking its schema, shapes and values once."""
     meta, arrays = read_bundle(path)
     if meta.get("kind") != "window-set" or meta.get("version") != 1:
         raise ConfigurationError(f"{path} is not a version-1 window set")
+    for key, kind in _META_TYPES:
+        if not isinstance(meta.get(key), kind):
+            raise IntegrityError(
+                f"{path}: window-set meta {key!r} must be a {kind.__name__}"
+            )
+    for name in ("data", "labels", "sample_rates"):
+        if name not in arrays:
+            raise IntegrityError(f"{path}: window set has no {name!r} array")
+    data = arrays["data"].astype(np.float64, copy=False)
+    rates = arrays["sample_rates"]
+    channels = len(meta["channel_labels"])
+    if data.ndim != 3 or data.shape[1] != channels or data.shape[2] < 1:
+        raise IntegrityError(
+            f"{path}: 'data' has shape {data.shape}, expected (N, {channels}, T>=1) "
+            "with one row per entry of 'channel_labels'"
+        )
+    n = data.shape[0]
+    shapes = {"labels": arrays["labels"].shape, "sample_rates": rates.shape,
+              "subjects": (len(meta["subjects"]),), "splits": (len(meta["splits"]),)}
+    for name, shape in shapes.items():
+        if shape != (n,):
+            raise IntegrityError(f"{path}: {name!r} has shape {shape}, expected ({n},)")
+    if not np.all(np.isfinite(data)):
+        raise DomainError(f"{path}: 'data' contains non-finite samples")
+    if not np.all(rates > 0):
+        raise DomainError(f"{path}: 'sample_rates' must all be positive")
+    if not all(type(v) is int for v in meta["classes"].values()):
+        raise IntegrityError(f"{path}: 'classes' must map names to int indices")
+    labels = arrays["labels"].astype(np.int64)
+    if not np.all(np.isin(labels, list(meta["classes"].values()))):
+        raise DomainError(f"{path}: 'labels' holds indices missing from 'classes'")
     return WindowSet(
-        data=arrays["data"],
-        labels=arrays["labels"].astype(np.int64),
+        data=data,
+        labels=labels,
         subjects=list(meta["subjects"]),
         splits=list(meta["splits"]),
-        sample_rates=arrays["sample_rates"],
+        sample_rates=rates,
         channel_labels=list(meta["channel_labels"]),
-        classes={str(k): int(v) for k, v in meta["classes"].items()},
+        classes=dict(meta["classes"]),
         fingerprint=meta["fingerprint"],
     )
 

@@ -13,12 +13,11 @@ import pytest
 from conftest import AdapterOnlyClassifier
 from eegadapt.adapter import default_adapter_config
 from eegadapt.cli import main as cli_main
-from eegadapt.core import Recording
 from eegadapt.encoder import BfmConfig, EmbeddingBatch
 from eegadapt.filters import design_bandpass, design_notch, filtfilt
 from eegadapt.manifest import DatasetManifest, RecordingEntry, split_subject_independent
 from eegadapt.model import build_classifier
-from eegadapt.montage import builtin_montage, mix_channels, nearest_channel_select
+from eegadapt.montage import builtin_montage, mix_channels
 from eegadapt.pipeline import FilterSettings, align_window_set, preprocess_manifest
 from eegadapt.synthetic import SynthSpec, synthetic_montage, write_synthetic_dataset
 from eegadapt.training import (
@@ -63,21 +62,20 @@ def test_c01_montage_exactness():
 
     labels = all_source_labels()
     rng = np.random.default_rng(0)
-    rec = Recording(channel_labels=labels, sample_rate_hz=250.0,
-                    data=rng.normal(size=(len(labels), 100)))
+    data = rng.normal(size=(4, len(labels), 100))
     row = {lab: i for i, lab in enumerate(labels)}
-    selected = nearest_channel_select(rec, montage, 100)
+    selected = mix_channels(data, labels, montage.first_sources(), 100)
     select_ok = all(
-        np.array_equal(selected.data[i], rec.data[row[t.sources[0]]])
+        np.array_equal(selected[:, i], data[:, row[t.sources[0]]])
         for i, t in enumerate(montage.targets)
     )
-    mixed = mix_channels(rec, montage, 100)
+    mixed = mix_channels(data, labels, montage, 100)
     mix_ok = True
     for i, target in enumerate(montage.targets):
         offset = 0
         for src in target.sources:
             mix_ok &= np.array_equal(
-                mixed.data[i, offset : offset + 20], rec.data[row[src], :20]
+                mixed[:, i, offset : offset + 20], data[:, row[src], :20]
             )
             offset += 20
     elapsed = time.monotonic() - start

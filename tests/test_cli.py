@@ -6,6 +6,7 @@ import pytest
 from eegadapt.cli import main
 from eegadapt.fileio import read_bundle, read_embeddings_text, write_bundle
 from eegadapt.pipeline import load_window_set
+from test_io import MALFORMED_HEADERS, break_window_set, write_raw_bundle
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,48 @@ class TestAlign:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_target_len_rejected(self, dataset, tmp_path, capsys):
+        wpath = tmp_path / "w.wset"
+        main(["preprocess", "--manifest", str(dataset / "manifest.json"),
+              "--window", "128", "--out", str(wpath)])
+        out = tmp_path / "x.wset"
+        rc = main([
+            "align", "--windows", str(wpath), "--mode", "mix",
+            "--montage", str(dataset / "montage_map.txt"),
+            "--target-len", "0", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "target_len" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def windows(dataset, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli-windows") / "w.wset"
+    assert main(["preprocess", "--manifest", str(dataset / "manifest.json"),
+                 "--window", "128", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("case", ["zero-rate", "missing-channel-label",
+                                  "no-subjects", "short-splits", "nonfinite-data",
+                                  "unknown-label"])
+def test_malformed_window_set_fails_in_one_line(dataset, windows, mix_checkpoint,
+                                                tmp_path, case, capsys):
+    broken = tmp_path / "broken.wset"
+    break_window_set(windows, broken, case)
+    for argv in (
+        ["align", "--windows", str(broken), "--mode", "mix",
+         "--montage", str(dataset / "montage_map.txt"),
+         "--out", str(tmp_path / "a.wset")],
+        ["train", "--windows", str(broken), "--mode", "adapter",
+         "--out-checkpoint", str(tmp_path / "m.ckpt"), *COMMON_TRAIN],
+        ["eval", "--checkpoint", str(mix_checkpoint), "--windows", str(broken)],
+    ):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
 
 class TestTrain:
     def test_mix_mode_outputs(self, mix_checkpoint):
@@ -175,6 +218,20 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "encoder_config" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("header", MALFORMED_HEADERS.values(),
+                             ids=MALFORMED_HEADERS.keys())
+    def test_malformed_bundle_header_fails_in_one_line(self, dataset, tmp_path,
+                                                       header, capsys):
+        bad = tmp_path / "bad.ckpt"
+        write_raw_bundle(bad, header, payload=bytes(8))
+        rc = main([
+            "eval", "--checkpoint", str(bad),
+            "--manifest", str(dataset / "manifest.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_eval_writes_report(self, dataset, mix_checkpoint, tmp_path):
         out = tmp_path / "report.txt"

@@ -1,5 +1,7 @@
 """Unit conversion, length fitting, and windowing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,13 @@ from eegadapt.core import (
     QuantizedRecording,
     Recording,
     extract_windows,
-    fit_length,
     quantized_to_microvolts,
 )
 from eegadapt.errors import DimensionError, DomainError
-
-
-def make_recording(data, fs=250.0, label=1, subject="s00"):
-    data = np.asarray(data, dtype=np.float64)
-    labels = [f"ch{i}" for i in range(data.shape[0])]
-    return Recording(channel_labels=labels, sample_rate_hz=fs, data=data,
-                     subject_id=subject, label=label)
+from eegadapt.fileio import write_recording_binary
+from eegadapt.manifest import load_manifest
+from eegadapt.montage import TARGET_ORDER, MontageMap, MontageTarget, mix_channels
+from eegadapt.pipeline import FilterSettings, preprocess_manifest
 
 
 class TestQuantizedToMicrovolts:
@@ -86,6 +84,16 @@ class TestQuantizedToMicrovolts:
                                data=np.zeros((1, 3), dtype=int), resolution=[0.0])
 
 
+def fit_length(signal, target_len):
+    """Length fitting as alignment does it: a one-source map over one window
+    of one channel, so target row 0 is the signal fitted to target_len."""
+    one_source = MontageMap(targets=tuple(
+        MontageTarget(lab, ("x",)) for lab in TARGET_ORDER
+    ))
+    batch = np.asarray(signal, dtype=np.float64).reshape(1, 1, -1)
+    return mix_channels(batch, ["x"], one_source, target_len)[0, 0]
+
+
 class TestFitLength:
     def test_identity_when_lengths_match(self):
         sig = np.array([3.0, 1.0, 4.0, 1.0])
@@ -119,26 +127,40 @@ class TestFitLength:
 
 class TestExtractWindows:
     def test_window_count_floor(self):
-        rec = make_recording(np.random.default_rng(0).normal(size=(4, 1000)))
-        assert len(extract_windows(rec, 128)) == 7
+        data = np.random.default_rng(0).normal(size=(4, 1000))
+        assert extract_windows(data, 128).shape == (7, 4, 128)
 
     def test_single_exact_window(self):
-        rec = make_recording(np.arange(2 * 128, dtype=float).reshape(2, 128))
-        windows = extract_windows(rec, 128)
-        assert len(windows) == 1
-        np.testing.assert_array_equal(windows[0].data, rec.data)
+        data = np.arange(2 * 128, dtype=float).reshape(2, 128)
+        windows = extract_windows(data, 128)
+        assert windows.shape == (1, 2, 128)
+        np.testing.assert_array_equal(windows[0], data)
+        assert not np.shares_memory(windows, data)
 
     def test_short_recording_gives_nothing(self):
-        rec = make_recording(np.zeros((3, 127)))
-        assert extract_windows(rec, 128) == []
+        assert extract_windows(np.zeros((3, 127)), 128).shape == (0, 3, 128)
 
-    def test_windows_inherit_label_and_subject(self):
-        rec = make_recording(np.zeros((2, 300)), label=5, subject="s11")
-        for k, window in enumerate(extract_windows(rec, 100, source_index=7)):
-            assert window.label == 5
-            assert window.subject_id == "s11"
-            assert window.window_index == k
-            assert window.source_index == 7
+    def test_windows_inherit_label_and_subject(self, tmp_path):
+        # Recording i holds 3 + i windows of 100 samples (plus a remainder).
+        entries = []
+        for i, (label, subject, split) in enumerate(
+                [("first", "s11", "train"), ("second", "s12", "test")]):
+            write_recording_binary(tmp_path / f"r{i}.raw", np.zeros((2, 350 + 100 * i)))
+            entries.append({
+                "path": f"r{i}.raw", "format": "f32-binary",
+                "channel_labels": ["a", "b"], "sample_rate_hz": 250.0 + i,
+                "label": label, "subject_id": subject, "split": split,
+            })
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "classes": {"first": 0, "second": 1}, "recordings": entries,
+        }))
+        wset = preprocess_manifest(load_manifest(tmp_path / "manifest.json"),
+                                   FilterSettings(), 100)
+        assert wset.data.shape == (7, 2, 100)
+        assert wset.labels.tolist() == [0] * 3 + [1] * 4
+        assert wset.subjects == ["s11"] * 3 + ["s12"] * 4
+        assert wset.splits == ["train"] * 3 + ["test"] * 4
+        assert wset.sample_rates.tolist() == [250.0] * 3 + [251.0] * 4
 
     def test_concatenation_reproduces_prefix(self):
         rng = np.random.default_rng(11)
@@ -146,13 +168,13 @@ class TestExtractWindows:
             e = int(rng.integers(1, 6))
             t = int(rng.integers(1, 400))
             w = int(rng.integers(1, 50))
-            rec = make_recording(rng.normal(size=(e, t)))
-            windows = extract_windows(rec, w)
+            data = rng.normal(size=(e, t))
+            windows = extract_windows(data, w)
             count = t // w
-            assert len(windows) == count
+            assert windows.shape == (count, e, w)
             if count:
-                joined = np.concatenate([win.data for win in windows], axis=1)
-                np.testing.assert_array_equal(joined, rec.data[:, : count * w])
+                joined = np.concatenate(list(windows), axis=1)
+                np.testing.assert_array_equal(joined, data[:, : count * w])
 
 
 class TestRecordingInvariants:

@@ -1,6 +1,8 @@
 """File formats, manifests, subject splitting, checkpoints, and window sets."""
 
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from eegadapt.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from eegadapt.encoder import BfmConfig
 from eegadapt.errors import (
     ConfigurationError,
+    DomainError,
     FingerprintMismatchError,
     IntegrityError,
     ManifestError,
 )
 from eegadapt.fileio import (
+    BUNDLE_MAGIC,
     read_bundle,
     read_embeddings_text,
     read_recording_binary,
@@ -30,7 +34,7 @@ from eegadapt.manifest import (
     split_subject_independent,
 )
 from eegadapt.model import build_classifier
-from eegadapt.montage import builtin_montage
+from eegadapt.montage import TARGET_ORDER, builtin_montage
 from eegadapt.pipeline import (
     FilterSettings,
     align_window_set,
@@ -71,6 +75,32 @@ class TestRecordingFiles:
         np.testing.assert_array_equal(read_recording_text(path), data)
 
 
+def write_raw_bundle(path, header, payload=b""):
+    """A bundle with a valid checksum around an arbitrary JSON header."""
+    head = json.dumps(header).encode("utf-8")
+    body = BUNDLE_MAGIC + struct.pack("<Q", len(head)) + head + payload
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+def _spec(**overrides):
+    return {"meta": {}, "arrays": [{"name": "a", "dtype": "<f8", "shape": [1],
+                                    **overrides}]}
+
+
+# CRC-valid headers that used to escape read_bundle as KeyError, TypeError
+# or ValueError.
+MALFORMED_HEADERS = {
+    "no-arrays": {"meta": {}},
+    "no-meta": {"arrays": _spec()["arrays"]},
+    "list-header": [],
+    "negative-dim": _spec(shape=[-1]),
+    "object-dtype": _spec(dtype="|O"),
+    "unhashable-dtype": _spec(dtype=["<f8"]),
+    "non-str-name": _spec(name=3),
+    "shape-not-list": _spec(shape="8"),
+}
+
+
 class TestBundle:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -99,6 +129,14 @@ class TestBundle:
         raw = bytearray(path.read_bytes())
         raw[40] ^= 0xFF
         path.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError):
+            read_bundle(path)
+
+    @pytest.mark.parametrize("header", MALFORMED_HEADERS.values(),
+                             ids=MALFORMED_HEADERS.keys())
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "b.bundle"
+        write_raw_bundle(path, header, payload=bytes(8))
         with pytest.raises(IntegrityError):
             read_bundle(path)
 
@@ -415,6 +453,54 @@ def montage_manifest(tmp_path, n=3, t=300, fs=250.0):
     return load_manifest(write_manifest(tmp_path, entries))
 
 
+# Each malformed window set, the error loading it must raise, and the field
+# the message must name.
+MALFORMED_WINDOW_SETS = {
+    "zero-rate": (DomainError, "sample_rates"),
+    "missing-channel-label": (IntegrityError, "channel_labels"),
+    "no-subjects": (IntegrityError, "subjects"),
+    "short-splits": (IntegrityError, "splits"),
+    "nonfinite-data": (DomainError, "data"),
+    "no-labels-array": (IntegrityError, "labels"),
+    "short-labels": (IntegrityError, "labels"),
+    "fingerprint-not-table": (IntegrityError, "fingerprint"),
+    "data-2d": (IntegrityError, "data"),
+    "unknown-label": (DomainError, "labels"),
+    "negative-label": (DomainError, "labels"),
+    "class-index-not-int": (IntegrityError, "classes"),
+}
+
+
+def break_window_set(src, dst, case):
+    """Rewrite a valid window set at ``src`` as malformed ``case`` at ``dst``."""
+    meta, arrays = read_bundle(src)
+    if case == "zero-rate":
+        arrays["sample_rates"][2] = 0.0
+    elif case == "missing-channel-label":
+        meta["channel_labels"].pop()
+    elif case == "no-subjects":
+        del meta["subjects"]
+    elif case == "short-splits":
+        meta["splits"].pop()
+    elif case == "nonfinite-data":
+        arrays["data"][1, 0, 3] = np.nan
+    elif case == "no-labels-array":
+        del arrays["labels"]
+    elif case == "short-labels":
+        arrays["labels"] = arrays["labels"][:-1]
+    elif case == "fingerprint-not-table":
+        meta["fingerprint"] = ["window_len", 128]
+    elif case == "data-2d":
+        arrays["data"] = arrays["data"][:, 0]
+    elif case == "unknown-label":
+        arrays["labels"][0] = len(meta["classes"])
+    elif case == "negative-label":
+        arrays["labels"][0] = -1
+    elif case == "class-index-not-int":
+        meta["classes"]["first"] = "0"
+    write_bundle(dst, meta, list(arrays.items()))
+
+
 class TestPipeline:
     def test_preprocess_shapes_and_counts(self, tmp_path):
         manifest = montage_manifest(tmp_path, n=3, t=300)
@@ -439,6 +525,15 @@ class TestPipeline:
         assert loaded.fingerprint == aligned.fingerprint
         assert loaded.classes == aligned.classes
 
+    def test_select_alignment_takes_nearest_source(self, tmp_path):
+        manifest = montage_manifest(tmp_path, n=3, t=300)
+        wset = preprocess_manifest(manifest, FilterSettings(), 128)
+        aligned = align_window_set(wset, "select", builtin_montage(), "b", 128)
+        assert aligned.channel_labels == list(TARGET_ORDER)
+        for i, target in enumerate(builtin_montage().targets):
+            row = wset.channel_labels.index(target.sources[0])
+            np.testing.assert_array_equal(aligned.data[:, i], wset.data[:, row])
+
     def test_select_split_materialization(self, tmp_path):
         manifest = montage_manifest(tmp_path, n=3, t=300)
         wset = preprocess_manifest(manifest, FilterSettings(), 128)
@@ -447,6 +542,13 @@ class TestPipeline:
         assert set(train.subjects) == {"s00"}
         everything = wset.select("all")
         assert len(everything) == 6
+        keep = np.array([True, False, True, True, False, True])
+        remapped = wset.labels + 10
+        kept = wset.select("all", keep, remapped)
+        np.testing.assert_array_equal(kept.x, wset.data[keep])
+        np.testing.assert_array_equal(kept.y, remapped[keep])
+        assert kept.subjects == [s for s, k in zip(wset.subjects, keep) if k]
+        assert len(wset.select("train", keep)) == 1
 
     def test_double_alignment_rejected(self, tmp_path):
         manifest = montage_manifest(tmp_path, n=3, t=300)
@@ -461,3 +563,15 @@ class TestPipeline:
         wset = preprocess_manifest(manifest, FilterSettings(), 64)
         with pytest.raises(ConfigurationError):
             wset.require_assigned()
+
+    @pytest.mark.parametrize("case", MALFORMED_WINDOW_SETS)
+    def test_malformed_window_set_rejected(self, tmp_path, case):
+        manifest = montage_manifest(tmp_path, n=3, t=300)
+        path = tmp_path / "w.wset"
+        save_window_set(path, preprocess_manifest(manifest, FilterSettings(), 128))
+        load_window_set(path)
+        broken = tmp_path / "broken.wset"
+        break_window_set(path, broken, case)
+        error, field = MALFORMED_WINDOW_SETS[case]
+        with pytest.raises(error, match=field):
+            load_window_set(broken)

@@ -1,9 +1,14 @@
-"""Channel alignment against the built-in 23-target map and custom maps."""
+"""Channel alignment against the built-in 23-target map and custom maps.
+
+The per-target loop below (length-fit each source, concatenate) is the
+reference the one-gather ``mix_channels`` is checked against.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eegadapt.core import Recording, fit_length
 from eegadapt.errors import AlignmentError, DomainError
 from eegadapt.montage import (
     TARGET_ORDER,
@@ -12,7 +17,6 @@ from eegadapt.montage import (
     builtin_montage,
     format_montage_text,
     mix_channels,
-    nearest_channel_select,
     parse_montage_text,
 )
 
@@ -53,16 +57,43 @@ def all_source_labels():
     return labels
 
 
-def make_full_recording(t=64, seed=0):
-    """A recording containing every electrode the built-in map references,
-    each carrying a unique constant signature."""
+def fit_length(signal, target_len):
+    """Reference length fit: keep the head of a longer signal, tile a shorter."""
+    signal = np.asarray(signal, dtype=np.float64).reshape(-1)
+    if signal.size >= target_len:
+        return signal[:target_len].copy()
+    reps = -(-target_len // signal.size)
+    return np.tile(signal, reps)[:target_len]
+
+
+def loop_mix(data, labels, montage, target_len):
+    """Reference alignment: per window and target, fit each source, concatenate."""
+    rows = {lab: i for i, lab in enumerate(labels)}
+    out = np.empty((data.shape[0], len(montage.targets), target_len))
+    for n in range(data.shape[0]):
+        for r, target in enumerate(montage.targets):
+            k = len(target.sources)
+            base, extra = divmod(target_len, k)
+            out[n, r] = np.concatenate([
+                fit_length(data[n, rows[src]], base + (1 if j < extra else 0))
+                for j, src in enumerate(target.sources)
+            ])
+    return out
+
+
+def make_full_batch(t=64, seed=0, n=3):
+    """(N, E, T) windows holding every electrode the built-in map references,
+    each carrying a unique constant signature, plus their channel labels."""
     labels = all_source_labels()
     rng = np.random.default_rng(seed)
-    data = np.empty((len(labels), t))
+    data = np.empty((n, len(labels), t))
     for i in range(len(labels)):
-        data[i] = float(i + 1) + 0.01 * rng.normal(size=t)
-    return Recording(channel_labels=labels, sample_rate_hz=250.0, data=data,
-                     subject_id="s00", label=2)
+        data[:, i] = float(i + 1) + 0.01 * rng.normal(size=(n, t))
+    return data, labels
+
+
+def select(data, labels, montage, target_len):
+    return mix_channels(data, labels, montage.first_sources(), target_len)
 
 
 class TestBuiltinMap:
@@ -73,106 +104,132 @@ class TestBuiltinMap:
             assert list(target.sources) == EXPECTED_SOURCES[target.target_label]
 
     def test_fp1_selects_fp1_electrode(self):
-        rec = make_full_recording()
-        out = nearest_channel_select(rec, builtin_montage(), 64)
-        fp1_row = rec.channel_labels.index("Fp1")
-        np.testing.assert_array_equal(out.data[0], rec.data[fp1_row])
+        data, labels = make_full_batch()
+        out = select(data, labels, builtin_montage(), 64)
+        fp1_row = labels.index("Fp1")
+        np.testing.assert_array_equal(out[:, 0], data[:, fp1_row])
 
     def test_t3_selects_t7_electrode(self):
-        rec = make_full_recording()
-        out = nearest_channel_select(rec, builtin_montage(), 64)
+        data, labels = make_full_batch()
+        out = select(data, labels, builtin_montage(), 64)
         t3_index = list(TARGET_ORDER).index("T3")
-        t7_row = rec.channel_labels.index("T7")
-        np.testing.assert_array_equal(out.data[t3_index], rec.data[t7_row])
+        t7_row = labels.index("T7")
+        np.testing.assert_array_equal(out[:, t3_index], data[:, t7_row])
 
     def test_missing_electrode_named_in_error(self):
-        rec = make_full_recording()
-        kept = [i for i, lab in enumerate(rec.channel_labels) if lab != "Fp1"]
-        broken = Recording(
-            channel_labels=[rec.channel_labels[i] for i in kept],
-            sample_rate_hz=250.0, data=rec.data[kept],
-        )
+        data, labels = make_full_batch()
+        kept = [i for i, lab in enumerate(labels) if lab != "Fp1"]
         with pytest.raises(AlignmentError, match="Fp1"):
-            nearest_channel_select(broken, builtin_montage(), 64)
+            select(data[:, kept], [labels[i] for i in kept], builtin_montage(), 64)
 
 
 class TestMixChannels:
     def test_even_split_lengths(self):
-        rec = make_full_recording(t=200)
-        out = mix_channels(rec, builtin_montage(), 200)
+        data, labels = make_full_batch(t=200)
+        out = mix_channels(data, labels, builtin_montage(), 200)
         # 200 / 5 sources = 40 samples each; check FP1's five segments.
         for j, src in enumerate(EXPECTED_SOURCES["FP1"]):
-            row = rec.channel_labels.index(src)
+            row = labels.index(src)
             np.testing.assert_array_equal(
-                out.data[0, j * 40 : (j + 1) * 40], rec.data[row, :40]
+                out[:, 0, j * 40 : (j + 1) * 40], data[:, row, :40]
             )
 
     def test_single_source_identity(self):
         montage = MontageMap(targets=tuple(
             MontageTarget(lab, (EXPECTED_SOURCES[lab][0],)) for lab in TARGET_ORDER
         ))
-        rec = make_full_recording(t=64)
-        out = mix_channels(rec, montage, 64)
-        fp1_row = rec.channel_labels.index("Fp1")
-        np.testing.assert_array_equal(out.data[0], rec.data[fp1_row])
+        data, labels = make_full_batch(t=64)
+        out = mix_channels(data, labels, montage, 64)
+        fp1_row = labels.index("Fp1")
+        np.testing.assert_array_equal(out[:, 0], data[:, fp1_row])
 
     def test_uneven_split_segment_oracle(self):
         # target_len 23 over 5 sources: lengths [5, 5, 5, 4, 4].
-        rec = make_full_recording(t=17, seed=3)
-        out = mix_channels(rec, builtin_montage(), 23)
+        data, labels = make_full_batch(t=17, seed=3)
+        out = mix_channels(data, labels, builtin_montage(), 23)
         lengths = [5, 5, 5, 4, 4]
-        for target_idx, target_label in enumerate(TARGET_ORDER):
-            offset = 0
-            for src, seg_len in zip(EXPECTED_SOURCES[target_label], lengths):
-                row = rec.channel_labels.index(src)
-                expected = fit_length(rec.data[row], seg_len)
-                np.testing.assert_array_equal(
-                    out.data[target_idx, offset : offset + seg_len], expected
-                )
-                offset += seg_len
-            assert offset == 23
+        for n in range(data.shape[0]):
+            for target_idx, target_label in enumerate(TARGET_ORDER):
+                offset = 0
+                for src, seg_len in zip(EXPECTED_SOURCES[target_label], lengths):
+                    row = labels.index(src)
+                    expected = fit_length(data[n, row], seg_len)
+                    np.testing.assert_array_equal(
+                        out[n, target_idx, offset : offset + seg_len], expected
+                    )
+                    offset += seg_len
+                assert offset == 23
 
     def test_too_many_sources_for_target_len(self):
-        rec = make_full_recording()
+        data, labels = make_full_batch()
         with pytest.raises(DomainError):
-            mix_channels(rec, builtin_montage(), 3)
+            mix_channels(data, labels, builtin_montage(), 3)
 
     def test_select_equals_mix_with_first_source_only(self):
         first_only = MontageMap(targets=tuple(
             MontageTarget(lab, (EXPECTED_SOURCES[lab][0],)) for lab in TARGET_ORDER
         ))
-        rec = make_full_recording(t=90, seed=9)
-        selected = nearest_channel_select(rec, builtin_montage(), 128)
-        mixed = mix_channels(rec, first_only, 128)
-        np.testing.assert_array_equal(selected.data, mixed.data)
+        data, labels = make_full_batch(t=90, seed=9)
+        selected = select(data, labels, builtin_montage(), 128)
+        mixed = mix_channels(data, labels, first_only, 128)
+        np.testing.assert_array_equal(selected, mixed)
 
 
 class TestShapeAndPermutation:
     def test_output_shape_contract(self):
-        rec = make_full_recording(t=50)
+        data, labels = make_full_batch(t=50)
         for target_len in (10, 50, 137):
-            out = nearest_channel_select(rec, builtin_montage(), target_len)
-            assert out.data.shape == (23, target_len)
-            out = mix_channels(rec, builtin_montage(), target_len)
-            assert out.data.shape == (23, target_len)
-            assert out.channel_labels == list(TARGET_ORDER)
+            out = select(data, labels, builtin_montage(), target_len)
+            assert out.shape == (3, 23, target_len)
+            out = mix_channels(data, labels, builtin_montage(), target_len)
+            assert out.shape == (3, 23, target_len)
 
     def test_channel_storage_order_is_irrelevant(self):
-        rec = make_full_recording(t=64, seed=4)
+        data, labels = make_full_batch(t=64, seed=4)
         rng = np.random.default_rng(12)
-        perm = rng.permutation(rec.num_channels)
-        shuffled = Recording(
-            channel_labels=[rec.channel_labels[i] for i in perm],
-            sample_rate_hz=rec.sample_rate_hz,
-            data=rec.data[perm],
-            subject_id=rec.subject_id,
-            label=rec.label,
-        )
+        perm = rng.permutation(len(labels))
+        shuffled = data[:, perm]
+        shuffled_labels = [labels[i] for i in perm]
         montage = builtin_montage()
-        for fn in (nearest_channel_select, mix_channels):
-            a = fn(rec, montage, 48)
-            b = fn(shuffled, montage, 48)
-            np.testing.assert_array_equal(a.data, b.data)
+        for fn in (select, mix_channels):
+            a = fn(data, labels, montage, 48)
+            b = fn(shuffled, shuffled_labels, montage, 48)
+            np.testing.assert_array_equal(a, b)
+
+
+POOL = [f"e{i}" for i in range(8)]
+
+
+@st.composite
+def alignment_cases(draw):
+    sources = [
+        draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=6))
+        for _ in TARGET_ORDER
+    ]
+    montage = MontageMap(targets=tuple(
+        MontageTarget(lab, tuple(srcs)) for lab, srcs in zip(TARGET_ORDER, sources)
+    ))
+    k = max(len(srcs) for srcs in sources)
+    t = draw(st.integers(1, 300))
+    target_len = draw(st.integers(k, 300))
+    n = draw(st.integers(1, 3))
+    perm = draw(st.permutations(range(len(POOL))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return montage, t, target_len, n, list(perm), seed
+
+
+class TestGatherMatchesLoop:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(alignment_cases())
+    def test_mix_and_select_equal_reference_loop(self, case):
+        montage, t, target_len, n, perm, seed = case
+        labels = [POOL[i] for i in perm]
+        data = np.random.default_rng(seed).normal(size=(n, len(POOL), t))
+        for m in (montage, montage.first_sources()):
+            expected = loop_mix(data, labels, m, target_len)
+            got = mix_channels(data, labels, m, target_len)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestMapFileFormat:
