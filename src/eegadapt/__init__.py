@@ -8,5 +8,4 @@ at the sample level, the subject level, and zero-shot on unseen classes.
 
 __version__ = "0.1.0"
 
-from .core import Recording, QuantizedRecording  # noqa: F401
 from .errors import PipelineError  # noqa: F401

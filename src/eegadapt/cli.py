@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import platform
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ import scipy
 from . import __version__
 from .adapter import default_adapter_config
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .encoder import BfmConfig, EmbeddingBatch
-from .errors import ConfigurationError, PipelineError
+from .encoder import BfmConfig
+from .errors import ConfigurationError, IntegrityError, PipelineError
 from .fileio import read_embeddings_text, write_embeddings_text
 from .manifest import load_manifest, split_subject_independent
 from .model import build_classifier
@@ -81,14 +82,14 @@ def _filters_from_args(args) -> FilterSettings:
     )
 
 
-def _filters_from_fingerprint(fp: dict) -> FilterSettings:
-    return FilterSettings(
-        notch_hz=fp["notch_hz"],
-        notch_q=fp["notch_q"],
-        band_low_hz=fp["band_low_hz"],
-        band_high_hz=fp["band_high_hz"],
-        band_order=fp["band_order"],
-    )
+def _parse_list(flag: str, text: str, kind=int) -> list:
+    """Parse a comma-separated flag value, naming the flag on failure."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag} must be comma-separated {kind.__name__} values, got {text!r}"
+        ) from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -99,15 +100,15 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _add_filter_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--notch", type=float, default=50.0,
+    p.add_argument("--notch", type=float, default=FilterSettings.notch_hz,
                    help="notch center frequency in Hz")
-    p.add_argument("--notch-q", type=float, default=30.0,
+    p.add_argument("--notch-q", type=float, default=FilterSettings.notch_q,
                    help="notch quality factor")
-    p.add_argument("--band-low", type=float, default=0.1,
+    p.add_argument("--band-low", type=float, default=FilterSettings.band_low_hz,
                    help="bandpass low cutoff in Hz")
-    p.add_argument("--band-high", type=float, default=75.0,
+    p.add_argument("--band-high", type=float, default=FilterSettings.band_high_hz,
                    help="bandpass high cutoff in Hz")
-    p.add_argument("--order", type=int, default=4,
+    p.add_argument("--order", type=int, default=FilterSettings.band_order,
                    help="Butterworth bandpass order")
     p.add_argument("--window", type=int, default=128,
                    help="non-overlapping window length in samples")
@@ -176,7 +177,7 @@ def _train_window_set(args) -> tuple[WindowSet, object]:
         return load_window_set(args.windows), None
     manifest = load_manifest(args.manifest)
     if args.auto_split:
-        fractions = [float(v) for v in args.auto_split.split(",")]
+        fractions = _parse_list("--auto-split", args.auto_split, float)
         manifest = split_subject_independent(manifest, fractions, seed=args.seed)
     return preprocess_manifest(manifest, _filters_from_args(args), args.window), manifest
 
@@ -185,7 +186,7 @@ def _subset_classes(wset: WindowSet, train_classes: str | None):
     """Restrict to a class subset and densify labels for the head."""
     if not train_classes:
         return wset.labels, dict(wset.classes), np.ones(len(wset), dtype=bool)
-    keep = sorted({int(v) for v in train_classes.split(",")})
+    keep = sorted(set(_parse_list("--train-classes", train_classes)))
     index_to_name = {v: k for k, v in wset.classes.items()}
     unknown = [c for c in keep if c not in index_to_name]
     if unknown:
@@ -327,12 +328,30 @@ def _eval_window_set(args, ckpt: Checkpoint) -> WindowSet:
         check_fingerprint(fp, wset.fingerprint)
         return wset
     manifest = load_manifest(args.manifest)
-    filters = _filters_from_fingerprint(fp)
-    wset = preprocess_manifest(manifest, filters, fp["window_len"])
-    if fp.get("alignment") in ("select", "mix"):
+    alignment = fp.get("alignment")
+    if alignment not in ("none", "select", "mix"):
+        raise IntegrityError(
+            f"{args.checkpoint}: fingerprint 'alignment' must be 'none', 'select' "
+            f"or 'mix', got {alignment!r}"
+        )
+
+    def number(key):
+        value = fp.get(key)
+        kind = int if key in ("band_order", "window_len", "target_len") else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise IntegrityError(
+                f"{args.checkpoint}: fingerprint {key!r} must be "
+                f"{'an integer' if kind is int else 'a number'}, got {value!r}"
+            )
+        return value
+
+    filters = FilterSettings(**{f.name: number(f.name) for f in fields(FilterSettings)})
+    wset = preprocess_manifest(manifest, filters, number("window_len"))
+    if alignment != "none":
         montage = _resolve_montage(args, manifest)
-        wset = align_window_set(wset, fp["alignment"], montage,
-                                montage_identity(montage), fp["target_len"])
+        wset = align_window_set(wset, alignment, montage,
+                                montage_identity(montage),
+                                number("target_len"))
     check_fingerprint(fp, wset.fingerprint)
     return wset
 
@@ -401,15 +420,14 @@ def cmd_extract(args) -> int:
 
 
 def cmd_zeroshot(args) -> int:
-    emb, labels, subjects = read_embeddings_text(args.embeddings)
-    held = frozenset(int(v) for v in args.held_out_classes.split(","))
+    emb, labels, _ = read_embeddings_text(args.embeddings)
+    held = frozenset(_parse_list("--held-out-classes", args.held_out_classes))
     protocol = ZeroShotProtocol(
         held_out_classes=held,
         fit_fraction=args.fit_fraction,
         seed=args.seed,
     )
-    batch = EmbeddingBatch(embeddings=emb, labels=labels, subject_ids=subjects)
-    result = run_zeroshot(batch, protocol, knn_k=args.knn_k)
+    result = run_zeroshot(emb, labels, protocol, knn_k=args.knn_k)
     lines = [f"# {line}" for line in repro_header("zeroshot", args)]
     lines.append("zeroshot-report v1")
     lines.append("classifier accuracy")

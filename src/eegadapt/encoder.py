@@ -25,7 +25,6 @@ from .nnops import (
 
 __all__ = [
     "BfmConfig",
-    "EmbeddingBatch",
     "init_encoder_params",
     "encoder_forward_batch",
     "encoder_backward_batch",
@@ -72,30 +71,6 @@ class BfmConfig:
     @property
     def ff_dim(self) -> int:
         return 4 * self.embed_dim
-
-
-@dataclass(frozen=True)
-class EmbeddingBatch:
-    """Pooled representations with their labels and subjects, row aligned."""
-
-    embeddings: np.ndarray
-    labels: np.ndarray
-    subject_ids: list[str]
-
-    def __post_init__(self):
-        emb = np.asarray(self.embeddings, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
-        if emb.ndim != 2 or emb.shape[0] != labels.shape[0]:
-            raise DimensionError(
-                f"embeddings {emb.shape} do not align with {labels.shape[0]} labels"
-            )
-        if len(self.subject_ids) != labels.shape[0]:
-            raise DimensionError("subject_ids do not align with labels")
-        if not np.all(np.isfinite(emb)):
-            raise NumericError("embeddings contain non-finite values")
-        object.__setattr__(self, "embeddings", emb)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "subject_ids", list(self.subject_ids))
 
 
 def init_encoder_params(cfg: BfmConfig,

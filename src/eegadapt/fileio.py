@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IntegrityError, ManifestError
+from .errors import IntegrityError, ManifestError, NumericError
 
 __all__ = [
     "write_recording_binary",
@@ -92,23 +93,37 @@ def read_recording_text(path: str | Path) -> np.ndarray:
 
 def write_bundle(path: str | Path, meta: dict,
                  arrays: list[tuple[str, np.ndarray]]) -> None:
-    specs = []
-    payload = bytearray()
+    """Write a bundle atomically, streaming each array's own buffer.
+
+    The bytes go to a temporary file beside ``path`` that replaces it only
+    once complete, so a failed write leaves any earlier file untouched. The
+    CRC is folded in block by block, and an array already C-ordered in a
+    stored dtype is written from its own memory without a copy.
+    """
+    specs, blocks = [], []
     for name, arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        dtype = arr.dtype.newbyteorder("<").str
+        dtype = np.asarray(arr).dtype.newbyteorder("<").str
         if dtype not in _ALLOWED_DTYPES:
-            arr = arr.astype(np.float64)
             dtype = "<f8"
+        arr = np.ascontiguousarray(arr, dtype=dtype)
         specs.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
-        payload.extend(arr.astype(dtype).tobytes(order="C"))
+        blocks.append(arr)
     header = json.dumps({"meta": meta, "arrays": specs},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = BUNDLE_MAGIC + struct.pack("<Q", len(header)) + header + bytes(payload)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<I", crc))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            crc = 0
+            for block in (BUNDLE_MAGIC, struct.pack("<Q", len(header)), header,
+                          *blocks):
+                fh.write(block)
+                crc = zlib.crc32(block, crc)
+            fh.write(struct.pack("<I", crc))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_bundle(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -174,6 +189,12 @@ def write_embeddings_text(path: str | Path, embeddings: np.ndarray,
 
 
 def read_embeddings_text(path: str | Path):
+    """Read an embeddings table as (N, D) float64 embeddings, (N,) int64
+    labels and N subject ids.
+
+    Every row must hold as many values as the first, and every value must be
+    finite.
+    """
     embeddings, labels, subjects = [], [], []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -182,6 +203,11 @@ def read_embeddings_text(path: str | Path):
         parts = line.split(",")
         if len(parts) < 3:
             raise IntegrityError(f"{path}:{lineno}: expected values,label,subject")
+        if embeddings and len(parts) - 2 != len(embeddings[0]):
+            raise IntegrityError(
+                f"{path}:{lineno}: {len(parts) - 2} values, but the first row "
+                f"has {len(embeddings[0])}"
+            )
         try:
             embeddings.append([float(v) for v in parts[:-2]])
             labels.append(int(parts[-2]))
@@ -190,4 +216,7 @@ def read_embeddings_text(path: str | Path):
         subjects.append(parts[-1])
     if not embeddings:
         raise IntegrityError(f"{path} contains no embedding rows")
-    return np.array(embeddings), np.array(labels, dtype=np.int64), subjects
+    embeddings = np.array(embeddings)
+    if not np.all(np.isfinite(embeddings)):
+        raise NumericError(f"{path}: embeddings contain non-finite values")
+    return embeddings, np.array(labels, dtype=np.int64), subjects

@@ -1,13 +1,12 @@
 """Notch and bandpass filtering applied to every recording before alignment.
 
-Designs are conventional EEG defaults: a biquad notch (quality factor 30)
-and a Butterworth bandpass, both applied forward-backward for zero phase.
-All filtering runs in double precision regardless of storage precision.
+A filter is its second-order-section matrix: shape (n_sections, 6), rows
+(b0, b1, b2, 1, a1, a2). Designs are a biquad notch and a Butterworth
+bandpass, both applied forward-backward for zero phase. All filtering runs
+in double precision regardless of storage precision.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal as _sig
@@ -15,61 +14,30 @@ from scipy import signal as _sig
 from .errors import DimensionError, DomainError
 
 __all__ = [
-    "SosChain",
     "design_notch",
     "design_bandpass",
-    "filtfilt",
     "apply_chain_to_rows",
 ]
 
-DEFAULT_NOTCH_HZ = 50.0
-DEFAULT_NOTCH_Q = 30.0
-DEFAULT_BAND_LOW_HZ = 0.1
-DEFAULT_BAND_HIGH_HZ = 75.0
-DEFAULT_BAND_ORDER = 4
 
+def _checked(sos: np.ndarray) -> np.ndarray:
+    """Normalise a0 to 1 and refuse non-finite or unstable sections.
 
-@dataclass(frozen=True)
-class SosChain:
-    """An ordered cascade of second-order filter sections.
-
-    ``sos`` has shape (n_sections, 6): rows are (b0, b1, b2, 1, a1, a2).
-    Every section must be stable, with poles strictly inside the unit circle.
+    Every section's poles must lie strictly inside the unit circle.
     """
-
-    sos: np.ndarray
-    kind: str
-    sample_rate_hz: float
-    cutoffs_hz: tuple = ()
-    order: int = 0
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        sos = np.asarray(self.sos, dtype=np.float64)
-        if sos.ndim != 2 or sos.shape[1] != 6:
-            raise DimensionError(f"sos must have shape (n, 6), got {sos.shape}")
-        if not np.all(np.isfinite(sos)):
-            raise DomainError("sos coefficients must be finite")
-        # Normalize a0 to 1 so stability checks read off (1, a1, a2) directly.
-        sos = sos / sos[:, 3:4]
-        for i, section in enumerate(sos):
-            poles = np.roots(section[3:6])
-            if poles.size and np.max(np.abs(poles)) >= 1.0:
-                raise DomainError(f"section {i} is unstable (pole modulus >= 1)")
-        object.__setattr__(self, "sos", sos)
-
-    @property
-    def num_sections(self) -> int:
-        return self.sos.shape[0]
-
-    def min_signal_len(self) -> int:
-        """Shortest signal filtfilt accepts (edge padding of 3 x 2 x sections)."""
-        return 3 * (2 * self.num_sections) + 1
+    sos = np.asarray(sos, dtype=np.float64)
+    if not np.all(np.isfinite(sos)):
+        raise DomainError("sos coefficients must be finite")
+    sos = sos / sos[:, 3:4]
+    for i, section in enumerate(sos):
+        poles = np.roots(section[3:6])
+        if poles.size and np.max(np.abs(poles)) >= 1.0:
+            raise DomainError(f"section {i} is unstable (pole modulus >= 1)")
+    return sos
 
 
-def design_notch(center_hz: float = DEFAULT_NOTCH_HZ,
-                 sample_rate_hz: float = 250.0,
-                 quality: float = DEFAULT_NOTCH_Q) -> SosChain:
+def design_notch(center_hz: float, sample_rate_hz: float,
+                 quality: float) -> np.ndarray:
     """Biquad band-stop with a null at ``center_hz`` and unit gain elsewhere."""
     if not 0.0 < center_hz < sample_rate_hz / 2.0:
         raise DomainError(
@@ -79,21 +47,11 @@ def design_notch(center_hz: float = DEFAULT_NOTCH_HZ,
     if quality <= 0:
         raise DomainError(f"quality factor must be positive, got {quality}")
     b, a = _sig.iirnotch(center_hz, quality, fs=sample_rate_hz)
-    sos = np.hstack([b, a])[None, :]
-    return SosChain(
-        sos=sos,
-        kind="notch",
-        sample_rate_hz=sample_rate_hz,
-        cutoffs_hz=(center_hz,),
-        order=2,
-        meta={"quality": quality},
-    )
+    return _checked(np.hstack([b, a])[None, :])
 
 
-def design_bandpass(low_hz: float = DEFAULT_BAND_LOW_HZ,
-                    high_hz: float = DEFAULT_BAND_HIGH_HZ,
-                    order: int = DEFAULT_BAND_ORDER,
-                    sample_rate_hz: float = 250.0) -> SosChain:
+def design_bandpass(low_hz: float, high_hz: float, order: int,
+                    sample_rate_hz: float) -> np.ndarray:
     """Butterworth bandpass, maximally flat between the two cutoffs."""
     nyquist = sample_rate_hz / 2.0
     if not 0.0 < low_hz < high_hz < nyquist:
@@ -103,41 +61,23 @@ def design_bandpass(low_hz: float = DEFAULT_BAND_LOW_HZ,
         )
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
-    sos = _sig.butter(order, [low_hz, high_hz], btype="bandpass", output="sos",
-                      fs=sample_rate_hz)
-    return SosChain(
-        sos=sos,
-        kind="bandpass",
-        sample_rate_hz=sample_rate_hz,
-        cutoffs_hz=(low_hz, high_hz),
-        order=order,
-    )
+    return _checked(_sig.butter(order, [low_hz, high_hz], btype="bandpass",
+                                output="sos", fs=sample_rate_hz))
 
 
-def filtfilt(chain: SosChain, x: np.ndarray) -> np.ndarray:
-    """Zero-phase application of a section chain to a 1-D signal.
+def apply_chain_to_rows(sos: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Zero-phase filtering of every row of an E x T matrix.
 
     Runs the cascade forward, reverses, runs it again, and reverses back,
-    with odd-reflection edge padding of 3 x (2 x sections) samples. Output
-    length equals input length.
+    with odd-reflection edge padding of 3 x (2 x sections) samples; rows are
+    independent channels and keep their length.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    padlen = 3 * (2 * chain.num_sections)
-    if x.size <= padlen:
-        raise DomainError(
-            f"signal of length {x.size} is too short for edge padding {padlen}"
-        )
-    return _sig.sosfiltfilt(chain.sos, x, padlen=padlen)
-
-
-def apply_chain_to_rows(chain: SosChain, data: np.ndarray) -> np.ndarray:
-    """filtfilt every row of an E x T matrix; rows are independent channels."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise DimensionError(f"expected a 2-D channel matrix, got shape {data.shape}")
-    padlen = 3 * (2 * chain.num_sections)
+    padlen = 3 * (2 * sos.shape[0])
     if data.shape[1] <= padlen:
         raise DomainError(
             f"signals of length {data.shape[1]} are too short for edge padding {padlen}"
         )
-    return _sig.sosfiltfilt(chain.sos, data, axis=1, padlen=padlen)
+    return _sig.sosfiltfilt(sos, data, axis=1, padlen=padlen)

@@ -20,26 +20,27 @@ A manifest is a JSON document:
 
 Recording paths are resolved relative to the manifest file. Quantized
 recordings (those with a resolution vector) are converted to microvolts at
-load time.
+load time. A loaded recording is an (E, T) float64 microvolt matrix; its
+label, subject, rate and channel labels stay on the manifest entry.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import QuantizedRecording, Recording, quantized_to_microvolts
-from .errors import ConfigurationError, ManifestError
+from .errors import ConfigurationError, DimensionError, DomainError, ManifestError
 from .fileio import read_recording_binary, read_recording_text
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "RecordingEntry",
+    "ManifestEntry",
     "DatasetManifest",
     "load_manifest",
     "load_recording",
@@ -51,7 +52,7 @@ SPLITS = ("train", "val", "test", "unassigned")
 
 
 @dataclass
-class RecordingEntry:
+class ManifestEntry:
     path: str
     format: str
     channel_labels: list[str]
@@ -65,7 +66,7 @@ class RecordingEntry:
 @dataclass
 class DatasetManifest:
     classes: dict[str, int]
-    recordings: list[RecordingEntry]
+    recordings: list[ManifestEntry]
     montage: str = "builtin-table1"
     base_dir: Path = field(default_factory=Path)
 
@@ -78,6 +79,8 @@ class DatasetManifest:
 
 
 def _validate_classes(classes: dict) -> dict[str, int]:
+    if not isinstance(classes, dict):
+        raise ManifestError(f"manifest classes must be an object, got {classes!r}")
     if not classes:
         raise ManifestError("manifest defines no classes")
     table = {}
@@ -95,9 +98,20 @@ def _validate_classes(classes: dict) -> dict[str, int]:
     return table
 
 
-def _validate_entry(i: int, raw: dict, classes: dict[str, int],
-                    base_dir: Path) -> RecordingEntry:
+def _number(where: str, key: str, value) -> float:
+    if isinstance(value, bool):
+        raise ManifestError(f"{where}: {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ManifestError(f"{where}: {key} must be a number, got {value!r}") from None
+
+
+def _validate_entry(i: int, raw, classes: dict[str, int],
+                    base_dir: Path) -> ManifestEntry:
     where = f"recording entry {i}"
+    if not isinstance(raw, dict):
+        raise ManifestError(f"{where} must be an object, got {raw!r}")
 
     def need(key):
         if key not in raw:
@@ -113,26 +127,32 @@ def _validate_entry(i: int, raw: dict, classes: dict[str, int],
     label = str(need("label"))
     if label not in classes:
         raise ManifestError(f"{where}: label {label!r} is not in the class table")
-    rate = float(need("sample_rate_hz"))
-    if rate <= 0:
-        raise ManifestError(f"{where}: sample_rate_hz must be positive")
-    labels = [str(s) for s in need("channel_labels")]
+    rate = _number(where, "sample_rate_hz", need("sample_rate_hz"))
+    if not (rate > 0 and math.isfinite(rate)):
+        raise ManifestError(f"{where}: sample_rate_hz must be positive and finite")
+    labels = need("channel_labels")
+    if not isinstance(labels, list):
+        raise ManifestError(f"{where}: channel_labels must be a list, got {labels!r}")
     if not labels:
         raise ManifestError(f"{where}: channel_labels is empty")
+    labels = [str(s).strip() for s in labels]
     path = str(need("path"))
     if not (base_dir / path).exists():
         raise ManifestError(f"{where}: file not found: {base_dir / path}")
     resolution = raw.get("resolution")
     if resolution is not None:
-        resolution = [float(v) for v in resolution]
+        if not isinstance(resolution, list):
+            raise ManifestError(f"{where}: resolution must be a list, got {resolution!r}")
+        resolution = [_number(where, "resolution", v) for v in resolution]
         if len(resolution) != len(labels):
             raise ManifestError(
                 f"{where}: resolution has {len(resolution)} entries for "
                 f"{len(labels)} channels"
             )
-        if any(v <= 0 for v in resolution):
-            raise ManifestError(f"{where}: resolution entries must be positive")
-    return RecordingEntry(
+        if not all(0 < v < math.inf for v in resolution):
+            raise ManifestError(
+                f"{where}: resolution entries must be positive and finite")
+    return ManifestEntry(
         path=path,
         format=fmt,
         channel_labels=labels,
@@ -158,6 +178,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     classes = _validate_classes(doc.get("classes", {}))
     base_dir = path.parent
     raw_entries = doc.get("recordings", [])
+    if not isinstance(raw_entries, list):
+        raise ManifestError(f"{path}: recordings must be a list")
     if not raw_entries:
         raise ManifestError(f"{path} lists no recordings")
     entries = [
@@ -172,37 +194,27 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     )
 
 
-def load_recording(entry: RecordingEntry, classes: dict[str, int],
-                   base_dir: Path) -> Recording:
-    """Read one entry's matrix and return it in microvolts."""
-    full = base_dir / entry.path
-    if entry.format == "f32-binary":
-        data = read_recording_binary(full)
-    else:
-        data = read_recording_text(full)
+def load_recording(entry: ManifestEntry, base_dir: Path) -> np.ndarray:
+    """Read one entry's (E, T) matrix and return it in microvolts.
+
+    Quantized entries are rounded to whole counts and scaled row by row:
+    sample (c, t) is ``resolution[c] * rint(count[c, t])``.
+    """
+    read = read_recording_binary if entry.format == "f32-binary" else read_recording_text
+    data = read(base_dir / entry.path)
     if data.shape[0] != len(entry.channel_labels):
         raise ManifestError(
             f"{entry.path}: file holds {data.shape[0]} channels, manifest "
             f"lists {len(entry.channel_labels)}"
         )
-    label_index = classes[entry.label]
+    if data.shape[1] < 1:
+        raise DimensionError("recording must contain at least one sample")
     if entry.resolution is not None:
-        quantized = QuantizedRecording(
-            channel_labels=entry.channel_labels,
-            sample_rate_hz=entry.sample_rate_hz,
-            data=np.rint(data).astype(np.int64),
-            resolution=np.array(entry.resolution),
-            subject_id=entry.subject_id,
-            label=label_index,
-        )
-        return quantized_to_microvolts(quantized)
-    return Recording(
-        channel_labels=entry.channel_labels,
-        sample_rate_hz=entry.sample_rate_hz,
-        data=data,
-        subject_id=entry.subject_id,
-        label=label_index,
-    )
+        data = np.array(entry.resolution)[:, None] * np.rint(data)
+    # After scaling: NaN counts stay NaN, and an overflowing product shows.
+    if not np.all(np.isfinite(data)):
+        raise DomainError("recording contains non-finite samples")
+    return data
 
 
 def split_subject_independent(manifest: DatasetManifest, fractions,
@@ -214,7 +226,7 @@ def split_subject_independent(manifest: DatasetManifest, fractions,
     comes back with every entry assigned.
     """
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
+    if len(fractions) != 3 or not all(f >= 0 for f in fractions):
         raise ConfigurationError("fractions must be 3 non-negative numbers")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigurationError(f"fractions must sum to 1, got {sum(fractions)}")
@@ -254,22 +266,7 @@ def split_subject_independent(manifest: DatasetManifest, fractions,
     if set(assignment) != set(subjects):
         raise ConfigurationError("subject partition did not cover every subject")
 
-    entries = []
-    for entry in manifest.recordings:
-        entries.append(RecordingEntry(
-            path=entry.path,
-            format=entry.format,
-            channel_labels=list(entry.channel_labels),
-            sample_rate_hz=entry.sample_rate_hz,
-            label=entry.label,
-            subject_id=entry.subject_id,
-            split=assignment[entry.subject_id],
-            resolution=list(entry.resolution) if entry.resolution else None,
-        ))
+    entries = [replace(entry, split=assignment[entry.subject_id])
+               for entry in manifest.recordings]
     logger.debug("subject split counts: %s", counts)
-    return DatasetManifest(
-        classes=dict(manifest.classes),
-        recordings=entries,
-        montage=manifest.montage,
-        base_dir=manifest.base_dir,
-    )
+    return replace(manifest, recordings=entries)

@@ -8,7 +8,7 @@ alignment) so a checkpoint can refuse data prepared differently.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -40,20 +40,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FilterSettings:
+    """Notch and bandpass settings; the defaults are the CLI's defaults."""
+
     notch_hz: float = 50.0
     notch_q: float = 30.0
     band_low_hz: float = 0.1
     band_high_hz: float = 75.0
     band_order: int = 4
-
-    def as_fingerprint(self) -> dict:
-        return {
-            "notch_hz": self.notch_hz,
-            "notch_q": self.notch_q,
-            "band_low_hz": self.band_low_hz,
-            "band_high_hz": self.band_high_hz,
-            "band_order": self.band_order,
-        }
 
 
 @dataclass
@@ -110,20 +103,20 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
     Every recording in a manifest must share one channel layout; filters are
     designed per distinct sample rate and cached.
     """
-    chains: dict[float, tuple] = {}
+    chains: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     blocks, labels, subjects, splits, rates = [], [], [], [], []
     channel_labels: list[str] | None = None
 
     for idx, entry in enumerate(manifest.recordings):
-        rec = load_recording(entry, manifest.classes, manifest.base_dir)
+        data = load_recording(entry, manifest.base_dir)
         if channel_labels is None:
-            channel_labels = rec.channel_labels
-        elif rec.channel_labels != channel_labels:
+            channel_labels = entry.channel_labels
+        elif entry.channel_labels != channel_labels:
             raise ConfigurationError(
                 f"{entry.path}: channel labels differ from the first recording; "
                 "a manifest must use one acquisition layout"
             )
-        fs = rec.sample_rate_hz
+        fs = entry.sample_rate_hz
         if fs not in chains:
             chains[fs] = (
                 design_notch(filters.notch_hz, fs, filters.notch_q),
@@ -131,12 +124,12 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
                                 filters.band_order, fs),
             )
         notch, band = chains[fs]
-        filtered = apply_chain_to_rows(band, apply_chain_to_rows(notch, rec.data))
+        filtered = apply_chain_to_rows(band, apply_chain_to_rows(notch, data))
         block = extract_windows(filtered, window_len)
         n = block.shape[0]
         blocks.append(block)
-        labels += [rec.label] * n
-        subjects += [rec.subject_id] * n
+        labels += [manifest.classes[entry.label]] * n
+        subjects += [entry.subject_id] * n
         splits += [entry.split] * n
         rates += [fs] * n
         logger.debug("recording %d (%s): %d windows", idx, entry.path, n)
@@ -145,7 +138,7 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
         raise ConfigurationError(
             f"no windows of length {window_len} could be extracted"
         )
-    fingerprint = dict(filters.as_fingerprint())
+    fingerprint = asdict(filters)
     fingerprint.update({
         "window_len": window_len,
         "alignment": "none",
@@ -184,16 +177,8 @@ def align_window_set(wset: WindowSet, mode: str, montage: MontageMap,
         "channels": 23,
         "timesteps": target_len,
     })
-    return WindowSet(
-        data=aligned,
-        labels=wset.labels.copy(),
-        subjects=list(wset.subjects),
-        splits=list(wset.splits),
-        sample_rates=wset.sample_rates.copy(),
-        channel_labels=list(TARGET_ORDER),
-        classes=dict(wset.classes),
-        fingerprint=fingerprint,
-    )
+    return replace(wset, data=aligned, channel_labels=list(TARGET_ORDER),
+                   fingerprint=fingerprint)
 
 
 def save_window_set(path, wset: WindowSet, header: dict | None = None) -> None:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .encoder import EmbeddingBatch
 from .errors import DomainError, ProtocolError
 from .training import confusion_matrix, metrics_from_confusion
 
@@ -212,21 +211,22 @@ def _stratified_split(labels: np.ndarray, fit_fraction: float,
     return np.array(sorted(fit_idx)), np.array(sorted(eval_idx))
 
 
-def run_zeroshot(embeddings: EmbeddingBatch, protocol: ZeroShotProtocol,
-                 knn_k: int = 5, svm_reg: float = 1e-3,
-                 svm_epochs: int = 100) -> dict[str, float]:
+def run_zeroshot(embeddings: np.ndarray, labels: np.ndarray,
+                 protocol: ZeroShotProtocol, knn_k: int = 5,
+                 svm_reg: float = 1e-3, svm_epochs: int = 100) -> dict[str, float]:
     """Fit the three downstream classifiers on held-out-class embeddings.
 
-    Samples are restricted to the protocol's held-out classes, split
+    ``embeddings`` (N, D) and ``labels`` (N,) are row aligned, as
+    ``read_embeddings_text`` returns them. Samples are restricted to the protocol's held-out classes, split
     stratified per class by ``fit_fraction`` with the protocol seed. SVM and
     KNN fit on the fit portion and are scored on the eval portion; k-means
     fits centroids on the fit portion, matches clusters to labels there, and
     scores the matched labeling on the eval portion.
     """
     held = np.array(sorted(protocol.held_out_classes))
-    mask = np.isin(embeddings.labels, held)
-    x = embeddings.embeddings[mask]
-    y = embeddings.labels[mask]
+    mask = np.isin(labels, held)
+    x = embeddings[mask]
+    y = labels[mask]
     present = np.unique(y)
     missing = set(held.tolist()) - set(present.tolist())
     if missing:

@@ -13,9 +13,9 @@ import pytest
 from conftest import AdapterOnlyClassifier
 from eegadapt.adapter import default_adapter_config
 from eegadapt.cli import main as cli_main
-from eegadapt.encoder import BfmConfig, EmbeddingBatch
-from eegadapt.filters import design_bandpass, design_notch, filtfilt
-from eegadapt.manifest import DatasetManifest, RecordingEntry, split_subject_independent
+from eegadapt.encoder import BfmConfig
+from eegadapt.filters import apply_chain_to_rows, design_bandpass, design_notch
+from eegadapt.manifest import DatasetManifest, ManifestEntry, split_subject_independent
 from eegadapt.model import build_classifier
 from eegadapt.montage import builtin_montage, mix_channels
 from eegadapt.pipeline import FilterSettings, align_window_set, preprocess_manifest
@@ -90,7 +90,7 @@ def test_c02_filter_suite():
         k = int(round(freq * n / fs))
         t = np.arange(n) / fs
         x = np.sin(2 * np.pi * freq * t)
-        y = filtfilt(chain, x)
+        y = apply_chain_to_rows(chain, x[None, :])[0]
         return np.abs(np.fft.rfft(y))[k] / np.abs(np.fft.rfft(x))[k]
 
     worst_notch_db = np.inf
@@ -101,7 +101,7 @@ def test_c02_filter_suite():
         band = design_bandpass(0.1, 75.0, 4, fs)
         worst_notch_db = min(worst_notch_db,
                              -20.0 * np.log10(max(ratio(notch, 50.0, fs), 1e-15)))
-        dc = filtfilt(band, np.full(4000, 10.0))
+        dc = apply_chain_to_rows(band, np.full((1, 4000), 10.0))[0]
         worst_dc = max(worst_dc, np.mean(np.abs(dc[2000:])) / 10.0)
         for tone in (10.0, 20.0):
             both = min(ratio(notch, tone, fs), ratio(band, tone, fs))
@@ -263,29 +263,21 @@ def test_c07_zeroshot_protocol():
                subset("val", [0, 1, 2, 3]),
                TrainConfig(epochs=5, batch_size=32, seed=0))
 
-    xs, ys, subs = [], [], []
+    xs, ys = [], []
     for split in ("train", "val", "test"):
-        x, y, s = data[split]
+        x, y, _ = data[split]
         mask = np.isin(y, [4, 5])
         xs.append(x[mask])
         ys.append(y[mask])
-        subs.extend([si for si, m in zip(s, mask) if m])
     x_held = np.concatenate(xs)
     y_held = np.concatenate(ys)
     emb = np.concatenate([model.embed_batch(x_held[i : i + 64])
                           for i in range(0, len(x_held), 64)])
     protocol = ZeroShotProtocol(held_out_classes=frozenset([4, 5]),
                                 fit_fraction=0.5, seed=0)
-    result = run_zeroshot(
-        EmbeddingBatch(embeddings=emb, labels=y_held, subject_ids=subs),
-        protocol, knn_k=5,
-    )
+    result = run_zeroshot(emb, y_held, protocol, knn_k=5)
     rng = np.random.default_rng(0)
-    control = run_zeroshot(
-        EmbeddingBatch(embeddings=emb, labels=rng.permutation(y_held),
-                       subject_ids=subs),
-        protocol, knn_k=5,
-    )
+    control = run_zeroshot(emb, rng.permutation(y_held), protocol, knn_k=5)
     elapsed = time.monotonic() - start
     ok = (result["svm"] >= 0.90 and result["knn"] >= 0.85
           and result["kmeans"] >= 0.80
@@ -299,7 +291,7 @@ def test_c07_zeroshot_protocol():
 def test_c08_subject_independence():
     start = time.monotonic()
     entries = [
-        RecordingEntry(path=f"r{i}.raw", format="f32-binary",
+        ManifestEntry(path=f"r{i}.raw", format="f32-binary",
                        channel_labels=["a"], sample_rate_hz=100.0,
                        label="x", subject_id=f"s{i % 11:02d}",
                        split="unassigned")

@@ -4,9 +4,22 @@ import numpy as np
 import pytest
 
 from eegadapt.cli import main
-from eegadapt.fileio import read_bundle, read_embeddings_text, write_bundle
+from eegadapt.fileio import (
+    read_bundle,
+    read_embeddings_text,
+    write_bundle,
+    write_recording_binary,
+)
 from eegadapt.pipeline import load_window_set
-from test_io import MALFORMED_HEADERS, break_window_set, write_raw_bundle
+from test_io import (
+    MALFORMED_HEADERS,
+    MALFORMED_MANIFESTS,
+    basic_entry,
+    break_window_set,
+    write_malformed_manifest,
+    write_manifest,
+    write_raw_bundle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +70,31 @@ class TestSynthAndPreprocess:
         wset = load_window_set(out)
         assert wset.data.shape == (80, 8, 128)
         assert wset.fingerprint["notch_hz"] == 50.0
+
+
+def assert_one_line_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    for needle in needles:
+        assert needle in err, err
+
+
+@pytest.mark.parametrize("case", MALFORMED_MANIFESTS.keys())
+def test_malformed_manifest_fails_in_one_line(tmp_path, case, capsys):
+    path = write_malformed_manifest(tmp_path, case)
+    assert main(["preprocess", "--manifest", str(path),
+                 "--out", str(tmp_path / "w.wset")]) == 2
+    assert_one_line_error(capsys, MALFORMED_MANIFESTS[case][1])
+
+
+def test_quantized_nan_fails_in_one_line(tmp_path, capsys):
+    entry, _ = basic_entry(tmp_path, "q.raw", resolution=[0.5, 0.5], t=200)
+    write_recording_binary(tmp_path / "q.raw", np.full((2, 200), np.nan))
+    path = write_manifest(tmp_path, [entry])
+    out = tmp_path / "w.wset"
+    assert main(["preprocess", "--manifest", str(path), "--out", str(out)]) == 2
+    assert_one_line_error(capsys, "non-finite")
+    assert not out.exists()
 
 
 class TestAlign:
@@ -233,6 +271,25 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key,value", [
+        ("notch_hz", None), ("window_len", None), ("target_len", None),
+        ("alignment", None), ("band_order", True), ("window_len", "128"),
+    ], ids=["no-notch_hz", "no-window_len", "no-target_len", "no-alignment",
+            "bool-band_order", "str-window_len"])
+    def test_fingerprint_without_setting_fails_in_one_line(
+            self, dataset, mix_checkpoint, tmp_path, key, value, capsys):
+        meta, arrays = read_bundle(mix_checkpoint)
+        if value is None:
+            del meta["fingerprint"][key]
+        else:
+            meta["fingerprint"][key] = value
+        bad = tmp_path / "bad.ckpt"
+        write_bundle(bad, meta, list(arrays.items()))
+        rc = main(["eval", "--checkpoint", str(bad),
+                   "--manifest", str(dataset / "manifest.json")])
+        assert rc == 2
+        assert_one_line_error(capsys, key)
+
     def test_eval_writes_report(self, dataset, mix_checkpoint, tmp_path):
         out = tmp_path / "report.txt"
         rc = main([
@@ -351,6 +408,33 @@ class TestExtractAndZeroshot:
                 if not l.startswith("# flag.out")
             ))
         assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--held-out-classes", "a,b"), ("--train-classes", "x"),
+    ("--auto-split", "0.5,x,0.5"),
+])
+def test_bad_list_flag_fails_in_one_line(dataset, windows, tmp_path, flag, value,
+                                         capsys):
+    if flag == "--held-out-classes":
+        emb = tmp_path / "e.csv"
+        emb.write_text("0.0,1.0,0,a\n")
+        argv = ["zeroshot", "--embeddings", str(emb)]
+    else:
+        source = (["--manifest", str(dataset / "manifest.json")]
+                  if flag == "--auto-split" else ["--windows", str(windows)])
+        argv = ["train", "--mode", "raw", *source,
+                "--out-checkpoint", str(tmp_path / "m.ckpt")]
+    assert main([*argv, flag, value]) == 2
+    assert_one_line_error(capsys, flag)
+
+
+def test_ragged_embeddings_fail_in_one_line(tmp_path, capsys):
+    emb = tmp_path / "e.csv"
+    emb.write_text("0.0,1.0,0,a\n0.0,1.0,2.0,1,b\n")
+    assert main(["zeroshot", "--embeddings", str(emb),
+                 "--held-out-classes", "0,1"]) == 2
+    assert_one_line_error(capsys, "first row")
 
 
 class TestAutoSplit:

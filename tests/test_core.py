@@ -1,87 +1,96 @@
-"""Unit conversion, length fitting, and windowing."""
+"""Recording loading and unit conversion, length fitting, and windowing."""
 
 import json
 
 import numpy as np
 import pytest
 
-from eegadapt.core import (
-    QuantizedRecording,
-    Recording,
-    extract_windows,
-    quantized_to_microvolts,
-)
-from eegadapt.errors import DimensionError, DomainError
+from eegadapt.core import extract_windows
+from eegadapt.errors import DimensionError, DomainError, ManifestError
 from eegadapt.fileio import write_recording_binary
-from eegadapt.manifest import load_manifest
+from eegadapt.manifest import load_manifest, load_recording
 from eegadapt.montage import TARGET_ORDER, MontageMap, MontageTarget, mix_channels
 from eegadapt.pipeline import FilterSettings, preprocess_manifest
 
 
+def one_entry_manifest(tmp_path, data, resolution=None, channel_labels=None,
+                       sample_rate_hz=100.0, label="first", subject="s00"):
+    """Write ``data`` as a binary recording listed by a one-entry manifest."""
+    data = np.asarray(data, dtype=np.float64)
+    write_recording_binary(tmp_path / "r.raw", data)
+    entry = {
+        "path": "r.raw", "format": "f32-binary",
+        "channel_labels": channel_labels or [f"e{i}" for i in range(len(data))],
+        "sample_rate_hz": sample_rate_hz, "label": label, "subject_id": subject,
+        "split": "train",
+    }
+    if resolution is not None:
+        entry["resolution"] = [float(v) for v in resolution]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"classes": {"first": 0, "second": 1},
+                                "recordings": [entry]}))
+    return path
+
+
+def load_one(tmp_path, data, **entry):
+    """The microvolt matrix load_recording returns for a one-entry manifest."""
+    manifest = load_manifest(one_entry_manifest(tmp_path, data, **entry))
+    return load_recording(manifest.recordings[0], manifest.base_dir)
+
+
 class TestQuantizedToMicrovolts:
-    def test_zero_counts_give_zero_volts(self):
-        q = QuantizedRecording(
-            channel_labels=["a", "b"], sample_rate_hz=100.0,
-            data=np.zeros((2, 5), dtype=np.int64), resolution=[0.3, 2.0],
-        )
-        out = quantized_to_microvolts(q)
-        assert np.all(out.data == 0.0)
+    def test_zero_counts_give_zero_volts(self, tmp_path):
+        out = load_one(tmp_path, np.zeros((2, 5)), resolution=[0.3, 2.0])
+        assert np.all(out == 0.0)
 
-    def test_direct_multiplication(self):
-        q = QuantizedRecording(
-            channel_labels=["a"], sample_rate_hz=100.0,
-            data=np.array([[2, -4]]), resolution=[0.5],
-        )
-        out = quantized_to_microvolts(q)
-        np.testing.assert_array_equal(out.data, [[1.0, -2.0]])
+    def test_direct_multiplication(self, tmp_path):
+        out = load_one(tmp_path, [[2, -4]], resolution=[0.5])
+        np.testing.assert_array_equal(out, [[1.0, -2.0]])
 
-    def test_matches_scalar_loop_oracle(self):
+    def test_matches_scalar_loop_oracle(self, tmp_path):
         rng = np.random.default_rng(42)
         counts = rng.integers(-500, 500, size=(3, 8))
         resolution = rng.uniform(0.01, 2.0, size=3)
-        q = QuantizedRecording(
-            channel_labels=["x", "y", "z"], sample_rate_hz=128.0,
-            data=counts, resolution=resolution, subject_id="s03", label=7,
-        )
-        out = quantized_to_microvolts(q)
+        # Stored values sit a quarter count off, so loading must round them.
+        stored = counts + rng.choice([-0.25, 0.25], size=counts.shape)
+        out = load_one(tmp_path, stored, resolution=resolution)
         expected = np.empty((3, 8))
         for c in range(3):
             for t in range(8):
                 expected[c, t] = resolution[c] * counts[c, t]
-        np.testing.assert_allclose(out.data, expected, rtol=0, atol=0)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=0)
 
-    def test_metadata_preserved(self):
-        q = QuantizedRecording(
-            channel_labels=["a"], sample_rate_hz=77.0, data=np.array([[1]]),
-            resolution=[1.5], subject_id="s09", label=3,
-        )
-        out = quantized_to_microvolts(q)
-        assert out.subject_id == "s09"
-        assert out.label == 3
-        assert out.sample_rate_hz == 77.0
-        assert out.channel_labels == ["a"]
+    def test_metadata_preserved(self, tmp_path):
+        path = one_entry_manifest(tmp_path, np.ones((1, 64)), resolution=[1.5],
+                                  channel_labels=["a"], sample_rate_hz=256.0,
+                                  label="second", subject="s09")
+        wset = preprocess_manifest(load_manifest(path), FilterSettings(), 64)
+        assert wset.subjects == ["s09"]
+        assert wset.labels.tolist() == [1]
+        assert wset.sample_rates.tolist() == [256.0]
+        assert wset.channel_labels == ["a"]
 
-    def test_linearity_in_resolution(self):
+    def test_linearity_in_resolution(self, tmp_path):
         rng = np.random.default_rng(7)
         counts = rng.integers(-9, 9, size=(2, 6))
         res = rng.uniform(0.1, 1.0, size=2)
-        base = quantized_to_microvolts(QuantizedRecording(
-            channel_labels=["a", "b"], sample_rate_hz=10.0,
-            data=counts, resolution=res))
-        doubled = quantized_to_microvolts(QuantizedRecording(
-            channel_labels=["a", "b"], sample_rate_hz=10.0,
-            data=counts, resolution=2 * res))
-        np.testing.assert_allclose(doubled.data, 2.0 * base.data)
+        base = load_one(tmp_path, counts, resolution=res)
+        doubled = load_one(tmp_path, counts, resolution=2 * res)
+        np.testing.assert_allclose(doubled, 2.0 * base)
 
-    def test_resolution_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            QuantizedRecording(channel_labels=["a", "b"], sample_rate_hz=10.0,
-                               data=np.zeros((2, 3), dtype=int), resolution=[0.5])
+    def test_resolution_length_mismatch(self, tmp_path):
+        with pytest.raises(ManifestError, match="resolution has 1 entries"):
+            load_one(tmp_path, np.zeros((2, 3)), resolution=[0.5])
 
-    def test_nonpositive_resolution(self):
-        with pytest.raises(DomainError):
-            QuantizedRecording(channel_labels=["a"], sample_rate_hz=10.0,
-                               data=np.zeros((1, 3), dtype=int), resolution=[0.0])
+    def test_nonpositive_resolution(self, tmp_path):
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ManifestError, match="positive"):
+                load_one(tmp_path, np.zeros((1, 3)), resolution=[bad])
+
+    def test_nan_counts_rejected(self, tmp_path):
+        # rint(nan) cast to int64 would read as -2**63 counts.
+        with pytest.raises(DomainError, match="non-finite"):
+            load_one(tmp_path, [[1.0, np.nan]], resolution=[0.5])
 
 
 def fit_length(signal, target_len):
@@ -178,22 +187,24 @@ class TestExtractWindows:
 
 
 class TestRecordingInvariants:
-    def test_row_label_mismatch(self):
+    def test_row_label_mismatch(self, tmp_path):
+        with pytest.raises(ManifestError, match="2 channels"):
+            load_one(tmp_path, np.zeros((2, 3)), channel_labels=["a"])
+
+    def test_nonfinite_rejected(self, tmp_path):
+        with pytest.raises(DomainError):
+            load_one(tmp_path, [[np.nan, 0.0]])
+
+    def test_bad_sample_rate(self, tmp_path):
+        for bad in (0.0, -5.0, float("nan"), float("inf")):
+            with pytest.raises(ManifestError, match="sample_rate_hz"):
+                load_one(tmp_path, np.zeros((1, 3)), sample_rate_hz=bad)
+
+    def test_labels_are_trimmed(self, tmp_path):
+        path = one_entry_manifest(tmp_path, np.zeros((1, 3)),
+                                  channel_labels=[" Fp1 "])
+        assert load_manifest(path).recordings[0].channel_labels == ["Fp1"]
+
+    def test_empty_recording_rejected(self, tmp_path):
         with pytest.raises(DimensionError):
-            Recording(channel_labels=["a"], sample_rate_hz=10.0,
-                      data=np.zeros((2, 3)))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
-            Recording(channel_labels=["a"], sample_rate_hz=10.0,
-                      data=np.array([[np.nan, 0.0]]))
-
-    def test_bad_sample_rate(self):
-        with pytest.raises(DomainError):
-            Recording(channel_labels=["a"], sample_rate_hz=0.0,
-                      data=np.zeros((1, 3)))
-
-    def test_labels_are_trimmed(self):
-        rec = Recording(channel_labels=[" Fp1 "], sample_rate_hz=10.0,
-                        data=np.zeros((1, 3)))
-        assert rec.channel_labels == ["Fp1"]
+            load_one(tmp_path, np.zeros((1, 0)))

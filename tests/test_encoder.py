@@ -5,13 +5,18 @@ import pytest
 
 from eegadapt.encoder import (
     BfmConfig,
-    EmbeddingBatch,
     _patchify_batch,
     encoder_backward_batch,
     encoder_forward_batch,
     init_encoder_params,
 )
-from eegadapt.errors import ConfigurationError, DimensionError
+from eegadapt.errors import (
+    ConfigurationError,
+    DimensionError,
+    IntegrityError,
+    NumericError,
+)
+from eegadapt.fileio import read_embeddings_text, write_embeddings_text
 from eegadapt.nnops import gelu, layer_norm_forward, softmax_last
 
 
@@ -246,13 +251,24 @@ class TestGradients:
 
 
 class TestEmbeddingBatch:
-    def test_alignment_enforced(self):
-        with pytest.raises(DimensionError):
-            EmbeddingBatch(embeddings=np.zeros((3, 4)), labels=np.zeros(2),
-                           subject_ids=["a", "b", "c"])
+    """The embeddings table loader makes the row checks of an embedding batch."""
 
-    def test_valid_batch(self):
-        batch = EmbeddingBatch(embeddings=np.zeros((2, 4)),
-                               labels=np.array([0, 1]),
-                               subject_ids=["a", "b"])
-        assert batch.embeddings.shape == (2, 4)
+    def test_alignment_enforced(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("0.0,1.0,0,a\n0.0,1.0,2.0,1,b\n")
+        with pytest.raises(IntegrityError, match="2: 3 values"):
+            read_embeddings_text(path)
+
+    def test_valid_batch(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_embeddings_text(path, np.zeros((2, 4)), np.array([0, 1]), ["a", "b"])
+        embeddings, labels, subjects = read_embeddings_text(path)
+        assert embeddings.shape == (2, 4)
+        assert labels.tolist() == [0, 1] and subjects == ["a", "b"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_rejected(self, tmp_path, value):
+        path = tmp_path / "e.csv"
+        path.write_text(f"0.0,{value},0,a\n")
+        with pytest.raises(NumericError):
+            read_embeddings_text(path)

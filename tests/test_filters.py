@@ -5,7 +5,12 @@ import pytest
 from scipy.signal import sosfilt
 
 from eegadapt.errors import DomainError
-from eegadapt.filters import SosChain, design_bandpass, design_notch, filtfilt
+from eegadapt.filters import _checked, apply_chain_to_rows, design_bandpass, design_notch
+
+
+def filtfilt(sos, x):
+    """Zero-phase filtering of one 1-D signal, as one row of a matrix."""
+    return apply_chain_to_rows(sos, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def amplitude_ratio(chain, freq, fs, n=4000):
@@ -56,8 +61,7 @@ class TestBandpassDesign:
 
 class TestFiltfilt:
     def test_identity_chain_passthrough(self):
-        chain = SosChain(sos=np.array([[1.0, 0, 0, 1.0, 0, 0]]),
-                         kind="identity", sample_rate_hz=100.0)
+        chain = _checked(np.array([[1.0, 0, 0, 1.0, 0, 0]]))
         rng = np.random.default_rng(0)
         x = rng.normal(size=200)
         np.testing.assert_allclose(filtfilt(chain, x), x, atol=1e-12)
@@ -77,7 +81,7 @@ class TestFiltfilt:
     def test_too_short_signal_rejected(self):
         chain = design_bandpass(0.1, 75.0, 4, 200.0)
         with pytest.raises(DomainError):
-            filtfilt(chain, np.zeros(chain.min_signal_len() - 1))
+            filtfilt(chain, np.zeros(3 * 2 * len(chain)))
 
     def test_linearity(self):
         chain = design_bandpass(0.1, 75.0, 4, 200.0)
@@ -98,21 +102,29 @@ class TestStability:
     ], ids=["notch", "band200", "band500"])
     def test_impulse_response_decays(self, chain):
         # Tail beyond ~30 natural time constants must be below 1e-12.
-        poles = np.concatenate([np.roots(s[3:]) for s in chain.sos])
+        poles = np.concatenate([np.roots(s[3:]) for s in chain])
         rho = np.abs(poles).max()
         assert rho < 1.0
         tau = -1.0 / np.log(rho)
         horizon = int(np.ceil(30.0 * tau))
         impulse = np.zeros(horizon + 2000)
         impulse[0] = 1.0
-        h = sosfilt(chain.sos, impulse)
+        h = sosfilt(chain, impulse)
         assert np.abs(h[horizon:]).max() < 1e-12
 
     def test_unstable_section_rejected(self):
         # Pole at z = 1.1 lies outside the unit circle.
+        with pytest.raises(DomainError, match="section 0 is unstable"):
+            _checked(np.array([[1.0, 0, 0, 1.0, -1.1, 0.0]]))
+
+    def test_nonfinite_coefficients_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            _checked(np.array([[1.0, 0, 0, 1.0, np.inf, 0.0]]))
+
+    def test_infinite_rate_design_rejected(self):
+        # A rate of inf puts every cutoff at zero normalised frequency.
         with pytest.raises(DomainError):
-            SosChain(sos=np.array([[1.0, 0, 0, 1.0, -1.1, 0.0]]),
-                     kind="bad", sample_rate_hz=100.0)
+            design_notch(50.0, np.inf, 30.0)
 
 
 class TestCompositePipeline:

@@ -141,6 +141,41 @@ class TestBundle:
             read_bundle(path)
 
 
+    def test_bytes_match_reference_layout(self, tmp_path):
+        # Streamed writing must produce the bytes of the documented layout,
+        # also for arrays that need converting or a contiguous copy first.
+        rng = np.random.default_rng(4)
+        arrays = [("f", rng.normal(size=(3, 4))[:, ::2]),
+                  ("big", rng.normal(size=5).astype(">f8")),
+                  ("i32", np.arange(6, dtype=np.int32)),
+                  ("empty", np.zeros((0, 3)))]
+        path = tmp_path / "b.bundle"
+        write_bundle(path, {"k": 1}, arrays)
+        specs = [{"name": "f", "dtype": "<f8", "shape": [3, 2]},
+                 {"name": "big", "dtype": "<f8", "shape": [5]},
+                 {"name": "i32", "dtype": "<f8", "shape": [6]},
+                 {"name": "empty", "dtype": "<f8", "shape": [0, 3]}]
+        head = json.dumps({"meta": {"k": 1}, "arrays": specs}, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
+        body = (BUNDLE_MAGIC + struct.pack("<Q", len(head)) + head
+                + b"".join(a.astype("<f8").tobytes() for _, a in arrays))
+        assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "b.bundle"
+        write_bundle(path, {"v": 1}, [("a", np.ones(50))])
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("eegadapt.fileio.os.replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_bundle(path, {"v": 2}, [("a", np.zeros(50))])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["b.bundle"]
+
+
 class TestEmbeddingsText:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -190,6 +225,45 @@ def basic_entry(tmp_path, name, label="first", subject="s00", split="train",
     if resolution is not None:
         entry["resolution"] = resolution
     return entry, data
+
+
+def _set_entry(key, value):
+    def edit(doc):
+        doc["recordings"][0][key] = value
+    return edit
+
+
+def _set_doc(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+# Manifest edits that used to escape load_manifest as ValueError, TypeError
+# or AttributeError, or load a rate no filter can be designed for; each with
+# the text its ManifestError must carry.
+MALFORMED_MANIFESTS = {
+    "rate-not-number": (_set_entry("sample_rate_hz", "fast"), "entry 0"),
+    "rate-list": (_set_entry("sample_rate_hz", [200.0]), "entry 0"),
+    "rate-bool": (_set_entry("sample_rate_hz", True), "entry 0"),
+    "rate-infinite": (_set_entry("sample_rate_hz", float("inf")), "entry 0"),
+    "rate-nan": (_set_entry("sample_rate_hz", float("nan")), "entry 0"),
+    "labels-not-list": (_set_entry("channel_labels", "e0"), "entry 0"),
+    "resolution-not-number": (_set_entry("resolution", ["a", "b"]), "entry 0"),
+    "resolution-not-list": (_set_entry("resolution", 0.5), "entry 0"),
+    "classes-list": (_set_doc("classes", ["first", "second"]), "classes"),
+    "recordings-not-list": (_set_doc("recordings", {"a": 1}), "recordings"),
+    "entry-not-object": (_set_doc("recordings", [3]), "entry 0"),
+}
+
+
+def write_malformed_manifest(tmp_path, case):
+    entry, _ = basic_entry(tmp_path, "a.raw")
+    path = write_manifest(tmp_path, [entry])
+    doc = json.loads(path.read_text())
+    MALFORMED_MANIFESTS[case][0](doc)
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestManifest:
@@ -245,13 +319,18 @@ class TestManifest:
         resolution = [0.25, 2.0]
         entry, counts = basic_entry(tmp_path, "q.raw", resolution=resolution)
         manifest = load_manifest(write_manifest(tmp_path, [entry]))
-        rec = load_recording(manifest.recordings[0], manifest.classes,
-                             manifest.base_dir)
+        data = load_recording(manifest.recordings[0], manifest.base_dir)
         expected = np.empty_like(counts)
         for c in range(2):
             for t in range(counts.shape[1]):
                 expected[c, t] = resolution[c] * counts[c, t]
-        np.testing.assert_allclose(rec.data, expected, atol=0)
+        np.testing.assert_allclose(data, expected, atol=0)
+
+    @pytest.mark.parametrize("case", MALFORMED_MANIFESTS.keys())
+    def test_malformed_schema_rejected(self, tmp_path, case):
+        path = write_malformed_manifest(tmp_path, case)
+        with pytest.raises(ManifestError, match=MALFORMED_MANIFESTS[case][1]):
+            load_manifest(path)
 
 
 class TestSubjectSplit:
@@ -297,8 +376,9 @@ class TestSubjectSplit:
 
     def test_bad_fractions_rejected(self, tmp_path):
         manifest = self.make_manifest(tmp_path, ["s00", "s01", "s02"])
-        with pytest.raises(ConfigurationError):
-            split_subject_independent(manifest, (0.9, 0.2, 0.2), seed=0)
+        for fractions in [(0.9, 0.2, 0.2), (float("nan"), 0.5, 0.5)]:
+            with pytest.raises(ConfigurationError):
+                split_subject_independent(manifest, fractions, seed=0)
 
 
 def small_checkpoint(with_adapter=True):

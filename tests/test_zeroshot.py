@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from eegadapt.encoder import EmbeddingBatch
 from eegadapt.errors import DomainError, ProtocolError
 from eegadapt.zeroshot import (
     ZeroShotProtocol,
@@ -176,46 +175,37 @@ class TestRunZeroshot:
     def make_batch(self, rng, centers=((-6.0, 0.0), (6.0, 0.0)), per_class=40,
                    labels=(4, 5), spread=0.3):
         x, y01 = gaussian_clusters(rng, list(centers), per_class, spread=spread)
-        y = np.array(labels)[y01]
-        subjects = [f"s{i % 5}" for i in range(len(y))]
-        return EmbeddingBatch(embeddings=x, labels=y, subject_ids=subjects)
+        return x, np.array(labels)[y01]
 
     def test_separable_clusters_classified_perfectly(self):
-        batch = self.make_batch(np.random.default_rng(12))
+        x, y = self.make_batch(np.random.default_rng(12))
         protocol = ZeroShotProtocol(held_out_classes=frozenset([4, 5]), seed=0)
-        result = run_zeroshot(batch, protocol)
+        result = run_zeroshot(x, y, protocol)
         assert result["svm"] == 1.0
         assert result["knn"] == 1.0
         assert result["kmeans"] == 1.0
 
     def test_permuted_labels_fall_to_chance(self):
         rng = np.random.default_rng(13)
-        batch = self.make_batch(rng, per_class=150)
-        permuted = EmbeddingBatch(
-            embeddings=batch.embeddings,
-            labels=rng.permutation(batch.labels),
-            subject_ids=batch.subject_ids,
-        )
+        x, y = self.make_batch(rng, per_class=150)
         protocol = ZeroShotProtocol(held_out_classes=frozenset([4, 5]), seed=0)
-        result = run_zeroshot(permuted, protocol)
+        result = run_zeroshot(x, rng.permutation(y), protocol)
         for name, acc in result.items():
             assert abs(acc - 0.5) <= 0.1, f"{name} not at chance: {acc}"
 
     def test_missing_class_samples_rejected(self):
-        batch = self.make_batch(np.random.default_rng(14), labels=(4, 5))
+        x, y = self.make_batch(np.random.default_rng(14), labels=(4, 5))
         protocol = ZeroShotProtocol(held_out_classes=frozenset([4, 9]), seed=0)
         with pytest.raises(ProtocolError):
-            run_zeroshot(batch, protocol)
+            run_zeroshot(x, y, protocol)
 
     def test_tiny_class_rejected(self):
         emb = np.vstack([np.zeros((2, 2)), np.ones((8, 2))])
         labels = np.array([0, 0, 1, 1, 1, 1, 1, 1, 1, 1])
-        batch = EmbeddingBatch(embeddings=emb, labels=labels,
-                               subject_ids=["s"] * 10)
         protocol = ZeroShotProtocol(held_out_classes=frozenset([0, 1]),
                                     fit_fraction=0.5, seed=0)
         with pytest.raises(ProtocolError):
-            run_zeroshot(batch, protocol)
+            run_zeroshot(emb, labels, protocol)
 
     def test_protocol_validation(self):
         with pytest.raises(ProtocolError):
