@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DomainError, NumericError
-from .nnops import conv1d_backward, conv1d_forward, conv1d_output_len, gelu, gelu_grad
+from .nnops import (
+    conv1d_backward,
+    conv1d_forward,
+    conv1d_input_grad,
+    conv1d_output_len,
+    gelu,
+    gelu_grad,
+)
 
 __all__ = [
     "ConvLayerSpec",
@@ -142,8 +149,9 @@ def adapter_forward_batch(x: np.ndarray, params: dict[str, np.ndarray],
                           cfg: AdapterConfig, keep_cache: bool = False):
     """Run the cascade on a batch (N, E, T) -> (N, out_channels, out_timesteps).
 
-    Returns (output, cache); the cache holds per-layer inputs and
-    pre-activations for the backward pass.
+    Returns (output, cache). The cache holds ``(x, None)`` and then, per
+    layer, the pre-activation and its GELU CDF (None without an activation);
+    entry i rebuilds the input of layer i.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != cfg.in_channels or x.shape[2] != cfg.in_timesteps:
@@ -152,36 +160,41 @@ def adapter_forward_batch(x: np.ndarray, params: dict[str, np.ndarray],
             f"got {x.shape}"
         )
     h = x
-    cache = [] if keep_cache else None
+    cache = [(x, None)] if keep_cache else None
     for i, spec in enumerate(cfg.layers):
         z = conv1d_forward(h, params[f"layers.{i}.w"], params[f"layers.{i}.b"],
                            spec.stride)
+        h, cdf = gelu(z) if spec.activation == "gelu" else (z, None)
         if keep_cache:
-            cache.append((h, z))
-        h = gelu(z) if spec.activation == "gelu" else z
+            cache.append((z, cdf))
     if not np.all(np.isfinite(h)):
         raise NumericError("adapter forward produced non-finite values")
     return h, cache
 
 
 def adapter_backward_batch(cache, params: dict[str, np.ndarray],
-                           cfg: AdapterConfig, dout: np.ndarray):
-    """Reverse-mode gradients for a batch; returns (grads dict, dx).
+                           cfg: AdapterConfig, dout: np.ndarray) -> dict[str, np.ndarray]:
+    """Reverse-mode parameter gradients for a batch, keyed like ``params``.
 
-    ``dout`` must match the forward output's shape.
+    ``dout`` must match the forward output's shape. The gradient with
+    respect to the adapter's input is not computed: nothing upstream of the
+    adapter learns.
     """
     grads: dict[str, np.ndarray] = {}
     dh = np.asarray(dout, dtype=np.float64)
-    if dh.shape != cache[-1][1].shape:
+    if dh.shape != cache[-1][0].shape:
         raise DimensionError(
             f"upstream shape {dh.shape} does not match the output "
-            f"{cache[-1][1].shape}"
+            f"{cache[-1][0].shape}"
         )
     for i in reversed(range(len(cfg.layers))):
-        spec = cfg.layers[i]
-        x_in, z = cache[i]
-        dz = dh * gelu_grad(z) if spec.activation == "gelu" else dh
-        dh, dw, db = conv1d_backward(x_in, params[f"layers.{i}.w"], spec.stride, dz)
-        grads[f"layers.{i}.w"] = dw
-        grads[f"layers.{i}.b"] = db
-    return grads, dh
+        z, cdf = cache[i + 1]
+        dz = dh if cdf is None else gelu_grad(z, cdf) * dh
+        z_in, cdf_in = cache[i]
+        x_in = z_in if cdf_in is None else z_in * cdf_in
+        w, stride = params[f"layers.{i}.w"], cfg.layers[i].stride
+        grads[f"layers.{i}.w"], grads[f"layers.{i}.b"] = conv1d_backward(
+            x_in, w, stride, dz)
+        if i > 0:
+            dh = conv1d_input_grad(w, stride, dz, x_in.shape[2])
+    return grads

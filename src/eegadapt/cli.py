@@ -23,7 +23,7 @@ from .adapter import default_adapter_config
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .encoder import BfmConfig
 from .errors import ConfigurationError, IntegrityError, PipelineError
-from .fileio import read_embeddings_text, write_embeddings_text
+from .fileio import read_embeddings_text, write_embeddings_text, write_text
 from .manifest import load_manifest, split_subject_independent
 from .model import build_classifier
 from .montage import MontageMap, format_montage_text, load_montage
@@ -40,7 +40,6 @@ from .synthetic import SynthSpec, write_synthetic_dataset
 from .training import (
     TrainConfig,
     confusion_matrix,
-    evaluate,
     format_metrics_report,
     metrics_from_confusion,
     predict,
@@ -94,7 +93,7 @@ def _parse_list(flag: str, text: str, kind=int) -> list:
 
 def _write_text(path: str | None, text: str) -> None:
     if path:
-        Path(path).write_text(text)
+        write_text(path, text)
     else:
         sys.stdout.write(text)
 
@@ -295,11 +294,12 @@ def cmd_train(args) -> int:
             f"{ep.epoch},{ep.train_loss!r},{ep.train_acc!r},"
             f"{ep.val_loss!r},{ep.val_acc!r}"
         )
-    log_path.write_text("\n".join(log_lines) + "\n")
+    write_text(log_path, "\n".join(log_lines) + "\n")
 
-    val_report = evaluate(model, val_set)
+    val_report = metrics_from_confusion(
+        confusion_matrix(val_set.y, result.val_predictions, num_classes))
     metrics_path = Path(str(args.out_checkpoint) + ".metrics.txt")
-    metrics_path.write_text(format_metrics_report(
+    write_text(metrics_path, format_metrics_report(
         val_report,
         header_lines=[f"# {line}" for line in header]
         + [f"# best_epoch = {result.best_epoch}", "# split = val"],

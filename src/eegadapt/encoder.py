@@ -165,23 +165,25 @@ def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig):
     q = (h1 @ bp["wq"] + bp["bq"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
     k = (h1 @ bp["wk"] + bp["bk"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
     v = (h1 @ bp["wv"] + bp["bv"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    attn = softmax_last(scores)
+    attn = q @ k.transpose(0, 1, 3, 2)
+    attn *= scale
+    attn = softmax_last(attn)
     ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(n, s, d)
     attn_out = ctx @ bp["wo"] + bp["bo"]
     x2 = x + attn_out
 
     h2, ln2_cache = layer_norm_forward(x2, bp["ln2_g"], bp["ln2_b"])
     a1 = h2 @ bp["w1"] + bp["b1"]
-    g1 = gelu(a1)
+    g1, cdf = gelu(a1)
     x3 = x2 + g1 @ bp["w2"] + bp["b2"]
 
-    cache = (x, h1, ln1_cache, q, k, v, attn, ctx, x2, h2, ln2_cache, a1, g1)
+    # The GELU output is rebuilt as a1 * cdf in backward rather than kept.
+    cache = (x, h1, ln1_cache, q, k, v, attn, ctx, x2, h2, ln2_cache, a1, cdf)
     return x3, cache
 
 
 def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache):
-    x, h1, ln1_cache, q, k, v, attn, ctx, x2, h2, ln2_cache, a1, g1 = cache
+    x, h1, ln1_cache, q, k, v, attn, ctx, x2, h2, ln2_cache, a1, cdf = cache
     n, s, d = x.shape
     h, dh = cfg.num_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
@@ -189,10 +191,11 @@ def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache):
 
     # Feed-forward branch.
     df = dout
+    g1 = a1 * cdf
     g["w2"] = g1.reshape(-1, cfg.ff_dim).T @ df.reshape(-1, d)
     g["b2"] = df.sum(axis=(0, 1))
-    dg1 = df @ bp["w2"].T
-    da1 = dg1 * gelu_grad(a1)
+    da1 = df @ bp["w2"].T
+    da1 *= gelu_grad(a1, cdf)
     g["w1"] = h2.reshape(-1, d).T @ da1.reshape(-1, cfg.ff_dim)
     g["b1"] = da1.sum(axis=(0, 1))
     dh2 = da1 @ bp["w1"].T
@@ -206,7 +209,8 @@ def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache):
     dctx = (dattn_out @ bp["wo"].T).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
     dattn = dctx @ v.transpose(0, 1, 3, 2)
     dv = attn.transpose(0, 1, 3, 2) @ dctx
-    dscores = softmax_backward(attn, dattn) * scale
+    dscores = softmax_backward(attn, dattn)
+    dscores *= scale
     dq = dscores @ k
     dk = dscores.transpose(0, 1, 3, 2) @ q
 
@@ -262,7 +266,8 @@ def encoder_backward_batch(cache, params: dict[str, np.ndarray], cfg: BfmConfig,
     grads["head_w"] = pooled.T @ dlogits
     grads["head_b"] = dlogits.sum(axis=0)
     dpooled = dlogits @ params["head_w"].T
-    dhf = np.repeat(dpooled[:, None, :] / seq_len, seq_len, axis=1)
+    dhf = np.broadcast_to((dpooled / seq_len)[:, None, :],
+                          (n, seq_len, cfg.embed_dim))
     dh, grads["final_g"], grads["final_b"] = layer_norm_backward(
         lnf_cache, params["final_g"], dhf
     )

@@ -25,6 +25,7 @@ import math
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "read_bundle",
     "write_embeddings_text",
     "read_embeddings_text",
+    "write_text",
 ]
 
 RECORDING_MAGIC = b"EEGREC01"
@@ -91,13 +93,35 @@ def read_recording_text(path: str | Path) -> np.ndarray:
     return data
 
 
+@contextmanager
+def _replacing(path: str | Path, mode: str = "wb"):
+    """Open a temporary file beside ``path`` that replaces it on a clean exit.
+
+    A failed write leaves any earlier file at ``path`` untouched and removes
+    the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write a text file atomically: readers see the old file or the new one."""
+    with _replacing(path, "w") as fh:
+        fh.write(text)
+
+
 def write_bundle(path: str | Path, meta: dict,
                  arrays: list[tuple[str, np.ndarray]]) -> None:
     """Write a bundle atomically, streaming each array's own buffer.
 
-    The bytes go to a temporary file beside ``path`` that replaces it only
-    once complete, so a failed write leaves any earlier file untouched. The
-    CRC is folded in block by block, and an array already C-ordered in a
+    The CRC is folded in block by block, and an array already C-ordered in a
     stored dtype is written from its own memory without a copy.
     """
     specs, blocks = [], []
@@ -110,66 +134,91 @@ def write_bundle(path: str | Path, meta: dict,
         blocks.append(arr)
     header = json.dumps({"meta": meta, "arrays": specs},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            crc = 0
-            for block in (BUNDLE_MAGIC, struct.pack("<Q", len(header)), header,
-                          *blocks):
-                fh.write(block)
-                crc = zlib.crc32(block, crc)
-            fh.write(struct.pack("<I", crc))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _replacing(path) as fh:
+        crc = 0
+        for block in (BUNDLE_MAGIC, struct.pack("<Q", len(header)), header,
+                      *blocks):
+            fh.write(block)
+            crc = zlib.crc32(block, crc)
+        fh.write(struct.pack("<I", crc))
+
+
+def _file_crc_matches(fh, size: int) -> bool:
+    """Whether the stored CRC matches everything before it, read in blocks."""
+    fh.seek(0)
+    crc, left = 0, size - 4
+    while left:
+        block = fh.read(min(left, 1 << 20))
+        if not block:
+            return False
+        crc = zlib.crc32(block, crc)
+        left -= len(block)
+    return crc == struct.unpack("<I", fh.read(4))[0]
 
 
 def read_bundle(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a bundle into one fresh array per entry, with no second copy.
+
+    The header and every array spec are checked against the file size
+    before any array is allocated; the CRC is folded in as the arrays are
+    read. A file that fails its checksum is reported as corrupt ahead of any
+    structural fault.
+    """
     path = Path(path)
     if not path.exists():
         raise IntegrityError(f"file not found: {path}")
-    raw = path.read_bytes()
-    if len(raw) < 20 or raw[:8] != BUNDLE_MAGIC:
-        raise IntegrityError(f"{path} is not an array bundle (bad magic)")
-    stored_crc = struct.unpack("<I", raw[-4:])[0]
-    if zlib.crc32(raw[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise IntegrityError(f"{path} failed its checksum; file is corrupt")
-    header_len = struct.unpack("<Q", raw[8:16])[0]
-    try:
-        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"{path} has a corrupt header: {exc}") from exc
-    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
-            and isinstance(header.get("arrays"), list)):
-        raise IntegrityError(
-            f"{path} header must be an object with a 'meta' object and an "
-            "'arrays' list"
-        )
-    offset = 16 + header_len
-    arrays: dict[str, np.ndarray] = {}
-    for spec in header["arrays"]:
-        if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
-                and isinstance(spec.get("dtype"), str)
-                and spec["dtype"] in _ALLOWED_DTYPES
-                and isinstance(spec.get("shape"), list)
-                and all(type(d) is int and d >= 0 for d in spec["shape"])):
-            raise IntegrityError(
-                f"{path} has a malformed array spec {spec!r}; expected a str "
-                f"name, a dtype in {sorted(_ALLOWED_DTYPES)} and a list of "
-                "non-negative int dims"
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        lead = fh.read(16)
+        if size < 20 or lead[:8] != BUNDLE_MAGIC:
+            raise IntegrityError(f"{path} is not an array bundle (bad magic)")
+
+        def corrupt(message: str) -> IntegrityError:
+            if not _file_crc_matches(fh, size):
+                message = f"{path} failed its checksum; file is corrupt"
+            return IntegrityError(message)
+
+        header_len = struct.unpack("<Q", lead[8:])[0]
+        head = fh.read(min(header_len, size - 16))
+        try:
+            header = json.loads(head.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise corrupt(f"{path} has a corrupt header: {exc}") from exc
+        if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+                and isinstance(header.get("arrays"), list)):
+            raise corrupt(
+                f"{path} header must be an object with a 'meta' object and an "
+                "'arrays' list"
             )
-        dtype = np.dtype(spec["dtype"])
-        count = math.prod(spec["shape"])
-        nbytes = dtype.itemsize * count
-        if offset + nbytes > len(raw) - 4:
-            raise IntegrityError(f"{path} is truncated inside array {spec['name']}")
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-        arrays[spec["name"]] = arr.reshape(spec["shape"]).copy()
-        offset += nbytes
-    if offset != len(raw) - 4:
-        raise IntegrityError(f"{path} carries {len(raw) - 4 - offset} unexpected bytes")
+        offset = 16 + header_len
+        for spec in header["arrays"]:
+            if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
+                    and isinstance(spec.get("dtype"), str)
+                    and spec["dtype"] in _ALLOWED_DTYPES
+                    and isinstance(spec.get("shape"), list)
+                    and all(type(d) is int and d >= 0 for d in spec["shape"])):
+                raise corrupt(
+                    f"{path} has a malformed array spec {spec!r}; expected a str "
+                    f"name, a dtype in {sorted(_ALLOWED_DTYPES)} and a list of "
+                    "non-negative int dims"
+                )
+            offset += np.dtype(spec["dtype"]).itemsize * math.prod(spec["shape"])
+            if offset > size - 4:
+                raise corrupt(f"{path} is truncated inside array {spec['name']}")
+        if offset != size - 4:
+            raise corrupt(f"{path} carries {size - 4 - offset} unexpected bytes")
+
+        crc = zlib.crc32(head, zlib.crc32(lead))
+        arrays: dict[str, np.ndarray] = {}
+        for spec in header["arrays"]:
+            arr = np.empty(spec["shape"], dtype=spec["dtype"])
+            buf = memoryview(arr.reshape(-1)).cast("B")
+            if fh.readinto(buf) != len(buf):
+                raise corrupt(f"{path} is truncated inside array {spec['name']}")
+            crc = zlib.crc32(buf, crc)
+            arrays[spec["name"]] = arr
+        if crc != struct.unpack("<I", fh.read(4))[0]:
+            raise IntegrityError(f"{path} failed its checksum; file is corrupt")
     return header["meta"], arrays
 
 
@@ -185,7 +234,7 @@ def write_embeddings_text(path: str | Path, embeddings: np.ndarray,
     for row, label, sid in zip(embeddings, labels, subject_ids):
         values = ",".join(repr(float(v)) for v in row)
         lines.append(f"{values},{label},{sid}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_embeddings_text(path: str | Path):

@@ -87,7 +87,7 @@ class EegClassifier:
         )
         grads = {f"encoder.{n}": g for n, g in enc_grads.items()}
         if self.adapter is not None:
-            ad_grads, _ = adapter_backward_batch(
+            ad_grads = adapter_backward_batch(
                 adapter_cache, self.adapter, self.adapter_config, dh
             )
             grads.update({f"adapter.{n}": g for n, g in ad_grads.items()})

@@ -1,8 +1,10 @@
 """Low-level array operations shared by the adapter and the encoder.
 
-Everything here is a pure function in double precision. Backward functions
-return exact reverse-mode gradients of their forward counterparts; they are
-verified against central finite differences in the test suite.
+Everything here works in double precision. ``softmax_last`` and
+``softmax_backward`` overwrite the array they are given, which the caller
+must own, and return it; every other function returns fresh arrays. Backward
+functions return exact reverse-mode gradients of their forward counterparts;
+they are verified against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -18,28 +20,51 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 LAYERNORM_EPS = 1e-5
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian error linear unit, x * Phi(x)."""
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Gaussian error linear unit x * Phi(x); returns (output, Phi(x)).
+
+    ``gelu_grad`` takes the CDF Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) back, so
+    a caller that keeps it for backward keeps neither the output nor a
+    second erf.
+    """
+    cdf = x / _SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf, cdf
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """d/dx gelu(x) = Phi(x) + x * phi(x)."""
-    phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * phi
+def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/dx gelu(x) = Phi(x) + x * phi(x), given ``cdf`` = Phi(x) from gelu."""
+    out = -0.5 * x
+    out *= x
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    out *= x
+    out += cdf
+    return out
 
 
 def softmax_last(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with max subtraction for stability."""
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    """Softmax over the last axis with max subtraction for stability.
+
+    Works in place: overwrites ``x`` with the probabilities and returns it.
+    """
+    x -= np.max(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.sum(x, axis=-1, keepdims=True)
+    return x
 
 
 def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    """Gradient through softmax given its output and upstream gradient."""
+    """Gradient through softmax given its output and upstream gradient.
+
+    Works in place: overwrites ``dprobs`` with the gradient and returns it.
+    """
     inner = np.sum(dprobs * probs, axis=-1, keepdims=True)
-    return probs * (dprobs - inner)
+    dprobs -= inner
+    dprobs *= probs
+    return dprobs
 
 
 def _im2col(x: np.ndarray, kernel_len: int, stride: int) -> np.ndarray:
@@ -80,26 +105,35 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
 
 
 def conv1d_backward(x: np.ndarray, w: np.ndarray, stride: int,
-                    dy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv1d_forward; returns (dx, dw, db)."""
-    n, c_in, t_in = x.shape
+                    dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter gradients of conv1d_forward; returns (dw, db).
+
+    The input gradient is conv1d_input_grad, for callers that need it.
+    """
+    n, c_in, _ = x.shape
     c_out, _, kernel_len = w.shape
     t_out = dy.shape[2]
-
     db = dy.sum(axis=(0, 2))
-
     patches = _im2col(x, kernel_len, stride)
     cols = patches.transpose(0, 2, 1, 3).reshape(n * t_out, c_in * kernel_len)
     dyr = dy.transpose(0, 2, 1).reshape(n * t_out, c_out)
     dw = (dyr.T @ cols).reshape(c_out, c_in, kernel_len)
+    return dw, db
 
+
+def conv1d_input_grad(w: np.ndarray, stride: int, dy: np.ndarray,
+                      t_in: int) -> np.ndarray:
+    """Gradient of conv1d_forward with respect to its (N, C_in, t_in) input."""
+    c_out, c_in, kernel_len = w.shape
+    n, _, t_out = dy.shape
+    dyr = dy.transpose(0, 2, 1).reshape(n * t_out, c_out)
     # Scatter-add each kernel tap back onto the input; for a fixed tap the
     # strided destination indices are unique, so slice assignment is safe.
     dcols = (dyr @ w.reshape(c_out, c_in * kernel_len)).reshape(n, t_out, c_in, kernel_len)
-    dx = np.zeros_like(x)
+    dx = np.zeros((n, c_in, t_in))
     for j in range(kernel_len):
         dx[:, :, j : j + stride * t_out : stride] += dcols[:, :, :, j].transpose(0, 2, 1)
-    return dx, dw, db
+    return dx
 
 
 def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):

@@ -174,9 +174,13 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
+    """Per-epoch statistics and the selected epoch, with that epoch's
+    argmax predictions on the validation split."""
+
     epochs: list[EpochStats]
     best_epoch: int
     best_val_accuracy: float
+    val_predictions: np.ndarray
 
 
 def _trainable_arrays(model, freeze_bfm: bool):
@@ -248,6 +252,7 @@ def train_loop(model, train_set: LabeledSet, val_set: LabeledSet,
     best_epoch = -1
     best_val_acc = -1.0
     best_params: dict[str, np.ndarray] | None = None
+    best_val_preds: np.ndarray | None = None
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(train_set))
@@ -275,12 +280,14 @@ def train_loop(model, train_set: LabeledSet, val_set: LabeledSet,
         if val_acc > best_val_acc:
             best_val_acc = val_acc
             best_epoch = epoch
+            best_val_preds = val_preds
             best_params = {name: p.copy() for name, p in model.named_arrays()}
 
     for name, p in model.named_arrays():
         np.copyto(p, best_params[name])
     return TrainResult(epochs=stats, best_epoch=best_epoch,
-                       best_val_accuracy=best_val_acc)
+                       best_val_accuracy=best_val_acc,
+                       val_predictions=best_val_preds)
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,8 @@ class AdapterOnlyClassifier:
     def backward_batch(self, cache, dlogits):
         adapter_cache, out_shape = cache
         dout = np.repeat(dlogits[:, :, None], out_shape[2], axis=2) / out_shape[2]
-        grads, _ = adapter_backward_batch(adapter_cache, self.params,
-                                          self.config, dout)
-        return grads
+        return adapter_backward_batch(adapter_cache, self.params,
+                                      self.config, dout)
 
 
 class StubModel:

@@ -12,7 +12,7 @@ from eegadapt.adapter import (
     init_adapter_params,
 )
 from eegadapt.errors import ConfigurationError, DimensionError
-from eegadapt.nnops import gelu
+from eegadapt.nnops import conv1d_forward, conv1d_input_grad, gelu, gelu_grad
 
 
 def naive_forward(x, params, cfg):
@@ -29,7 +29,7 @@ def naive_forward(x, params, cfg):
                     for j in range(spec.kernel_len):
                         acc += w[o, c, j] * h[c, t * spec.stride + j]
                 z[o, t] = acc + b[o]
-        h = gelu(z) if spec.activation == "gelu" else z
+        h = gelu(z)[0] if spec.activation == "gelu" else z
     return h
 
 
@@ -38,9 +38,28 @@ def forward(x, params, cfg):
 
 
 def forward_backward(x, params, cfg, upstream):
-    """Gradients of sum(forward(x) * upstream); returns (grads, dx)."""
+    """Parameter gradients of sum(forward(x) * upstream)."""
     _, cache = adapter_forward_batch(x, params, cfg, keep_cache=True)
     return adapter_backward_batch(cache, params, cfg, upstream)
+
+
+def input_gradient(x, params, cfg, upstream):
+    """Gradient of sum(forward(x) * upstream) with respect to x, chained back
+    through the layers with nnops.conv1d_input_grad."""
+    h, steps = x, []
+    for i, spec in enumerate(cfg.layers):
+        z = conv1d_forward(h, params[f"layers.{i}.w"], params[f"layers.{i}.b"],
+                           spec.stride)
+        steps.append((h.shape[2], z))
+        h = gelu(z)[0] if spec.activation == "gelu" else z
+    dh = upstream
+    for i in reversed(range(len(cfg.layers))):
+        t_in, z = steps[i]
+        if cfg.layers[i].activation == "gelu":
+            dh = dh * gelu_grad(z, gelu(z)[1])
+        dh = conv1d_input_grad(params[f"layers.{i}.w"], cfg.layers[i].stride,
+                               dh, t_in)
+    return dh
 
 
 class TestConfigArithmetic:
@@ -155,16 +174,19 @@ class TestGradients:
         self.upstream = rng.normal(size=(1, 23, 8))
 
     def test_zero_upstream_zero_gradients(self):
-        grads, dx = forward_backward(self.x, self.params, self.cfg,
-                                     np.zeros((1, 23, 8)))
+        grads = forward_backward(self.x, self.params, self.cfg,
+                                 np.zeros((1, 23, 8)))
+        dx = input_gradient(self.x, self.params, self.cfg, np.zeros((1, 23, 8)))
         assert np.all(dx == 0)
         for g in grads.values():
             assert np.all(g == 0)
 
     def test_upstream_linearity(self):
-        grads, dx = forward_backward(self.x, self.params, self.cfg, self.upstream)
-        grads2, dx2 = forward_backward(self.x, self.params, self.cfg,
-                                       2.0 * self.upstream)
+        grads = forward_backward(self.x, self.params, self.cfg, self.upstream)
+        grads2 = forward_backward(self.x, self.params, self.cfg,
+                                  2.0 * self.upstream)
+        dx = input_gradient(self.x, self.params, self.cfg, self.upstream)
+        dx2 = input_gradient(self.x, self.params, self.cfg, 2.0 * self.upstream)
         np.testing.assert_allclose(dx2, 2.0 * dx, rtol=1e-12)
         for name in grads:
             np.testing.assert_allclose(grads2[name], 2.0 * grads[name], rtol=1e-12)
@@ -177,7 +199,8 @@ class TestGradients:
             return float(np.sum(forward(self.x, self.params, self.cfg)
                                 * self.upstream))
 
-        grads, dx = forward_backward(self.x, self.params, self.cfg, self.upstream)
+        grads = forward_backward(self.x, self.params, self.cfg, self.upstream)
+        dx = input_gradient(self.x, self.params, self.cfg, self.upstream)
         worst = 0.0
         for name, arr in self.params.items():
             flat = arr.reshape(-1)

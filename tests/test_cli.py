@@ -1,8 +1,16 @@
 """End-to-end command-line runs on a small synthetic dataset."""
 
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eegadapt
 from eegadapt.cli import main
 from eegadapt.fileio import (
     read_bundle,
@@ -212,6 +220,50 @@ class TestTrain:
                                 if not l.startswith("# flag.out_checkpoint"))
             outputs.append((log, metrics))
         assert outputs[0] == outputs[1]
+
+    def test_failed_log_replace_keeps_old_log(self, windows, tmp_path,
+                                              monkeypatch):
+        argv = ["train", "--windows", str(windows), "--mode", "adapter",
+                "--out-checkpoint", str(tmp_path / "m.ckpt"), *COMMON_TRAIN]
+        assert main(argv) == 0
+        log = tmp_path / "m.ckpt.log.csv"
+        before = log.read_bytes()
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith(".log.csv"):
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr("eegadapt.fileio.os.replace", replace)
+        assert main(argv + ["--seed", "1"]) == 2
+        assert log.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "m.ckpt", "m.ckpt.log.csv", "m.ckpt.metrics.txt"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_fresh_processes_write_identical_bytes(self, windows, tmp_path,
+                                                   threads):
+        # The determinism contract: the same seed, flags, numpy/BLAS build
+        # and BLAS thread count give the same bytes in every new process.
+        src = str(Path(eegadapt.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        digests = []
+        for run in ("a", "b"):
+            run_dir = tmp_path / run
+            run_dir.mkdir()
+            shutil.copy(windows, run_dir / "w.wset")
+            subprocess.run(
+                [sys.executable, "-m", "eegadapt", "train", "--windows", "w.wset",
+                 "--mode", "adapter", "--out-checkpoint", "m.ckpt", *COMMON_TRAIN,
+                 "--epochs", "1"],
+                cwd=run_dir, env=env, check=True, capture_output=True)
+            digests.append({
+                name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                for name in ("m.ckpt", "m.ckpt.log.csv", "m.ckpt.metrics.txt")})
+        assert digests[0] == digests[1]
 
     def test_mode_parity_all_four_run(self, dataset, tmp_path):
         for mode in ("adapter", "select", "mix", "raw"):

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from eegadapt.encoder import (
     BfmConfig,
+    _block,
+    _block_backward,
+    _block_forward,
     _patchify_batch,
     encoder_backward_batch,
     encoder_forward_batch,
@@ -17,7 +21,14 @@ from eegadapt.errors import (
     NumericError,
 )
 from eegadapt.fileio import read_embeddings_text, write_embeddings_text
-from eegadapt.nnops import gelu, layer_norm_forward, softmax_last
+from eegadapt.nnops import (
+    gelu,
+    gelu_grad,
+    layer_norm_backward,
+    layer_norm_forward,
+    softmax_backward,
+    softmax_last,
+)
 
 
 def small_config(**overrides):
@@ -111,7 +122,7 @@ class TestEncode:
         attn_out = v @ bp["wo"] + bp["bo"]
         x2 = token + attn_out
         h2, _ = layer_norm_forward(x2, bp["ln2_g"], bp["ln2_b"])
-        x3 = x2 + gelu(h2 @ bp["w1"] + bp["b1"]) @ bp["w2"] + bp["b2"]
+        x3 = x2 + gelu(h2 @ bp["w1"] + bp["b1"])[0] @ bp["w2"] + bp["b2"]
         hf, _ = layer_norm_forward(x3, params["final_g"], params["final_b"])
         np.testing.assert_allclose(pooled, hf, atol=1e-12)
 
@@ -272,3 +283,193 @@ class TestEmbeddingBatch:
         path.write_text(f"0.0,{value},0,a\n")
         with pytest.raises(NumericError):
             read_embeddings_text(path)
+
+
+# ------------------------------------------------------------------------
+# Out-of-place reference formulas. The encoder works in place and keeps the
+# GELU CDF instead of its output; these are the plain expressions it must
+# reproduce bit for bit.
+
+
+def ref_gelu(x):
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def ref_gelu_grad(x):
+    phi = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * phi
+
+
+def ref_softmax(x):
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def ref_softmax_backward(probs, dprobs):
+    inner = np.sum(dprobs * probs, axis=-1, keepdims=True)
+    return probs * (dprobs - inner)
+
+
+def ref_block_forward(x, bp, cfg):
+    n, s, d = x.shape
+    h, dh = cfg.num_heads, cfg.head_dim
+    scale = 1.0 / np.sqrt(dh)
+    h1, ln1 = layer_norm_forward(x, bp["ln1_g"], bp["ln1_b"])
+    q = (h1 @ bp["wq"] + bp["bq"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
+    k = (h1 @ bp["wk"] + bp["bk"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
+    v = (h1 @ bp["wv"] + bp["bv"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
+    attn = ref_softmax((q @ k.transpose(0, 1, 3, 2)) * scale)
+    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(n, s, d)
+    x2 = x + (ctx @ bp["wo"] + bp["bo"])
+    h2, ln2 = layer_norm_forward(x2, bp["ln2_g"], bp["ln2_b"])
+    a1 = h2 @ bp["w1"] + bp["b1"]
+    g1 = ref_gelu(a1)
+    x3 = x2 + g1 @ bp["w2"] + bp["b2"]
+    return x3, (h1, ln1, q, k, v, attn, ctx, h2, ln2, a1, g1)
+
+
+def ref_block_backward(dout, bp, cfg, cache):
+    h1, ln1, q, k, v, attn, ctx, h2, ln2, a1, g1 = cache
+    n, s, d = dout.shape
+    h, dh = cfg.num_heads, cfg.head_dim
+    scale = 1.0 / np.sqrt(dh)
+    g = {}
+    g["w2"] = g1.reshape(-1, cfg.ff_dim).T @ dout.reshape(-1, d)
+    g["b2"] = dout.sum(axis=(0, 1))
+    da1 = (dout @ bp["w2"].T) * ref_gelu_grad(a1)
+    g["w1"] = h2.reshape(-1, d).T @ da1.reshape(-1, cfg.ff_dim)
+    g["b1"] = da1.sum(axis=(0, 1))
+    dx2_ln, g["ln2_g"], g["ln2_b"] = layer_norm_backward(
+        ln2, bp["ln2_g"], da1 @ bp["w1"].T)
+    dx2 = dout + dx2_ln
+    g["wo"] = ctx.reshape(-1, d).T @ dx2.reshape(-1, d)
+    g["bo"] = dx2.sum(axis=(0, 1))
+    dctx = (dx2 @ bp["wo"].T).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
+    dattn = dctx @ v.transpose(0, 1, 3, 2)
+    dv = attn.transpose(0, 1, 3, 2) @ dctx
+    dscores = ref_softmax_backward(attn, dattn) * scale
+    dq = dscores @ k
+    dk = dscores.transpose(0, 1, 3, 2) @ q
+    merged = [t.transpose(0, 2, 1, 3).reshape(n, s, d) for t in (dq, dk, dv)]
+    h1_flat = h1.reshape(-1, d)
+    for name, dm in zip("qkv", merged):
+        g[f"w{name}"] = h1_flat.T @ dm.reshape(-1, d)
+        g[f"b{name}"] = dm.sum(axis=(0, 1))
+    dh1 = (merged[0] @ bp["wq"].T + merged[1] @ bp["wk"].T
+           + merged[2] @ bp["wv"].T)
+    dx_ln, g["ln1_g"], g["ln1_b"] = layer_norm_backward(ln1, bp["ln1_g"], dh1)
+    return dx2 + dx_ln, g
+
+
+def ref_encoder(x, params, cfg, dlogits):
+    """Logits, every parameter gradient and dx, all out of place."""
+    n, c, t = x.shape
+    p = t // cfg.patch_len
+    h, patches = _patchify_batch(x, params, cfg)
+    caches = []
+    for i in range(cfg.num_layers):
+        h, cache = ref_block_forward(h, _block(params, i), cfg)
+        caches.append(cache)
+    hf, lnf = layer_norm_forward(h, params["final_g"], params["final_b"])
+    pooled = hf.mean(axis=1)
+    logits = pooled @ params["head_w"] + params["head_b"]
+
+    grads = {"head_w": pooled.T @ dlogits, "head_b": dlogits.sum(axis=0)}
+    dpooled = dlogits @ params["head_w"].T
+    seq = hf.shape[1]
+    dhf = np.repeat(dpooled[:, None, :] / seq, seq, axis=1)
+    dh, grads["final_g"], grads["final_b"] = layer_norm_backward(
+        lnf, params["final_g"], dhf)
+    for i in reversed(range(cfg.num_layers)):
+        dh, block_grads = ref_block_backward(dh, _block(params, i), cfg, caches[i])
+        grads.update((f"blocks.{i}.{k}", g) for k, g in block_grads.items())
+    demb = dh.reshape(n, c, p, cfg.embed_dim)
+    grads["channel_embed"] = np.zeros_like(params["channel_embed"])
+    grads["channel_embed"][:c] = demb.sum(axis=(0, 2))
+    grads["temporal_embed"] = np.zeros_like(params["temporal_embed"])
+    grads["temporal_embed"][:p] = demb.sum(axis=(0, 1))
+    demb_flat = demb.reshape(-1, cfg.embed_dim)
+    grads["patch_w"] = demb_flat.T @ patches.reshape(-1, cfg.patch_len)
+    grads["patch_b"] = demb_flat.sum(axis=0)
+    return logits, grads, (demb @ params["patch_w"]).reshape(n, c, t)
+
+
+def assert_same_grads(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+class TestInPlaceHotPath:
+    """The in-place encoder reproduces the out-of-place formulas exactly."""
+
+    # Head dims of 24, 12 and 8: a power-of-four head dim would make the
+    # scale 1/sqrt(dh) a power of two, which hides where it is applied.
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    def test_block_matches_out_of_place_formulas_bitwise(self, heads):
+        cfg = small_config(embed_dim=24, num_heads=heads)
+        rng = np.random.default_rng(20 + heads)
+        params = init_encoder_params(cfg, rng)
+        bp = _block(params, 1)
+        x = rng.normal(size=(3, 10, cfg.embed_dim))
+        dout = rng.normal(size=x.shape)
+        out, cache = _block_forward(x, bp, cfg)
+        ref_out, ref_cache = ref_block_forward(x, bp, cfg)
+        assert np.array_equal(out, ref_out)
+        dx, grads = _block_backward(dout, bp, cfg, cache)
+        ref_dx, ref_grads = ref_block_backward(dout, bp, cfg, ref_cache)
+        assert np.array_equal(dx, ref_dx)
+        assert_same_grads(grads, ref_grads)
+
+    @pytest.mark.parametrize("heads", [2, 3])
+    def test_encoder_matches_out_of_place_formulas_bitwise(self, heads):
+        cfg = small_config(num_channels=6, embed_dim=24, num_heads=heads,
+                           max_patches=4)
+        rng = np.random.default_rng(30 + heads)
+        params = init_encoder_params(cfg, rng)
+        params["head_w"][:] = rng.normal(0, 0.3, params["head_w"].shape)
+        x = rng.normal(size=(4, 6, 64))
+        dlogits = rng.normal(size=(4, cfg.num_classes))
+        logits, _, cache = encoder_forward_batch(x, params, cfg, keep_cache=True)
+        grads, dx = encoder_backward_batch(cache, params, cfg, dlogits)
+        ref_logits, ref_grads, ref_dx = ref_encoder(x, params, cfg, dlogits)
+        assert np.array_equal(logits, ref_logits)
+        assert np.array_equal(dx, ref_dx)
+        assert_same_grads(grads, ref_grads)
+        # Backward leaves its cache intact, so it can run again.
+        again, dx_again = encoder_backward_batch(cache, params, cfg, dlogits)
+        assert np.array_equal(dx_again, dx)
+        assert_same_grads(again, grads)
+
+    def test_softmax_overwrites_and_returns_its_argument(self):
+        x = np.random.default_rng(40).normal(size=(2, 3, 5, 5)) * 3.0
+        expected = ref_softmax(x)
+        out = softmax_last(x)
+        assert out is x
+        assert np.array_equal(x, expected)
+
+    def test_softmax_backward_overwrites_only_the_upstream(self):
+        rng = np.random.default_rng(41)
+        probs = ref_softmax(rng.normal(size=(2, 3, 5, 5)))
+        dprobs = rng.normal(size=probs.shape)
+        probs_before = probs.copy()
+        expected = ref_softmax_backward(probs, dprobs)
+        out = softmax_backward(probs, dprobs)
+        assert out is dprobs
+        assert np.array_equal(dprobs, expected)
+        assert np.array_equal(probs, probs_before)
+
+    def test_gelu_returns_fresh_output_and_cdf(self):
+        x = np.random.default_rng(42).normal(size=(4, 7)) * 3.0
+        x_before = x.copy()
+        out, cdf = gelu(x)
+        assert out is not x and cdf is not x
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(out, ref_gelu(x))
+        assert np.array_equal(cdf, 0.5 * (1.0 + erf(x / np.sqrt(2.0))))
+        assert np.array_equal(out, x * cdf)
+        cdf_before = cdf.copy()
+        grad = gelu_grad(x, cdf)
+        assert np.array_equal(grad, ref_gelu_grad(x))
+        assert np.array_equal(x, x_before) and np.array_equal(cdf, cdf_before)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -174,6 +175,43 @@ class TestBundle:
             write_bundle(path, {"v": 2}, [("a", np.zeros(50))])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["b.bundle"]
+
+    def test_read_holds_one_copy_of_the_payload(self, tmp_path):
+        path = tmp_path / "w.wset"
+        data = np.random.default_rng(5).normal(size=(512, 16, 256))
+        labels = np.arange(512, dtype=np.int64)
+        write_bundle(path, {"kind": "windows"}, [("data", data), ("labels", labels)])
+        payload = data.nbytes + labels.nbytes
+        del data
+        tracemalloc.start()
+        try:
+            _, arrays = read_bundle(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arrays["data"].shape == (512, 16, 256)
+        assert peak <= 1.1 * payload
+
+    def test_huge_claimed_shape_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "b.bundle"
+        write_raw_bundle(path, _spec(shape=[1 << 40]), payload=bytes(8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrityError, match="truncated inside array a"):
+                read_bundle(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_checksum_reported_ahead_of_structure(self, tmp_path):
+        path = tmp_path / "b.bundle"
+        write_raw_bundle(path, _spec(shape=[2]), payload=bytes(8))
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError, match="failed its checksum"):
+            read_bundle(path)
 
 
 class TestEmbeddingsText:
