@@ -86,9 +86,15 @@ def load_checkpoint(path) -> Checkpoint:
             _adapter_config_from_meta(meta.get("adapter_config")),
             seed=0,
         )
-        classes = {str(k): int(v) for k, v in meta["classes"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IntegrityError(f"{path}: malformed checkpoint meta: {exc!r}") from exc
+    classes = meta["classes"]
+    if not all(type(v) is int for v in classes.values()) \
+            or sorted(classes.values()) != list(range(model.num_classes)):
+        raise IntegrityError(
+            f"{path}: 'classes' must map names to the head indices "
+            f"0..{model.num_classes - 1}, got {sorted(classes.values())}"
+        )
 
     expected = dict(model.named_arrays())
     problems = [f"missing {n}" for n in expected if n not in arrays]

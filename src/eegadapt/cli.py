@@ -214,6 +214,8 @@ def _choose_adapter_steps(in_timesteps: int, patch_len: int) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.patch_len < 1:
+        raise ConfigurationError(f"--patch-len must be >= 1, got {args.patch_len}")
     wset, manifest = _train_window_set(args)
 
     if args.mode in ("select", "mix"):

@@ -50,6 +50,10 @@ class BfmConfig:
     max_patches: int = 64
 
     def __post_init__(self):
+        for name in ("num_channels", "num_classes", "patch_len", "embed_dim",
+                     "num_layers", "num_heads", "max_patches"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
         if self.embed_dim % self.num_heads != 0:
             raise ConfigurationError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
@@ -59,10 +63,6 @@ class BfmConfig:
                 f"channel_vocab {self.channel_vocab} smaller than num_channels "
                 f"{self.num_channels}"
             )
-        for name in ("num_channels", "num_classes", "patch_len", "embed_dim",
-                     "num_layers", "num_heads", "max_patches"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
 
     @property
     def head_dim(self) -> int:
@@ -156,6 +156,23 @@ def _patchify_batch(x: np.ndarray, params: dict[str, np.ndarray], cfg: BfmConfig
     return emb.reshape(n, c * p, cfg.embed_dim), patches
 
 
+# Attention runs over chunks of c samples so that only one chunk's (c, H, S, S)
+# float64 scores are live at a time; backward recomputes them from q and k
+# instead of keeping them. Backward holds two such blocks (probabilities and
+# their gradient), so 1 MiB each keeps both within a 2 MiB per-core L2.
+_SCORE_CHUNK_BYTES = 1 << 20
+
+
+def _chunk_samples(h: int, s: int) -> int:
+    return max(1, _SCORE_CHUNK_BYTES // (h * s * s * 8))
+
+
+def _attention_probs(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    attn = q @ k.transpose(0, 1, 3, 2)
+    attn *= scale
+    return softmax_last(attn)
+
+
 def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig):
     n, s, d = x.shape
     h, dh = cfg.num_heads, cfg.head_dim
@@ -165,10 +182,14 @@ def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig):
     q = (h1 @ bp["wq"] + bp["bq"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
     k = (h1 @ bp["wk"] + bp["bk"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
     v = (h1 @ bp["wv"] + bp["bv"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
-    attn = q @ k.transpose(0, 1, 3, 2)
-    attn *= scale
-    attn = softmax_last(attn)
-    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(n, s, d)
+    # Each chunk's context is written head by head into token-major memory.
+    ctx = np.empty((n, s, h, dh))
+    ctx_heads = ctx.transpose(0, 2, 1, 3)
+    c = _chunk_samples(h, s)
+    for i in range(0, n, c):
+        j = slice(i, i + c)
+        np.matmul(_attention_probs(q[j], k[j], scale), v[j], out=ctx_heads[j])
+    ctx = ctx.reshape(n, s, d)
     attn_out = ctx @ bp["wo"] + bp["bo"]
     x2 = x + attn_out
 
@@ -178,12 +199,12 @@ def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig):
     x3 = x2 + g1 @ bp["w2"] + bp["b2"]
 
     # The GELU output is rebuilt as a1 * cdf in backward rather than kept.
-    cache = (x, h1, ln1_cache, q, k, v, attn, ctx, x2, h2, ln2_cache, a1, cdf)
+    cache = (x, h1, ln1_cache, q, k, v, ctx, x2, h2, ln2_cache, a1, cdf)
     return x3, cache
 
 
 def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache):
-    x, h1, ln1_cache, q, k, v, attn, ctx, x2, h2, ln2_cache, a1, cdf = cache
+    x, h1, ln1_cache, q, k, v, ctx, x2, h2, ln2_cache, a1, cdf = cache
     n, s, d = x.shape
     h, dh = cfg.num_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
@@ -207,17 +228,19 @@ def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache):
     g["wo"] = ctx.reshape(-1, d).T @ dattn_out.reshape(-1, d)
     g["bo"] = dattn_out.sum(axis=(0, 1))
     dctx = (dattn_out @ bp["wo"].T).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
-    dattn = dctx @ v.transpose(0, 1, 3, 2)
-    dv = attn.transpose(0, 1, 3, 2) @ dctx
-    dscores = softmax_backward(attn, dattn)
-    dscores *= scale
-    dq = dscores @ k
-    dk = dscores.transpose(0, 1, 3, 2) @ q
-
-    def merge(t):
-        return t.transpose(0, 2, 1, 3).reshape(n, s, d)
-
-    dq_m, dk_m, dv_m = merge(dq), merge(dk), merge(dv)
+    dq_m, dk_m, dv_m = (np.empty((n, s, h, dh)) for _ in range(3))
+    dq, dk, dv = (t.transpose(0, 2, 1, 3) for t in (dq_m, dk_m, dv_m))
+    c = _chunk_samples(h, s)
+    for i in range(0, n, c):
+        j = slice(i, i + c)
+        attn = _attention_probs(q[j], k[j], scale)
+        dattn = dctx[j] @ v[j].transpose(0, 1, 3, 2)
+        np.matmul(attn.transpose(0, 1, 3, 2), dctx[j], out=dv[j])
+        dscores = softmax_backward(attn, dattn)
+        dscores *= scale
+        np.matmul(dscores, k[j], out=dq[j])
+        np.matmul(dscores.transpose(0, 1, 3, 2), q[j], out=dk[j])
+    dq_m, dk_m, dv_m = (t.reshape(n, s, d) for t in (dq_m, dk_m, dv_m))
     h1_flat = h1.reshape(-1, d)
     g["wq"] = h1_flat.T @ dq_m.reshape(-1, d)
     g["bq"] = dq_m.sum(axis=(0, 1))
@@ -244,6 +267,7 @@ def encoder_forward_batch(x: np.ndarray, params: dict[str, np.ndarray],
         h, cache = _block_forward(h, _block(params, i), cfg)
         if keep_cache:
             block_caches.append(cache)
+        del cache  # an unkept cache must not stay live through the next block
     hf, lnf_cache = layer_norm_forward(h, params["final_g"], params["final_b"])
     pooled = hf.mean(axis=1)
     logits = pooled @ params["head_w"] + params["head_b"]

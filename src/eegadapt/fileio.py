@@ -56,7 +56,7 @@ def write_recording_binary(path: str | Path, data: np.ndarray) -> None:
         raise IntegrityError(f"recording data must be 2-D, got shape {data.shape}")
     e, t = data.shape
     payload = data.astype("<f4").tobytes(order="C")
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(RECORDING_MAGIC)
         fh.write(struct.pack("<II", e, t))
         fh.write(payload)
@@ -82,7 +82,7 @@ def read_recording_binary(path: str | Path) -> np.ndarray:
 def write_recording_text(path: str | Path, data: np.ndarray) -> None:
     data = np.asarray(data, dtype=np.float64)
     lines = [",".join(repr(float(v)) for v in row) for row in data]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_recording_text(path: str | Path) -> np.ndarray:
@@ -262,6 +262,8 @@ def read_embeddings_text(path: str | Path):
             labels.append(int(parts[-2]))
         except ValueError as exc:
             raise IntegrityError(f"{path}:{lineno}: {exc}") from exc
+        if not -2**63 <= labels[-1] < 2**63:
+            raise IntegrityError(f"{path}:{lineno}: label {labels[-1]} is out of range")
         subjects.append(parts[-1])
     if not embeddings:
         raise IntegrityError(f"{path} contains no embedding rows")

@@ -9,12 +9,14 @@ the temporal-convolution front end is built to pick up.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .fileio import write_recording_binary
+from .errors import ConfigurationError
+from .fileio import write_recording_binary, write_text
 from .montage import TARGET_ORDER, MontageMap, MontageTarget, format_montage_text
 
 __all__ = ["SynthSpec", "class_frequencies", "synth_recording",
@@ -35,6 +37,32 @@ class SynthSpec:
     # "per-recording" rotates classes within a subject (stimulus decoding);
     # "per-subject" fixes one class per subject (clinical diagnosis).
     label_mode: str = "per-recording"
+
+    def __post_init__(self):
+        for name in ("num_classes", "channels", "timesteps"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ConfigurationError(
+                f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
+        for name in ("amplitude", "noise"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if len(self.counts) != 3 or len(self.subjects) != 3:
+            raise ConfigurationError("counts and subjects need one value per split")
+        for split, count, n_subj in zip(("train", "val", "test"),
+                                        self.counts, self.subjects):
+            if count < 0 or n_subj < 0:
+                raise ConfigurationError(
+                    f"{split} counts and subjects must be >= 0, got "
+                    f"{count} and {n_subj}")
+            if count and not n_subj:
+                raise ConfigurationError(
+                    f"{split} subjects must be >= 1 for {count} recordings")
+        if self.label_mode not in ("per-recording", "per-subject"):
+            raise ConfigurationError(f"unknown label_mode {self.label_mode!r}")
 
 
 def class_frequencies(num_classes: int) -> np.ndarray:
@@ -143,13 +171,13 @@ def write_synthetic_dataset(out_dir: str | Path, spec: SynthSpec) -> Path:
             "split": split,
         })
 
-    montage_path = out_dir / "montage_map.txt"
-    montage_path.write_text(format_montage_text(synthetic_montage(spec.channels)))
+    write_text(out_dir / "montage_map.txt",
+               format_montage_text(synthetic_montage(spec.channels)))
     manifest = {
         "classes": classes,
         "montage": "montage_map.txt",
         "recordings": entries,
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    write_text(manifest_path, json.dumps(manifest, indent=1, sort_keys=True))
     return manifest_path

@@ -80,6 +80,29 @@ class TestSynthAndPreprocess:
         assert wset.fingerprint["notch_hz"] == 50.0
 
 
+    def test_failed_manifest_replace_keeps_old_manifest(self, tmp_path,
+                                                        monkeypatch, capsys):
+        argv = ["synth", "--out", str(tmp_path), "--channels", "2",
+                "--timesteps", "64", "--train", "4", "--val", "2", "--test", "2",
+                "--train-subjects", "2", "--val-subjects", "1",
+                "--test-subjects", "1"]
+        assert main(argv) == 0
+        manifest = tmp_path / "manifest.json"
+        before = manifest.read_bytes()
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith("manifest.json"):
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr("eegadapt.fileio.os.replace", replace)
+        assert main(argv + ["--classes", "2"]) == 2
+        assert_one_line_error(capsys, "disk full")
+        assert manifest.read_bytes() == before
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
 def assert_one_line_error(capsys, *needles):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
@@ -487,6 +510,61 @@ def test_ragged_embeddings_fail_in_one_line(tmp_path, capsys):
     assert main(["zeroshot", "--embeddings", str(emb),
                  "--held-out-classes", "0,1"]) == 2
     assert_one_line_error(capsys, "first row")
+
+
+@pytest.mark.parametrize("flag,value,needle", [
+    ("--classes", "0", "num_classes"), ("--classes", "-1", "num_classes"),
+    ("--train-subjects", "0", "subjects"), ("--val-subjects", "0", "subjects"),
+    ("--test-subjects", "0", "subjects"), ("--channels", "0", "channels"),
+    ("--timesteps", "0", "timesteps"), ("--train", "-1", "counts"),
+    ("--fs", "0", "sample_rate_hz"), ("--fs", "nan", "sample_rate_hz"),
+    ("--noise", "-1", "noise"),
+])
+def test_bad_synth_flag_fails_in_one_line(tmp_path, flag, value, needle, capsys):
+    out = tmp_path / "d"
+    assert main(["synth", "--out", str(out), "--train", "8", "--val", "4",
+                 "--test", "4", flag, value]) == 2
+    assert_one_line_error(capsys, needle)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,flag,value,needle", [
+    ("adapter", "--patch-len", "0", "--patch-len"),
+    ("raw", "--patch-len", "0", "--patch-len"),
+    ("raw", "--heads", "0", "num_heads"),
+])
+def test_bad_model_flag_fails_in_one_line(windows, tmp_path, mode, flag, value,
+                                          needle, capsys):
+    argv = ["train", "--windows", str(windows), "--mode", mode,
+            "--out-checkpoint", str(tmp_path / "m.ckpt"), *COMMON_TRAIN]
+    assert main([*argv, flag, value]) == 2
+    assert_one_line_error(capsys, needle)
+
+
+def test_out_of_range_embeddings_label_fails_in_one_line(tmp_path, capsys):
+    emb = tmp_path / "e.csv"
+    emb.write_text("0.0,1.0,0,a\n0.0,1.0,99999999999999999999,b\n")
+    assert main(["zeroshot", "--embeddings", str(emb),
+                 "--held-out-classes", "0,1"]) == 2
+    assert_one_line_error(capsys, f"{emb}:2", "label")
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (lambda meta: meta["classes"].update({next(iter(meta["classes"])): 2 ** 70}),
+     "classes"),
+    (lambda meta: meta["encoder_config"].update(patch_len=2 ** 70),
+     "malformed"),
+], ids=["class-index-2^70", "patch_len-2^70"])
+def test_huge_checkpoint_meta_value_fails_in_one_line(dataset, mix_checkpoint,
+                                                      tmp_path, edit, needle,
+                                                      capsys):
+    meta, arrays = read_bundle(mix_checkpoint)
+    edit(meta)
+    bad = tmp_path / "bad.ckpt"
+    write_bundle(bad, meta, list(arrays.items()))
+    assert main(["eval", "--checkpoint", str(bad),
+                 "--manifest", str(dataset / "manifest.json")]) == 2
+    assert_one_line_error(capsys, needle)
 
 
 class TestAutoSplit:

@@ -1,9 +1,12 @@
 """Patch embedding, attention stack, pooling, head, and their gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from eegadapt import encoder
 from eegadapt.encoder import (
     BfmConfig,
     _block,
@@ -401,6 +404,13 @@ def assert_same_grads(got, want):
         assert np.array_equal(got[name], want[name]), name
 
 
+def force_chunk(monkeypatch, chunk, heads, seq_len):
+    """Make attention run over chunks of ``chunk`` samples at this shape."""
+    monkeypatch.setattr(encoder, "_SCORE_CHUNK_BYTES",
+                        chunk * heads * seq_len * seq_len * 8)
+    assert encoder._chunk_samples(heads, seq_len) == chunk
+
+
 class TestInPlaceHotPath:
     """The in-place encoder reproduces the out-of-place formulas exactly."""
 
@@ -441,6 +451,71 @@ class TestInPlaceHotPath:
         again, dx_again = encoder_backward_batch(cache, params, cfg, dlogits)
         assert np.array_equal(dx_again, dx)
         assert_same_grads(again, grads)
+
+    @pytest.mark.parametrize("chunk,heads", [(1, 2), (1, 3), (2, 2), (2, 3)])
+    def test_chunked_block_matches_out_of_place_formulas_bitwise(
+            self, monkeypatch, chunk, heads):
+        cfg = small_config(embed_dim=24, num_heads=heads)
+        force_chunk(monkeypatch, chunk, heads, 10)
+        rng = np.random.default_rng(50 + heads)
+        params = init_encoder_params(cfg, rng)
+        bp = _block(params, 0)
+        # Five samples: a chunk of 2 leaves a last chunk of one.
+        x = rng.normal(size=(5, 10, cfg.embed_dim))
+        dout = rng.normal(size=x.shape)
+        out, cache = _block_forward(x, bp, cfg)
+        ref_out, ref_cache = ref_block_forward(x, bp, cfg)
+        assert np.array_equal(out, ref_out)
+        dx, grads = _block_backward(dout, bp, cfg, cache)
+        ref_dx, ref_grads = ref_block_backward(dout, bp, cfg, ref_cache)
+        assert np.array_equal(dx, ref_dx)
+        assert_same_grads(grads, ref_grads)
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_chunked_encoder_matches_out_of_place_formulas_bitwise(
+            self, monkeypatch, chunk):
+        cfg = small_config(num_channels=6, embed_dim=24, num_heads=3,
+                           max_patches=4)
+        force_chunk(monkeypatch, chunk, 3, 6 * 4)
+        rng = np.random.default_rng(60 + chunk)
+        params = init_encoder_params(cfg, rng)
+        params["head_w"][:] = rng.normal(0, 0.3, params["head_w"].shape)
+        x = rng.normal(size=(5, 6, 64))
+        dlogits = rng.normal(size=(5, cfg.num_classes))
+        logits, _, cache = encoder_forward_batch(x, params, cfg, keep_cache=True)
+        grads, dx = encoder_backward_batch(cache, params, cfg, dlogits)
+        ref_logits, ref_grads, ref_dx = ref_encoder(x, params, cfg, dlogits)
+        assert np.array_equal(logits, ref_logits)
+        assert np.array_equal(dx, ref_dx)
+        assert_same_grads(grads, ref_grads)
+
+    def test_block_cache_holds_no_score_tensor(self):
+        cfg = small_config(embed_dim=24, num_heads=3)
+        rng = np.random.default_rng(70)
+        x = rng.normal(size=(4, 10, cfg.embed_dim))
+        _, cache = _block_forward(x, _block(init_encoder_params(cfg, rng), 0), cfg)
+        arrays = [a for item in cache
+                  for a in (item if isinstance(item, tuple) else (item,))
+                  if isinstance(a, np.ndarray)]
+        assert arrays
+        assert not any(a.shape[-3:] == (3, 10, 10) for a in arrays)
+
+    def test_forward_peak_below_one_score_tensor(self):
+        # 23 channels x 7 patches = 161 tokens and 4 heads, as in the
+        # benchmark; at embed_dim 16 everything else the forward holds at
+        # batch 64 stays below one (64, 4, 161, 161) score tensor.
+        cfg = small_config(max_patches=7)
+        rng = np.random.default_rng(71)
+        params = init_encoder_params(cfg, rng)
+        x = rng.normal(size=(64, 23, 112))
+        full_scores = 64 * 4 * 161 * 161 * 8
+        tracemalloc.start()
+        try:
+            encoder_forward_batch(x, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_scores
 
     def test_softmax_overwrites_and_returns_its_argument(self):
         x = np.random.default_rng(40).normal(size=(2, 3, 5, 5)) * 3.0
