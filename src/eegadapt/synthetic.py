@@ -46,12 +46,8 @@ class SynthSpec:
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise ConfigurationError(
                 f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
-        for name in ("amplitude", "noise"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ConfigurationError(
-                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if len(self.counts) != 3 or len(self.subjects) != 3:
-            raise ConfigurationError("counts and subjects need one value per split")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigurationError(f"noise must be finite and >= 0, got {self.noise}")
         for split, count, n_subj in zip(("train", "val", "test"),
                                         self.counts, self.subjects):
             if count < 0 or n_subj < 0:
@@ -61,8 +57,6 @@ class SynthSpec:
             if count and not n_subj:
                 raise ConfigurationError(
                     f"{split} subjects must be >= 1 for {count} recordings")
-        if self.label_mode not in ("per-recording", "per-subject"):
-            raise ConfigurationError(f"unknown label_mode {self.label_mode!r}")
 
 
 def class_frequencies(num_classes: int) -> np.ndarray:
