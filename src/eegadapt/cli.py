@@ -9,7 +9,6 @@ byte-identical outputs in serial mode.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import platform
 import sys
 from dataclasses import fields
@@ -26,7 +25,7 @@ from .errors import ConfigurationError, IntegrityError, PipelineError
 from .fileio import read_embeddings_text, write_embeddings_text, write_text
 from .manifest import load_manifest, split_subject_independent
 from .model import build_classifier
-from .montage import MontageMap, format_montage_text, load_montage
+from .montage import MontageMap, load_montage
 from .pipeline import (
     FilterSettings,
     WindowSet,
@@ -41,6 +40,7 @@ from .training import (
     TrainConfig,
     confusion_matrix,
     format_metrics_report,
+    forward_split,
     metrics_from_confusion,
     predict,
     train_loop,
@@ -63,12 +63,6 @@ def repro_header(command: str, args: argparse.Namespace) -> list[str]:
             continue
         lines.append(f"flag.{key} = {getattr(args, key)!r}")
     return lines
-
-
-def montage_identity(montage: MontageMap) -> str:
-    """Content hash naming a montage independent of where it was loaded from."""
-    text = format_montage_text(montage).encode("utf-8")
-    return "sha256:" + hashlib.sha256(text).hexdigest()[:16]
 
 
 def _filters_from_args(args) -> FilterSettings:
@@ -151,8 +145,7 @@ def cmd_align(args) -> int:
         return 0
     montage = load_montage(args.montage)
     target_len = wset.data.shape[2] if args.target_len is None else args.target_len
-    aligned = align_window_set(wset, args.mode, montage,
-                               montage_identity(montage), target_len)
+    aligned = align_window_set(wset, args.mode, montage, target_len)
     save_window_set(args.out, aligned, header={"repro": repro_header("align", args)})
     print(f"wrote {args.out}: {len(aligned)} windows of shape 23x{target_len}")
     return 0
@@ -181,22 +174,14 @@ def _train_window_set(args) -> tuple[WindowSet, object]:
     return preprocess_manifest(manifest, _filters_from_args(args), args.window), manifest
 
 
-def _subset_classes(wset: WindowSet, train_classes: str | None):
-    """Restrict to a class subset and densify labels for the head."""
-    if not train_classes:
-        return wset.labels, dict(wset.classes), np.ones(len(wset), dtype=bool)
-    keep = sorted(set(_parse_list("--train-classes", train_classes)))
-    index_to_name = {v: k for k, v in wset.classes.items()}
-    unknown = [c for c in keep if c not in index_to_name]
-    if unknown:
-        raise ConfigurationError(f"--train-classes indices {unknown} not in manifest")
-    remap = {old: new for new, old in enumerate(keep)}
-    mask = np.isin(wset.labels, keep)
-    labels = np.array([remap[int(v)] for v in wset.labels[mask]], dtype=np.int64)
-    classes = {index_to_name[old]: new for old, new in remap.items()}
-    full = np.full(len(wset), -1, dtype=np.int64)
-    full[mask] = labels
-    return full, classes, mask
+def _head_labels(wset: WindowSet, head_classes: dict[str, int]):
+    """One int lookup from data class index to head index, applied to every
+    window: (mask of windows whose class the head has, head labels, -1 for
+    the rest). Data class indices are dense, so they index the lookup."""
+    names = sorted(wset.classes, key=wset.classes.get)
+    lookup = np.array([head_classes.get(n, -1) for n in names], dtype=np.int64)
+    labels = lookup[wset.labels]
+    return labels >= 0, labels
 
 
 def _choose_adapter_steps(in_timesteps: int, patch_len: int) -> int:
@@ -223,8 +208,7 @@ def cmd_train(args) -> int:
             montage = _resolve_montage(args, manifest)
             target_len = (wset.data.shape[2] if args.target_len is None
                           else args.target_len)
-            wset = align_window_set(wset, args.mode, montage,
-                                    montage_identity(montage), target_len)
+            wset = align_window_set(wset, args.mode, montage, target_len)
         elif wset.fingerprint.get("alignment") != args.mode:
             raise ConfigurationError(
                 f"window set is aligned with mode "
@@ -232,7 +216,15 @@ def cmd_train(args) -> int:
             )
     wset.require_assigned()
 
-    labels, classes, mask = _subset_classes(wset, args.train_classes)
+    classes = dict(wset.classes)
+    if args.train_classes:
+        keep = sorted(set(_parse_list("--train-classes", args.train_classes)))
+        name_of = {v: k for k, v in wset.classes.items()}
+        unknown = [c for c in keep if c not in name_of]
+        if unknown:
+            raise ConfigurationError(f"--train-classes indices {unknown} not in manifest")
+        classes = {name_of[old]: new for new, old in enumerate(keep)}
+    mask, labels = _head_labels(wset, classes)
     num_classes = len(classes)
     n, channels, timesteps = wset.data.shape
 
@@ -351,29 +343,15 @@ def _eval_window_set(args, ckpt: Checkpoint) -> WindowSet:
     wset = preprocess_manifest(manifest, filters, number("window_len"))
     if alignment != "none":
         montage = _resolve_montage(args, manifest)
-        wset = align_window_set(wset, alignment, montage,
-                                montage_identity(montage),
-                                number("target_len"))
+        wset = align_window_set(wset, alignment, montage, number("target_len"))
     check_fingerprint(fp, wset.fingerprint)
     return wset
-
-
-def _remap_to_checkpoint_classes(wset: WindowSet, ckpt: Checkpoint):
-    """Map data label indices onto the checkpoint's head indices."""
-    name_by_data_idx = {v: k for k, v in wset.classes.items()}
-    lookup = np.full(max(name_by_data_idx) + 1, -1, dtype=np.int64)
-    for idx, name in name_by_data_idx.items():
-        if name in ckpt.classes:
-            lookup[idx] = ckpt.classes[name]
-    remapped = lookup[wset.labels]
-    mask = remapped >= 0
-    return mask, remapped
 
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     wset = _eval_window_set(args, ckpt)
-    data = wset.select(args.split, *_remap_to_checkpoint_classes(wset, ckpt))
+    data = wset.select(args.split, *_head_labels(wset, ckpt.classes))
     if not len(data):
         raise ConfigurationError(
             f"split {args.split!r} holds no samples of the checkpoint's classes"
@@ -404,12 +382,7 @@ def cmd_extract(args) -> int:
     data = wset.select(args.split)
     if not len(data):
         raise ConfigurationError(f"split {args.split!r} is empty")
-    x = data.x
-    embed_dim = ckpt.model.encoder_config.embed_dim
-    embeddings = np.empty((x.shape[0], embed_dim))
-    for start in range(0, x.shape[0], 64):
-        stop = min(start + 64, x.shape[0])
-        embeddings[start:stop] = ckpt.model.embed_batch(x[start:stop])
+    _, embeddings = forward_split(ckpt.model, data.x, 64)
     write_embeddings_text(
         args.out_embeddings,
         embeddings,
@@ -417,7 +390,8 @@ def cmd_extract(args) -> int:
         data.subjects,
         header_lines=repro_header("extract", args),
     )
-    print(f"wrote {args.out_embeddings}: {x.shape[0]} embeddings of dim {embed_dim}")
+    print(f"wrote {args.out_embeddings}: {embeddings.shape[0]} embeddings of dim "
+          f"{embeddings.shape[1]}")
     return 0
 
 

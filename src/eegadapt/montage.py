@@ -10,6 +10,7 @@ each target's first (nearest) source only. Lookups are by electrode label
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +26,7 @@ __all__ = [
     "mix_channels",
     "parse_montage_text",
     "format_montage_text",
+    "montage_identity",
     "load_montage",
 ]
 
@@ -189,6 +191,12 @@ def format_montage_text(montage: MontageMap) -> str:
         f"{t.target_label}: {','.join(t.sources)}" for t in montage.targets
     ]
     return "\n".join(lines) + "\n"
+
+
+def montage_identity(montage: MontageMap) -> str:
+    """Content hash naming a montage independent of where it was loaded from."""
+    text = format_montage_text(montage).encode("utf-8")
+    return "sha256:" + hashlib.sha256(text).hexdigest()[:16]
 
 
 def load_montage(spec: str | Path) -> MontageMap:

@@ -21,8 +21,8 @@ from .errors import (
 )
 from .fileio import read_bundle, write_bundle
 from .filters import apply_chain_to_rows, design_bandpass, design_notch
-from .manifest import DatasetManifest, load_recording
-from .montage import TARGET_ORDER, MontageMap, mix_channels
+from .manifest import SPLITS, DatasetManifest, load_recording
+from .montage import TARGET_ORDER, MontageMap, mix_channels, montage_identity
 from .training import LabeledSet
 
 logger = logging.getLogger(__name__)
@@ -55,8 +55,8 @@ class WindowSet:
 
     data: np.ndarray              # (N, C, T) float64
     labels: np.ndarray            # (N,) int64
-    subjects: list[str]
-    splits: list[str]
+    subjects: np.ndarray          # (N,) str
+    splits: np.ndarray            # (N,) str, each one of manifest.SPLITS
     sample_rates: np.ndarray      # (N,) float64
     channel_labels: list[str]
     classes: dict[str, int]
@@ -69,7 +69,7 @@ class WindowSet:
         """Boolean row mask of one split ('train', 'val', 'test', or 'all')."""
         if split == "all":
             return np.ones(len(self), dtype=bool)
-        return np.array([s == split for s in self.splits], dtype=bool)
+        return self.splits == split
 
     def select(self, split: str, keep: np.ndarray | None = None,
                labels: np.ndarray | None = None) -> LabeledSet:
@@ -85,11 +85,11 @@ class WindowSet:
         return LabeledSet(
             x=self.data[mask],
             y=y[mask],
-            subjects=[s for s, m in zip(self.subjects, mask) if m],
+            subjects=self.subjects[mask],
         )
 
     def require_assigned(self) -> None:
-        if any(s == "unassigned" for s in self.splits):
+        if np.any(self.splits == "unassigned"):
             raise ConfigurationError(
                 "window set contains unassigned samples; configure a split "
                 "strategy (subject-independent splitting) first"
@@ -150,8 +150,8 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
     return WindowSet(
         data=np.concatenate(blocks),
         labels=np.array(labels, dtype=np.int64),
-        subjects=subjects,
-        splits=splits,
+        subjects=np.array(subjects, dtype=str),
+        splits=np.array(splits, dtype=str),
         sample_rates=np.array(rates, dtype=np.float64),
         channel_labels=channel_labels,
         classes=dict(manifest.classes),
@@ -160,12 +160,17 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
 
 
 def align_window_set(wset: WindowSet, mode: str, montage: MontageMap,
-                     montage_name: str, target_len: int) -> WindowSet:
-    """Apply select or mix alignment to every window in one gather."""
+                     target_len: int) -> WindowSet:
+    """Apply select or mix alignment to every window in one gather.
+
+    The fingerprint names the montage by the content hash of the whole map,
+    in select mode too.
+    """
     if mode not in ("select", "mix"):
         raise ConfigurationError(f"alignment mode must be 'select' or 'mix', got {mode!r}")
     if wset.fingerprint.get("alignment") != "none":
         raise ConfigurationError("window set is already aligned")
+    montage_name = montage_identity(montage)
     if mode == "select":
         montage = montage.first_sources()
     aligned = mix_channels(wset.data, wset.channel_labels, montage, target_len)
@@ -185,8 +190,8 @@ def save_window_set(path, wset: WindowSet, header: dict | None = None) -> None:
     meta = {
         "kind": "window-set",
         "version": 1,
-        "subjects": wset.subjects,
-        "splits": wset.splits,
+        "subjects": wset.subjects.tolist(),
+        "splits": wset.splits.tolist(),
         "channel_labels": wset.channel_labels,
         "classes": wset.classes,
         "fingerprint": wset.fingerprint,
@@ -234,19 +239,27 @@ def load_window_set(path) -> WindowSet:
         raise DomainError(f"{path}: 'data' contains non-finite samples")
     if not np.all(rates > 0):
         raise DomainError(f"{path}: 'sample_rates' must all be positive")
-    if not all(type(v) is int for v in meta["classes"].values()):
-        raise IntegrityError(f"{path}: 'classes' must map names to int indices")
+    if not all(isinstance(s, str) for s in meta["subjects"]):
+        raise IntegrityError(f"{path}: 'subjects' must hold one string per window")
+    if not all(s in SPLITS for s in meta["splits"]):
+        raise IntegrityError(f"{path}: 'splits' must hold one of {SPLITS} per window")
+    classes = meta["classes"]
+    if not all(type(v) is int for v in classes.values()) \
+            or sorted(classes.values()) != list(range(len(classes))):
+        raise IntegrityError(
+            f"{path}: 'classes' must map names to the dense int indices "
+            f"0..{len(classes) - 1}")
     labels = arrays["labels"].astype(np.int64)
-    if not np.all(np.isin(labels, list(meta["classes"].values()))):
+    if not np.all(np.isin(labels, list(classes.values()))):
         raise DomainError(f"{path}: 'labels' holds indices missing from 'classes'")
     return WindowSet(
         data=data,
         labels=labels,
-        subjects=list(meta["subjects"]),
-        splits=list(meta["splits"]),
+        subjects=np.array(meta["subjects"], dtype=str),
+        splits=np.array(meta["splits"], dtype=str),
         sample_rates=rates,
         channel_labels=list(meta["channel_labels"]),
-        classes=dict(meta["classes"]),
+        classes=dict(classes),
         fingerprint=meta["fingerprint"],
     )
 

@@ -84,33 +84,31 @@ def synth_recording(rng: np.random.Generator, class_id: int,
     return data
 
 
-def _split_plan(spec: SynthSpec):
-    """Deterministic (split, subject, class) plan, balanced per split."""
-    plan = []
-    subject_counter = 0
+def _recordings(spec: SynthSpec):
+    """Yield (split, subject, class, recording) in plan order, balanced per
+    split; the one place that fixes the order of the generator's draws."""
+    rng = np.random.default_rng(spec.seed)
+    subject_phase = {}
+    first = 0
     for split, count, n_subj in zip(("train", "val", "test"),
                                     spec.counts, spec.subjects):
-        sids = [f"s{subject_counter + j:02d}" for j in range(n_subj)]
         for i in range(count):
-            subj_idx = i % n_subj
+            subject = first + i % n_subj
             if spec.label_mode == "per-subject":
-                cls = (subject_counter + subj_idx) % spec.num_classes
+                cls = subject % spec.num_classes
             else:
                 cls = i % spec.num_classes
-            plan.append((split, sids[subj_idx], cls))
-        subject_counter += n_subj
-    return plan
+            if subject not in subject_phase:
+                subject_phase[subject] = rng.uniform(0.0, 2.0 * np.pi)
+            rec = synth_recording(rng, cls, spec, subject_phase[subject])
+            yield split, f"s{subject:02d}", cls, rec
+        first += n_subj
 
 
 def generate_arrays(spec: SynthSpec):
     """In-memory dataset: {split: (x (N, C, T), y (N,), subjects)}."""
-    rng = np.random.default_rng(spec.seed)
-    subject_phase = {}
     out = {s: ([], [], []) for s in ("train", "val", "test")}
-    for split, sid, cls in _split_plan(spec):
-        if sid not in subject_phase:
-            subject_phase[sid] = rng.uniform(0.0, 2.0 * np.pi)
-        rec = synth_recording(rng, cls, spec, subject_phase[sid])
+    for split, sid, cls, rec in _recordings(spec):
         xs, ys, subs = out[split]
         xs.append(rec)
         ys.append(cls)
@@ -143,16 +141,11 @@ def write_synthetic_dataset(out_dir: str | Path, spec: SynthSpec) -> Path:
     out_dir = Path(out_dir)
     rec_dir = out_dir / "recordings"
     rec_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(spec.seed)
     channel_labels = [f"ch{c:02d}" for c in range(spec.channels)]
     classes = {f"class{c}": c for c in range(spec.num_classes)}
 
-    subject_phase = {}
     entries = []
-    for i, (split, sid, cls) in enumerate(_split_plan(spec)):
-        if sid not in subject_phase:
-            subject_phase[sid] = rng.uniform(0.0, 2.0 * np.pi)
-        rec = synth_recording(rng, cls, spec, subject_phase[sid])
+    for i, (split, sid, cls, rec) in enumerate(_recordings(spec)):
         rel = f"recordings/rec{i:05d}.raw"
         write_recording_binary(out_dir / rel, rec)
         entries.append({

@@ -8,7 +8,7 @@ bitwise reproducible.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "AdamW",
     "Sgd",
     "train_loop",
+    "forward_split",
     "predict",
     "evaluate",
     "metrics_from_confusion",
@@ -66,7 +67,7 @@ class LabeledSet:
 
     x: np.ndarray
     y: np.ndarray
-    subjects: list[str] = field(default_factory=list)
+    subjects: np.ndarray | None = None  # (N,) str; all "" when not given
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -75,9 +76,10 @@ class LabeledSet:
             raise ConfigurationError(
                 f"{self.x.shape[0]} samples but {self.y.shape[0]} labels"
             )
-        if not self.subjects:
+        if self.subjects is None:
             self.subjects = [""] * self.y.shape[0]
-        if len(self.subjects) != self.y.shape[0]:
+        self.subjects = np.asarray(self.subjects, dtype=str)
+        if self.subjects.shape != self.y.shape:
             raise ConfigurationError("subjects do not align with labels")
 
     def __len__(self) -> int:
@@ -197,28 +199,21 @@ def _trainable_arrays(model, freeze_bfm: bool):
     return arrays
 
 
-def _eval_pass(model, data: LabeledSet, batch_size: int):
-    """Forward the whole split in chunks; returns (mean loss, preds, probs)."""
-    n = len(data)
-    losses = np.empty(n)
-    preds = np.empty(n, dtype=np.int64)
-    probs = np.empty((n, model.num_classes))
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        logits, _, _ = model.forward_batch(data.x[start:stop])
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.sum(np.exp(shifted), axis=1))
-        idx = np.arange(stop - start)
-        losses[start:stop] = log_z - shifted[idx, data.y[start:stop]]
-        preds[start:stop] = np.argmax(logits, axis=1)
-        probs[start:stop] = softmax_last(logits)
-    return float(losses.mean()), preds, probs
+def forward_split(model, x: np.ndarray, batch_size: int):
+    """Forward N >= 1 samples in batches: (logits (N, K), pooled (N, D))."""
+    logits, pooled = [], []
+    for start in range(0, x.shape[0], batch_size):
+        batch_logits, batch_pooled, _ = model.forward_batch(x[start:start + batch_size])
+        logits.append(batch_logits)
+        pooled.append(batch_pooled)
+    return np.concatenate(logits), np.concatenate(pooled)
 
 
-def predict(model, data: LabeledSet, batch_size: int = 64):
+def predict(model, data: LabeledSet):
     """Argmax predictions and softmax probabilities for a split."""
-    _, preds, probs = _eval_pass(model, data, batch_size)
-    return preds, probs
+    logits, _ = forward_split(model, data.x, 64)
+    preds = np.argmax(logits, axis=1)
+    return preds, softmax_last(logits)
 
 
 def train_loop(model, train_set: LabeledSet, val_set: LabeledSet,
@@ -272,7 +267,9 @@ def train_loop(model, train_set: LabeledSet, val_set: LabeledSet,
         train_loss = loss_sum / len(train_set)
         train_acc = hit_sum / len(train_set)
 
-        val_loss, val_preds, _ = _eval_pass(model, val_set, cfg.batch_size)
+        val_logits, _ = forward_split(model, val_set.x, cfg.batch_size)
+        val_loss, _ = cross_entropy_batch(val_logits, val_set.y)
+        val_preds = np.argmax(val_logits, axis=1)
         val_acc = float(np.mean(val_preds == val_set.y))
         stats.append(EpochStats(epoch, train_loss, train_acc, val_loss, val_acc))
         logger.debug("epoch %d train_loss=%.4f train_acc=%.4f val_acc=%.4f",
@@ -339,12 +336,12 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
     return conf
 
 
-def evaluate(model, data: LabeledSet, batch_size: int = 64) -> MetricsReport:
+def evaluate(model, data: LabeledSet) -> MetricsReport:
     """Argmax predictions over a split, summarized as a MetricsReport."""
     if len(data) == 0:
         raise ConfigurationError("cannot evaluate an empty split")
-    _, preds, _ = _eval_pass(model, data, batch_size)
-    conf = confusion_matrix(data.y, preds, model.num_classes)
+    logits, _ = forward_split(model, data.x, 64)
+    conf = confusion_matrix(data.y, np.argmax(logits, axis=1), model.num_classes)
     return metrics_from_confusion(conf)
 
 

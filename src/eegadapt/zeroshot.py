@@ -92,6 +92,15 @@ def linear_svm(fit_x: np.ndarray, fit_y: np.ndarray, eval_x: np.ndarray,
     return classes[np.argmax(scores, axis=1)]
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances between rows."""
+    return (
+        np.sum(a**2, axis=1)[:, None]
+        - 2.0 * a @ b.T
+        + np.sum(b**2, axis=1)[None, :]
+    )
+
+
 def knn(fit_x: np.ndarray, fit_y: np.ndarray, eval_x: np.ndarray,
         k: int = 5) -> np.ndarray:
     """Euclidean k-nearest-neighbor with majority vote.
@@ -105,11 +114,7 @@ def knn(fit_x: np.ndarray, fit_y: np.ndarray, eval_x: np.ndarray,
     if k < 1 or k > fit_x.shape[0]:
         raise DomainError(f"k must lie in [1, {fit_x.shape[0]}], got {k}")
     classes, mapped = np.unique(fit_y, return_inverse=True)
-    d2 = (
-        np.sum(eval_x**2, axis=1)[:, None]
-        - 2.0 * eval_x @ fit_x.T
-        + np.sum(fit_x**2, axis=1)[None, :]
-    )
+    d2 = _sq_dists(eval_x, fit_x)
     neighbor_idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
     votes = mapped[neighbor_idx]
     preds = np.empty(eval_x.shape[0], dtype=np.int64)
@@ -146,11 +151,7 @@ def kmeans_fit(x: np.ndarray, k: int, seed: int = 0, max_iter: int = 300,
 
     assign = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        dist = (
-            np.sum(x**2, axis=1)[:, None]
-            - 2.0 * x @ centroids.T
-            + np.sum(centroids**2, axis=1)[None, :]
-        )
+        dist = _sq_dists(x, centroids)
         assign = np.argmin(dist, axis=1)
         new_centroids = centroids.copy()
         assigned_dist = dist[np.arange(n), assign].copy()
@@ -181,15 +182,22 @@ def best_cluster_assignment(contingency: np.ndarray) -> tuple[np.ndarray, np.nda
     return rows, cols, int(contingency[rows, cols].sum())
 
 
+def _match_clusters(assign: np.ndarray, labels: np.ndarray, k: int):
+    """Optimal one-to-one matching of k clusters to the labels present;
+    returns ({cluster: label}, number of samples the matching agrees on)."""
+    classes, mapped = np.unique(labels, return_inverse=True)
+    contingency = np.zeros((k, classes.size), dtype=np.int64)
+    np.add.at(contingency, (assign, mapped), 1)
+    rows, cols, agreement = best_cluster_assignment(contingency)
+    return {int(r): int(classes[c]) for r, c in zip(rows, cols)}, agreement
+
+
 def kmeans_accuracy(x: np.ndarray, labels: np.ndarray, k: int,
                     seed: int = 0) -> float:
     """Cluster, optimally match clusters to labels, and score the agreement."""
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    classes, mapped = np.unique(labels, return_inverse=True)
     _, assign = kmeans_fit(x, k, seed=seed)
-    contingency = np.zeros((k, classes.size), dtype=np.int64)
-    np.add.at(contingency, (assign, mapped), 1)
-    _, _, agreement = best_cluster_assignment(contingency)
+    _, agreement = _match_clusters(assign, labels, k)
     return agreement / labels.shape[0]
 
 
@@ -243,17 +251,8 @@ def run_zeroshot(embeddings: np.ndarray, labels: np.ndarray,
 
     k = present.size
     centroids, fit_assign = kmeans_fit(fit_x, k, seed=protocol.seed)
-    classes, fit_mapped = np.unique(fit_y, return_inverse=True)
-    contingency = np.zeros((k, classes.size), dtype=np.int64)
-    np.add.at(contingency, (fit_assign, fit_mapped), 1)
-    rows, cols, _ = best_cluster_assignment(contingency)
-    cluster_to_label = {int(r): int(classes[c]) for r, c in zip(rows, cols)}
-    dist = (
-        np.sum(eval_x**2, axis=1)[:, None]
-        - 2.0 * eval_x @ centroids.T
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
-    eval_assign = np.argmin(dist, axis=1)
+    cluster_to_label, _ = _match_clusters(fit_assign, fit_y, k)
+    eval_assign = np.argmin(_sq_dists(eval_x, centroids), axis=1)
     km_pred = np.array([cluster_to_label.get(int(a), -1) for a in eval_assign])
 
     return {

@@ -178,7 +178,7 @@ def test_c05_end_to_end_learning(synth_pipeline):
 
     # Mix mode through the synthetic montage map.
     montage = synthetic_montage(16)
-    aligned = align_window_set(wset, "mix", montage, "synthetic", 112)
+    aligned = align_window_set(wset, "mix", montage, 112)
     mix_model = build_classifier(bcfg, None, seed=0)
     train_loop(mix_model, aligned.select("train"), aligned.select("val"),
                TrainConfig(epochs=5, batch_size=32, seed=0))
@@ -218,7 +218,7 @@ def test_c06_mode_parity(synth_pipeline):
                             embed_dim=16, num_layers=1, num_heads=2,
                             channel_vocab=128, max_patches=16)
         else:
-            data = align_window_set(wset, mode, montage, "synthetic", 112)
+            data = align_window_set(wset, mode, montage, 112)
             cfg = BfmConfig(num_channels=23, num_classes=4, patch_len=16,
                             embed_dim=16, num_layers=1, num_heads=2,
                             channel_vocab=23, max_patches=7)

@@ -190,9 +190,27 @@ def windows(dataset, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def subject_windows(tmp_path_factory):
+    """Window set with one class per subject, so subject-level eval applies."""
+    root = tmp_path_factory.mktemp("cli-subject-data")
+    assert main([
+        "synth", "--out", str(root), "--classes", "4", "--channels", "8",
+        "--timesteps", "128", "--train", "24", "--val", "8", "--test", "8",
+        "--train-subjects", "4", "--val-subjects", "2", "--test-subjects", "2",
+        "--labels", "per-subject", "--seed", "0",
+    ]) == 0
+    path = root / "w.wset"
+    assert main(["preprocess", "--manifest", str(root / "manifest.json"),
+                 "--window", "128", "--out", str(path)]) == 0
+    return path
+
+
 @pytest.mark.parametrize("case", ["zero-rate", "missing-channel-label",
                                   "no-subjects", "short-splits", "nonfinite-data",
-                                  "unknown-label"])
+                                  "unknown-label", "negative-class-index",
+                                  "sparse-class-index", "subject-not-str",
+                                  "unknown-split"])
 def test_malformed_window_set_fails_in_one_line(dataset, windows, mix_checkpoint,
                                                 tmp_path, case, capsys):
     broken = tmp_path / "broken.wset"
@@ -265,10 +283,12 @@ class TestTrain:
             "m.ckpt", "m.ckpt.log.csv", "m.ckpt.metrics.txt"]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_fresh_processes_write_identical_bytes(self, windows, tmp_path,
-                                                   threads):
+    def test_fresh_processes_write_identical_bytes(self, subject_windows,
+                                                   tmp_path, threads):
         # The determinism contract: the same seed, flags, numpy/BLAS build
-        # and BLAS thread count give the same bytes in every new process.
+        # and BLAS thread count give the same bytes in every new process,
+        # for train's outputs and for the eval and extract passes over its
+        # checkpoint.
         src = str(Path(eegadapt.__file__).resolve().parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
@@ -277,15 +297,22 @@ class TestTrain:
         for run in ("a", "b"):
             run_dir = tmp_path / run
             run_dir.mkdir()
-            shutil.copy(windows, run_dir / "w.wset")
-            subprocess.run(
-                [sys.executable, "-m", "eegadapt", "train", "--windows", "w.wset",
-                 "--mode", "adapter", "--out-checkpoint", "m.ckpt", *COMMON_TRAIN,
-                 "--epochs", "1"],
-                cwd=run_dir, env=env, check=True, capture_output=True)
+            shutil.copy(subject_windows, run_dir / "w.wset")
+            for argv in (
+                ["train", "--windows", "w.wset", "--mode", "adapter",
+                 "--out-checkpoint", "m.ckpt", *COMMON_TRAIN, "--epochs", "1"],
+                ["eval", "--checkpoint", "m.ckpt", "--windows", "w.wset",
+                 "--subject-level", "--out", "eval.txt"],
+                ["extract", "--checkpoint", "m.ckpt", "--windows", "w.wset",
+                 "--out-embeddings", "emb.csv"],
+            ):
+                subprocess.run([sys.executable, "-m", "eegadapt", *argv],
+                               cwd=run_dir, env=env, check=True,
+                               capture_output=True)
             digests.append({
                 name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-                for name in ("m.ckpt", "m.ckpt.log.csv", "m.ckpt.metrics.txt")})
+                for name in ("m.ckpt", "m.ckpt.log.csv", "m.ckpt.metrics.txt",
+                             "eval.txt", "emb.csv")})
         assert digests[0] == digests[1]
 
     def test_mode_parity_all_four_run(self, dataset, tmp_path):
@@ -462,6 +489,32 @@ class TestExtractAndZeroshot:
         assert "zeroshot-report v1" in text
         for name in ("svm", "knn", "kmeans"):
             assert any(line.startswith(name) for line in text.splitlines())
+
+    def test_readme_zero_shot_chain(self, dataset, windows, tmp_path):
+        # Train on a class subset, score the head on its own classes, then
+        # embed every window, unseen classes included, and run zero-shot on
+        # the classes the head never saw.
+        manifest = str(dataset / "manifest.json")
+        ckpt = str(tmp_path / "subset.ckpt")
+        assert main(["train", "--manifest", manifest, "--mode", "adapter",
+                     "--train-classes", "0,2", "--out-checkpoint", ckpt,
+                     *COMMON_TRAIN]) == 0
+        wset = load_window_set(windows)
+        seen = wset.mask("test") & np.isin(wset.labels, [0, 2])
+        report = tmp_path / "report.txt"
+        assert main(["eval", "--checkpoint", ckpt, "--manifest", manifest,
+                     "--split", "test", "--out", str(report)]) == 0
+        assert f"samples = {int(seen.sum())}\n" in report.read_text()
+
+        emb_path = tmp_path / "emb.csv"
+        assert main(["extract", "--checkpoint", ckpt, "--manifest", manifest,
+                     "--split", "all", "--out-embeddings", str(emb_path)]) == 0
+        emb, labels, _ = read_embeddings_text(emb_path)
+        assert emb.shape[0] == len(wset)
+        assert set(labels.tolist()) == {0, 1, 2, 3}
+        assert main(["zeroshot", "--embeddings", str(emb_path),
+                     "--held-out-classes", "1,3",
+                     "--out", str(tmp_path / "zs.txt")]) == 0
 
     def test_zeroshot_deterministic(self, dataset, mix_checkpoint, tmp_path):
         emb_path = tmp_path / "emb.csv"

@@ -65,7 +65,7 @@ class TestQuantizedToMicrovolts:
                                   channel_labels=["a"], sample_rate_hz=256.0,
                                   label="second", subject="s09")
         wset = preprocess_manifest(load_manifest(path), FilterSettings(), 64)
-        assert wset.subjects == ["s09"]
+        assert wset.subjects.tolist() == ["s09"]
         assert wset.labels.tolist() == [1]
         assert wset.sample_rates.tolist() == [256.0]
         assert wset.channel_labels == ["a"]
@@ -167,8 +167,8 @@ class TestExtractWindows:
                                    FilterSettings(), 100)
         assert wset.data.shape == (7, 2, 100)
         assert wset.labels.tolist() == [0] * 3 + [1] * 4
-        assert wset.subjects == ["s11"] * 3 + ["s12"] * 4
-        assert wset.splits == ["train"] * 3 + ["test"] * 4
+        assert wset.subjects.tolist() == ["s11"] * 3 + ["s12"] * 4
+        assert wset.splits.tolist() == ["train"] * 3 + ["test"] * 4
         assert wset.sample_rates.tolist() == [250.0] * 3 + [251.0] * 4
 
     def test_concatenation_reproduces_prefix(self):

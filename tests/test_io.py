@@ -586,6 +586,10 @@ MALFORMED_WINDOW_SETS = {
     "unknown-label": (DomainError, "labels"),
     "negative-label": (DomainError, "labels"),
     "class-index-not-int": (IntegrityError, "classes"),
+    "negative-class-index": (IntegrityError, "classes"),
+    "sparse-class-index": (IntegrityError, "classes"),
+    "subject-not-str": (IntegrityError, "subjects"),
+    "unknown-split": (IntegrityError, "splits"),
 }
 
 
@@ -616,6 +620,15 @@ def break_window_set(src, dst, case):
         arrays["labels"][0] = -1
     elif case == "class-index-not-int":
         meta["classes"]["first"] = "0"
+    elif case in ("negative-class-index", "sparse-class-index"):
+        # Labels stay consistent with the table, so only its density is wrong.
+        index = -1 if case == "negative-class-index" else 2
+        meta["classes"]["second"] = index
+        arrays["labels"][arrays["labels"] == 1] = index
+    elif case == "subject-not-str":
+        meta["subjects"][0] = 7
+    elif case == "unknown-split":
+        meta["splits"][0] = "bogus"
     write_bundle(dst, meta, list(arrays.items()))
 
 
@@ -630,7 +643,7 @@ class TestPipeline:
     def test_align_and_save_load_round_trip(self, tmp_path):
         manifest = montage_manifest(tmp_path, n=3, t=300)
         wset = preprocess_manifest(manifest, FilterSettings(), 128)
-        aligned = align_window_set(wset, "mix", builtin_montage(), "builtin", 96)
+        aligned = align_window_set(wset, "mix", builtin_montage(), 96)
         assert aligned.data.shape == (6, 23, 96)
         assert aligned.fingerprint["alignment"] == "mix"
         path = tmp_path / "w.wset"
@@ -638,15 +651,15 @@ class TestPipeline:
         loaded = load_window_set(path)
         np.testing.assert_array_equal(loaded.data, aligned.data)
         np.testing.assert_array_equal(loaded.labels, aligned.labels)
-        assert loaded.subjects == aligned.subjects
-        assert loaded.splits == aligned.splits
+        np.testing.assert_array_equal(loaded.subjects, aligned.subjects)
+        np.testing.assert_array_equal(loaded.splits, aligned.splits)
         assert loaded.fingerprint == aligned.fingerprint
         assert loaded.classes == aligned.classes
 
     def test_select_alignment_takes_nearest_source(self, tmp_path):
         manifest = montage_manifest(tmp_path, n=3, t=300)
         wset = preprocess_manifest(manifest, FilterSettings(), 128)
-        aligned = align_window_set(wset, "select", builtin_montage(), "b", 128)
+        aligned = align_window_set(wset, "select", builtin_montage(), 128)
         assert aligned.channel_labels == list(TARGET_ORDER)
         for i, target in enumerate(builtin_montage().targets):
             row = wset.channel_labels.index(target.sources[0])
@@ -665,15 +678,15 @@ class TestPipeline:
         kept = wset.select("all", keep, remapped)
         np.testing.assert_array_equal(kept.x, wset.data[keep])
         np.testing.assert_array_equal(kept.y, remapped[keep])
-        assert kept.subjects == [s for s, k in zip(wset.subjects, keep) if k]
+        assert kept.subjects.tolist() == [s for s, k in zip(wset.subjects, keep) if k]
         assert len(wset.select("train", keep)) == 1
 
     def test_double_alignment_rejected(self, tmp_path):
         manifest = montage_manifest(tmp_path, n=3, t=300)
         wset = preprocess_manifest(manifest, FilterSettings(), 128)
-        aligned = align_window_set(wset, "select", builtin_montage(), "b", 128)
+        aligned = align_window_set(wset, "select", builtin_montage(), 128)
         with pytest.raises(ConfigurationError):
-            align_window_set(aligned, "mix", builtin_montage(), "b", 64)
+            align_window_set(aligned, "mix", builtin_montage(), 64)
 
     def test_unassigned_windows_block_training(self, tmp_path):
         entry, _ = basic_entry(tmp_path, "u.raw", split="unassigned", t=128)
