@@ -26,6 +26,7 @@ __all__ = [
     "ConvLayerSpec",
     "AdapterConfig",
     "default_adapter_config",
+    "adapter_param_shapes",
     "init_adapter_params",
     "adapter_forward_batch",
     "adapter_backward_batch",
@@ -129,19 +130,28 @@ def default_adapter_config(in_channels: int, in_timesteps: int,
     )
 
 
-def init_adapter_params(cfg: AdapterConfig,
-                        rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Uniform +-sqrt(1/fan_in) weights, zero biases, keyed ``layers.<i>.w``
-    (out_maps, in_maps, kernel_len) and ``layers.<i>.b`` (out_maps,)."""
-    params: dict[str, np.ndarray] = {}
+def adapter_param_shapes(cfg: AdapterConfig):
+    """(name, shape) of every adapter parameter, in checkpoint order, without
+    allocating: ``layers.<i>.w`` (out_maps, in_maps, kernel_len) and
+    ``layers.<i>.b`` (out_maps,)."""
     in_maps = cfg.in_channels
     for i, layer in enumerate(cfg.layers):
-        fan_in = in_maps * layer.kernel_len
-        bound = np.sqrt(1.0 / fan_in)
-        params[f"layers.{i}.w"] = rng.uniform(
-            -bound, bound, size=(layer.out_maps, in_maps, layer.kernel_len))
-        params[f"layers.{i}.b"] = np.zeros(layer.out_maps)
+        yield f"layers.{i}.w", (layer.out_maps, in_maps, layer.kernel_len)
+        yield f"layers.{i}.b", (layer.out_maps,)
         in_maps = layer.out_maps
+
+
+def init_adapter_params(cfg: AdapterConfig,
+                        rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Uniform +-sqrt(1/fan_in) weights and zero biases, keyed as in
+    ``adapter_param_shapes``."""
+    params: dict[str, np.ndarray] = {}
+    for name, shape in adapter_param_shapes(cfg):
+        if name.endswith(".w"):
+            bound = np.sqrt(1.0 / (shape[1] * shape[2]))
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            params[name] = np.zeros(shape)
     return params
 
 

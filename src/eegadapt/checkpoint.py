@@ -8,9 +8,10 @@ inference refuse data that was prepared differently than the training run.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import islice
 
-from .adapter import AdapterConfig, ConvLayerSpec
-from .encoder import BfmConfig
+from .adapter import AdapterConfig, ConvLayerSpec, adapter_param_shapes
+from .encoder import BfmConfig, encoder_param_shapes
 from .errors import IntegrityError
 from .fileio import read_bundle, write_bundle
 from .model import EegClassifier, build_classifier
@@ -49,6 +50,13 @@ def _adapter_config_from_meta(meta) -> AdapterConfig | None:
     )
 
 
+def _param_shapes(encoder: BfmConfig, adapter: AdapterConfig | None):
+    """(name, shape) of every array the configs imply, in checkpoint order."""
+    if adapter is not None:
+        yield from ((f"adapter.{n}", s) for n, s in adapter_param_shapes(adapter))
+    yield from ((f"encoder.{n}", s) for n, s in encoder_param_shapes(encoder))
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     model = ckpt.model
     meta = {
@@ -81,11 +89,24 @@ def load_checkpoint(path) -> Checkpoint:
         if not isinstance(meta.get(key), dict):
             raise IntegrityError(f"{path}: checkpoint meta has no {key!r} table")
     try:
-        model = build_classifier(
-            BfmConfig(**meta["encoder_config"]),
-            _adapter_config_from_meta(meta.get("adapter_config")),
-            seed=0,
-        )
+        encoder_config = BfmConfig(**meta["encoder_config"])
+        adapter_config = _adapter_config_from_meta(meta.get("adapter_config"))
+        # The configs are checked against the stored arrays before anything
+        # is built, so a crafted meta cannot allocate what it describes; one
+        # name past the stored count is enough to report a missing array.
+        shapes = dict(islice(_param_shapes(encoder_config, adapter_config),
+                             len(arrays) + 1))
+        problems = [f"missing {n}" for n in shapes if n not in arrays]
+        problems += [f"unexpected {n}" for n in arrays if n not in shapes]
+        problems += [
+            f"{n} has shape {arrays[n].shape}, expected {shape}"
+            for n, shape in shapes.items()
+            if n in arrays and arrays[n].shape != shape
+        ]
+        if problems:
+            raise IntegrityError(f"{path}: malformed checkpoint, arrays do not "
+                                 "match the stored configs: " + "; ".join(problems))
+        model = build_classifier(encoder_config, adapter_config, seed=0)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IntegrityError(f"{path}: malformed checkpoint meta: {exc!r}") from exc
     classes = meta["classes"]
@@ -95,19 +116,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: 'classes' must map names to the head indices "
             f"0..{model.num_classes - 1}, got {sorted(classes.values())}"
         )
-
     expected = dict(model.named_arrays())
-    problems = [f"missing {n}" for n in expected if n not in arrays]
-    problems += [f"unexpected {n}" for n in arrays if n not in expected]
-    problems += [
-        f"{n} has shape {arrays[n].shape}, expected {a.shape}"
-        for n, a in expected.items()
-        if n in arrays and arrays[n].shape != a.shape
-    ]
-    if problems:
-        raise IntegrityError(
-            f"{path}: arrays do not match the stored configs: " + "; ".join(problems)
-        )
     for name, arr in expected.items():
         arr[...] = arrays[name]
     return Checkpoint(model=model, classes=classes,

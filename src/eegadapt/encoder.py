@@ -9,6 +9,9 @@ be verified against finite differences.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,7 @@ from .nnops import (
 
 __all__ = [
     "BfmConfig",
+    "encoder_param_shapes",
     "init_encoder_params",
     "encoder_forward_batch",
     "encoder_backward_batch",
@@ -73,48 +77,45 @@ class BfmConfig:
         return 4 * self.embed_dim
 
 
+def encoder_param_shapes(cfg: BfmConfig):
+    """(name, shape) of every encoder parameter in checkpoint order: the patch
+    embedding, the channel and temporal tables, ``blocks.<i>.<name>`` for each
+    layer, the final norm and the head. Nothing is allocated."""
+    d, f, k = cfg.embed_dim, cfg.ff_dim, cfg.num_classes
+    yield from (("patch_w", (d, cfg.patch_len)), ("patch_b", (d,)),
+                ("channel_embed", (cfg.channel_vocab, d)),
+                ("temporal_embed", (cfg.max_patches, d)))
+    block = {"ln1_g": (d,), "ln1_b": (d,), "wq": (d, d), "bq": (d,),
+             "wk": (d, d), "bk": (d,), "wv": (d, d), "bv": (d,), "wo": (d, d),
+             "bo": (d,), "ln2_g": (d,), "ln2_b": (d,), "w1": (d, f), "b1": (f,),
+             "w2": (f, d), "b2": (d,)}
+    for i in range(cfg.num_layers):
+        yield from ((f"blocks.{i}.{name}", shape) for name, shape in block.items())
+    yield from (("final_g", (d,)), ("final_b", (d,)), ("head_w", (d, k)),
+                ("head_b", (k,)))
+
+
 def init_encoder_params(cfg: BfmConfig,
                         rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Uniform fan-in init for projections, 0.02 normals for embedding tables.
-
-    Keys, in checkpoint order: ``patch_w`` (embed_dim, patch_len),
-    ``patch_b``, ``channel_embed`` (channel_vocab, embed_dim),
-    ``temporal_embed`` (max_patches, embed_dim), then ``blocks.<i>.<name>``
-    for each layer, ``final_g``, ``final_b``, ``head_w`` (embed_dim,
-    num_classes) and ``head_b``. The blocks draw from ``rng`` first. The
-    classification head starts at zero so the initial mean loss is exactly
-    ln(num_classes).
+    """Uniform fan-in init for projections, 0.02 normals for embedding tables,
+    ones for layer-norm gains, zeros for biases and the head (so the initial
+    mean loss is exactly ln(num_classes)); keyed as ``encoder_param_shapes``.
     """
-    d, f = cfg.embed_dim, cfg.ff_dim
-
-    def uniform(shape, fan_in):
-        bound = np.sqrt(1.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    blocks: dict[str, np.ndarray] = {}
-    for i in range(cfg.num_layers):
-        block = {
-            "ln1_g": np.ones(d), "ln1_b": np.zeros(d),
-            "wq": uniform((d, d), d), "bq": np.zeros(d),
-            "wk": uniform((d, d), d), "bk": np.zeros(d),
-            "wv": uniform((d, d), d), "bv": np.zeros(d),
-            "wo": uniform((d, d), d), "bo": np.zeros(d),
-            "ln2_g": np.ones(d), "ln2_b": np.zeros(d),
-            "w1": uniform((d, f), d), "b1": np.zeros(f),
-            "w2": uniform((f, d), f), "b2": np.zeros(d),
-        }
-        blocks.update((f"blocks.{i}.{name}", arr) for name, arr in block.items())
-    return {
-        "patch_w": uniform((d, cfg.patch_len), cfg.patch_len),
-        "patch_b": np.zeros(d),
-        "channel_embed": rng.normal(0.0, 0.02, size=(cfg.channel_vocab, d)),
-        "temporal_embed": rng.normal(0.0, 0.02, size=(cfg.max_patches, d)),
-        **blocks,
-        "final_g": np.ones(d),
-        "final_b": np.zeros(d),
-        "head_w": np.zeros((d, cfg.num_classes)),
-        "head_b": np.zeros(cfg.num_classes),
-    }
+    shapes = dict(encoder_param_shapes(cfg))
+    params: dict[str, np.ndarray] = {}
+    # The blocks draw from rng first, then patch_w and the embedding tables.
+    for name in sorted(shapes, key=lambda n: not n.startswith("blocks.")):
+        shape, short = shapes[name], name.rsplit(".", 1)[-1]
+        if short in ("patch_w", "wq", "wk", "wv", "wo", "w1", "w2"):
+            # Projections are stored (in, out); patch_w is (out, in).
+            fan_in = shape[1] if short == "patch_w" else shape[0]
+            bound = np.sqrt(1.0 / fan_in)
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        elif short.endswith("_embed"):
+            params[name] = rng.normal(0.0, 0.02, size=shape)
+        else:
+            params[name] = np.ones(shape) if short.endswith("_g") else np.zeros(shape)
+    return {name: params[name] for name in shapes}
 
 
 def _block(params: dict[str, np.ndarray], i: int) -> dict[str, np.ndarray]:
@@ -167,6 +168,44 @@ def _chunk_samples(h: int, s: int) -> int:
     return max(1, _SCORE_CHUNK_BYTES // (h * s * s * 8))
 
 
+# Without a cache the whole block stack runs on chunks of c >= 2 samples, so
+# that no intermediate is batch-sized. A sample's block working set is about
+# 21 (S, D) float64 arrays, the feed-forward's three (S, 4D) ones included. At
+# 161 tokens and D = 32, chunks of 2 to 8 samples ran fastest (one sample per
+# task contends for the GIL, 16 and more fall out of cache); 4 MiB gives 4.
+_FORWARD_CHUNK_BYTES = 4 << 20
+
+
+def _forward_chunk(s: int, d: int) -> int:
+    return max(2, _FORWARD_CHUNK_BYTES // (21 * s * d * 8))
+
+
+# Chunks run on one worker thread per CPU the process may use; numpy and scipy
+# release the GIL in their loops. A task already on a worker runs its own
+# chunks inline: waiting on the pool from inside it could deadlock.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_on_worker = threading.local()
+
+
+def _map(fn, starts: range) -> None:
+    """Call ``fn(i)`` for every chunk start ``i``; chunks write disjoint memory."""
+    global _pool
+    if _WORKERS < 2 or len(starts) < 2 or getattr(_on_worker, "active", False):
+        for i in starts:
+            fn(i)
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS, initializer=setattr,
+                                       initargs=(_on_worker, "active", True))
+    futures = [_pool.submit(fn, i) for i in starts]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _attention_probs(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     attn = q @ k.transpose(0, 1, 3, 2)
     attn *= scale
@@ -186,9 +225,12 @@ def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig):
     ctx = np.empty((n, s, h, dh))
     ctx_heads = ctx.transpose(0, 2, 1, 3)
     c = _chunk_samples(h, s)
-    for i in range(0, n, c):
+
+    def attend(i):
         j = slice(i, i + c)
         np.matmul(_attention_probs(q[j], k[j], scale), v[j], out=ctx_heads[j])
+
+    _map(attend, range(0, n, c))
     ctx = ctx.reshape(n, s, d)
     attn_out = ctx @ bp["wo"] + bp["bo"]
     x2 = x + attn_out
@@ -231,7 +273,8 @@ def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache):
     dq_m, dk_m, dv_m = (np.empty((n, s, h, dh)) for _ in range(3))
     dq, dk, dv = (t.transpose(0, 2, 1, 3) for t in (dq_m, dk_m, dv_m))
     c = _chunk_samples(h, s)
-    for i in range(0, n, c):
+
+    def attend_backward(i):
         j = slice(i, i + c)
         attn = _attention_probs(q[j], k[j], scale)
         dattn = dctx[j] @ v[j].transpose(0, 1, 3, 2)
@@ -240,6 +283,8 @@ def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache):
         dscores *= scale
         np.matmul(dscores, k[j], out=dq[j])
         np.matmul(dscores.transpose(0, 1, 3, 2), q[j], out=dk[j])
+
+    _map(attend_backward, range(0, n, c))
     dq_m, dk_m, dv_m = (t.reshape(n, s, d) for t in (dq_m, dk_m, dv_m))
     h1_flat = h1.reshape(-1, d)
     g["wq"] = h1_flat.T @ dq_m.reshape(-1, d)
@@ -261,13 +306,25 @@ def encoder_forward_batch(x: np.ndarray, params: dict[str, np.ndarray],
     if x.ndim != 3:
         raise DimensionError(f"expected a batch (N, C, T), got shape {x.shape}")
     tokens, patches = _patchify_batch(x, params, cfg)
-    h = tokens
-    block_caches = [] if keep_cache else None
-    for i in range(cfg.num_layers):
-        h, cache = _block_forward(h, _block(params, i), cfg)
-        if keep_cache:
+    blocks = [_block(params, i) for i in range(cfg.num_layers)]
+    if keep_cache:
+        # Backward's weight-gradient products need full-batch caches.
+        h, block_caches = tokens, []
+        for bp in blocks:
+            h, cache = _block_forward(h, bp, cfg)
             block_caches.append(cache)
-        del cache  # an unkept cache must not stay live through the next block
+    else:
+        # Samples are independent until pooling: each chunk runs every block.
+        h = np.empty_like(tokens)
+        c = _forward_chunk(*tokens.shape[1:])
+
+        def run_blocks(i):
+            hc = tokens[i:i + c]
+            for bp in blocks:
+                hc = _block_forward(hc, bp, cfg)[0]
+            h[i:i + c] = hc
+
+        _map(run_blocks, range(0, len(tokens), c))
     hf, lnf_cache = layer_norm_forward(h, params["final_g"], params["final_b"])
     pooled = hf.mean(axis=1)
     logits = pooled @ params["head_w"] + params["head_b"]

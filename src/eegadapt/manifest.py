@@ -139,6 +139,10 @@ def _validate_entry(i: int, raw, classes: dict[str, int],
     path = str(need("path"))
     if not (base_dir / path).exists():
         raise ManifestError(f"{where}: file not found: {base_dir / path}")
+    subject = need("subject_id")
+    if not isinstance(subject, str) or "\0" in subject:
+        raise ManifestError(
+            f"{where}: subject_id must be a string without NUL, got {subject!r}")
     resolution = raw.get("resolution")
     if resolution is not None:
         if not isinstance(resolution, list):
@@ -158,7 +162,7 @@ def _validate_entry(i: int, raw, classes: dict[str, int],
         channel_labels=labels,
         sample_rate_hz=rate,
         label=label,
-        subject_id=str(need("subject_id")),
+        subject_id=subject,
         split=split,
         resolution=resolution,
     )

@@ -239,8 +239,9 @@ def load_window_set(path) -> WindowSet:
         raise DomainError(f"{path}: 'data' contains non-finite samples")
     if not np.all(rates > 0):
         raise DomainError(f"{path}: 'sample_rates' must all be positive")
-    if not all(isinstance(s, str) for s in meta["subjects"]):
-        raise IntegrityError(f"{path}: 'subjects' must hold one string per window")
+    if not all(isinstance(s, str) and "\0" not in s for s in meta["subjects"]):
+        raise IntegrityError(
+            f"{path}: 'subjects' must hold one string without NUL per window")
     if not all(s in SPLITS for s in meta["splits"]):
         raise IntegrityError(f"{path}: 'splits' must hold one of {SPLITS} per window")
     classes = meta["classes"]

@@ -8,7 +8,6 @@ optimal cluster-to-label assignment.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,8 +15,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, ProtocolError
 from .training import confusion_matrix, metrics_from_confusion
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "ZeroShotProtocol",
@@ -298,20 +295,12 @@ def subject_aggregate(subject_ids, pred_labels: np.ndarray, probs: np.ndarray,
     agg_true, agg_pred = [], []
     for sid in sorted(order):
         idx = np.array(order[sid])
-        if idx.size == 0:
-            logger.warning("subject %s has no samples; excluded", sid)
-            continue
         truth = np.unique(true_labels[idx])
         if truth.size != 1:
             raise DomainError(f"subject {sid} carries mixed true labels {truth}")
         votes = np.bincount(pred_labels[idx], minlength=num_classes)
-        top = votes.max()
-        tied = np.flatnonzero(votes == top)
-        if tied.size == 1:
-            winner = int(tied[0])
-        else:
-            mean_probs = probs[idx].mean(axis=0)
-            winner = int(tied[np.argmax(mean_probs[tied])])
+        tied = np.flatnonzero(votes == votes.max())
+        winner = int(tied[np.argmax(probs[idx].mean(axis=0)[tied])])
         histogram = {int(c): int(votes[c]) for c in np.flatnonzero(votes)}
         predictions.append(SubjectPrediction(
             subject_id=sid,

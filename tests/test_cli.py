@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -210,7 +211,7 @@ def subject_windows(tmp_path_factory):
                                   "no-subjects", "short-splits", "nonfinite-data",
                                   "unknown-label", "negative-class-index",
                                   "sparse-class-index", "subject-not-str",
-                                  "unknown-split"])
+                                  "subject-nul", "unknown-split"])
 def test_malformed_window_set_fails_in_one_line(dataset, windows, mix_checkpoint,
                                                 tmp_path, case, capsys):
     broken = tmp_path / "broken.wset"
@@ -293,8 +294,13 @@ class TestTrain:
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
-        digests = []
-        for run in ("a", "b"):
+
+        # Nor on the number of CPUs: the encoder spreads its chunks over
+        # every CPU the process may run on, so one more run is pinned to one.
+        def one_cpu():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+        def run_chain(run, preexec_fn=None):
             run_dir = tmp_path / run
             run_dir.mkdir()
             shutil.copy(subject_windows, run_dir / "w.wset")
@@ -308,12 +314,20 @@ class TestTrain:
             ):
                 subprocess.run([sys.executable, "-m", "eegadapt", *argv],
                                cwd=run_dir, env=env, check=True,
-                               capture_output=True)
-            digests.append({
+                               capture_output=True, preexec_fn=preexec_fn)
+            return {
                 name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
                 for name in ("m.ckpt", "m.ckpt.log.csv", "m.ckpt.metrics.txt",
-                             "eval.txt", "emb.csv")})
-        assert digests[0] == digests[1]
+                             "eval.txt", "emb.csv")}
+
+        first = run_chain("a")
+        assert run_chain("b") == first
+        # OpenBLAS caps its threads at the CPUs it may use, so pinning a run
+        # set to 2 BLAS threads would change its BLAS thread count as well.
+        if threads == "1":
+            if len(os.sched_getaffinity(0)) < 2:
+                pytest.skip("one CPU available: a pinned run would repeat run a")
+            assert run_chain("one-cpu", one_cpu) == first
 
     def test_mode_parity_all_four_run(self, dataset, tmp_path):
         for mode in ("adapter", "select", "mix", "raw"):
@@ -336,6 +350,32 @@ class TestTrain:
 
 
 class TestEval:
+    def test_huge_layer_count_refused_without_allocating(self, windows,
+                                                         mix_checkpoint, tmp_path):
+        # 2**70 layers would be drawn until memory ran out; the child gets a
+        # 2 GiB address-space limit so a regression fails here with a
+        # traceback instead of exhausting the machine.
+        meta, arrays = read_bundle(mix_checkpoint)
+        meta["encoder_config"]["num_layers"] = 2 ** 70
+        bad = tmp_path / "bad.ckpt"
+        write_bundle(bad, meta, list(arrays.items()))
+        src = str(Path(eegadapt.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "eegadapt", "eval", "--checkpoint", str(bad),
+             "--windows", str(windows)],
+            env=env, preexec_fn=limit_memory, capture_output=True, text=True,
+            timeout=600)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "do not match the stored configs" in proc.stderr
+
     def test_missing_checkpoint_fails_to_stderr(self, dataset, capsys):
         rc = main([
             "eval", "--checkpoint", "/nonexistent/m.ckpt",

@@ -1,5 +1,7 @@
 """Patch embedding, attention stack, pooling, head, and their gradients."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -398,6 +400,16 @@ def ref_encoder(x, params, cfg, dlogits):
     return logits, grads, (demb @ params["patch_w"]).reshape(n, c, t)
 
 
+def ref_forward(x, params, cfg):
+    """Logits and pooled representations, all out of place."""
+    h, _ = _patchify_batch(x, params, cfg)
+    for i in range(cfg.num_layers):
+        h, _ = ref_block_forward(h, _block(params, i), cfg)
+    hf, _ = layer_norm_forward(h, params["final_g"], params["final_b"])
+    pooled = hf.mean(axis=1)
+    return pooled @ params["head_w"] + params["head_b"], pooled
+
+
 def assert_same_grads(got, want):
     assert got.keys() == want.keys()
     for name in want:
@@ -409,6 +421,38 @@ def force_chunk(monkeypatch, chunk, heads, seq_len):
     monkeypatch.setattr(encoder, "_SCORE_CHUNK_BYTES",
                         chunk * heads * seq_len * seq_len * 8)
     assert encoder._chunk_samples(heads, seq_len) == chunk
+
+
+def force_forward_chunk(monkeypatch, chunk, seq_len, dim):
+    """Make the no-cache forward run over chunks of ``chunk`` samples."""
+    monkeypatch.setattr(encoder, "_FORWARD_CHUNK_BYTES",
+                        chunk * 21 * seq_len * dim * 8)
+    assert encoder._forward_chunk(seq_len, dim) == chunk
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the encoder's worker count; the next parallel map makes a fresh
+    pool of that size, which is shut down after the test. Threads switch
+    every microsecond meanwhile, so that chunks interleave as much as they
+    can."""
+    def set_count(count):
+        monkeypatch.setattr(encoder, "_WORKERS", count)
+        monkeypatch.setattr(encoder, "_pool", None)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield set_count
+    finally:
+        sys.setswitchinterval(interval)
+        if encoder._pool is not None:
+            encoder._pool.shutdown()
+
+
+def pooled_config():
+    """6 channels x 4 patches = 24 tokens, 3 heads of 8."""
+    return small_config(num_channels=6, embed_dim=24, num_heads=3, max_patches=4)
 
 
 class TestInPlaceHotPath:
@@ -516,6 +560,109 @@ class TestInPlaceHotPath:
         finally:
             tracemalloc.stop()
         assert peak < full_scores
+
+    def test_no_cache_forward_peak_at_benchmark_shape(self):
+        # Each chunk of samples runs the whole block stack, so the feed-
+        # forward's (N, S, 4D) intermediates never exist for the whole batch:
+        # at batch 64, 161 tokens and D = 32 the peak stays near the
+        # batch-wide tokens and final norm.
+        cfg = small_config(embed_dim=32, max_patches=7)
+        rng = np.random.default_rng(72)
+        params = init_encoder_params(cfg, rng)
+        x = rng.normal(size=(64, 23, 112))
+        tracemalloc.start()
+        try:
+            encoder_forward_batch(x, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25e6
+
+    # The no-cache forward runs chunks of 3 samples, each with attention
+    # chunks of 2, so N = 4 leaves a last chunk of one and N = 63 makes 21.
+    # Four workers are more than the cores of most test machines.
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 4, 63])
+    def test_no_cache_forward_matches_out_of_place_formulas_bitwise(
+            self, monkeypatch, workers, count, n):
+        workers(count)
+        cfg = pooled_config()
+        force_forward_chunk(monkeypatch, 3, 24, cfg.embed_dim)
+        force_chunk(monkeypatch, 2, 3, 24)
+        rng = np.random.default_rng(80 + n)
+        params = init_encoder_params(cfg, rng)
+        params["head_w"][:] = rng.normal(0, 0.3, params["head_w"].shape)
+        x = rng.normal(size=(n, 6, 64))
+        logits, pooled, cache = encoder_forward_batch(x, params, cfg)
+        ref_logits, ref_pooled = ref_forward(x, params, cfg)
+        assert cache is None
+        assert np.array_equal(logits, ref_logits)
+        assert np.array_equal(pooled, ref_pooled)
+        # One sample makes one chunk, which runs inline.
+        assert (encoder._pool is not None) == (count > 1 and n > 1)
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_training_pass_on_workers_matches_out_of_place_formulas_bitwise(
+            self, monkeypatch, workers, count):
+        # Attention forward and backward run one sample per chunk.
+        workers(count)
+        cfg = pooled_config()
+        force_chunk(monkeypatch, 1, 3, 24)
+        rng = np.random.default_rng(85 + count)
+        params = init_encoder_params(cfg, rng)
+        params["head_w"][:] = rng.normal(0, 0.3, params["head_w"].shape)
+        x = rng.normal(size=(9, 6, 64))
+        dlogits = rng.normal(size=(9, cfg.num_classes))
+        logits, _, cache = encoder_forward_batch(x, params, cfg, keep_cache=True)
+        grads, dx = encoder_backward_batch(cache, params, cfg, dlogits)
+        ref_logits, ref_grads, ref_dx = ref_encoder(x, params, cfg, dlogits)
+        assert np.array_equal(logits, ref_logits)
+        assert np.array_equal(dx, ref_dx)
+        assert_same_grads(grads, ref_grads)
+        assert (encoder._pool is not None) == (count > 1)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_error_in_a_chunk_reaches_the_caller(self, monkeypatch, workers, count):
+        workers(count)
+        cfg = pooled_config()
+        force_forward_chunk(monkeypatch, 3, 24, cfg.embed_dim)
+        real = encoder._block_forward
+
+        def fail_on_last_chunk(x, bp, cfg):
+            if x.shape[0] == 1:
+                raise DimensionError("chunk of one sample")
+            return real(x, bp, cfg)
+
+        monkeypatch.setattr(encoder, "_block_forward", fail_on_last_chunk)
+        rng = np.random.default_rng(90)
+        params = init_encoder_params(cfg, rng)
+        with pytest.raises(DimensionError, match="chunk of one sample"):
+            encoder_forward_batch(rng.normal(size=(7, 6, 64)), params, cfg)
+
+    def test_forward_started_on_a_pool_worker_finishes(self, monkeypatch, workers):
+        # Both workers run a forward whose chunks would queue behind them on
+        # the same pool; they must run inline instead of waiting forever.
+        workers(2)
+        cfg = pooled_config()
+        force_forward_chunk(monkeypatch, 3, 24, cfg.embed_dim)
+        rng = np.random.default_rng(91)
+        params = init_encoder_params(cfg, rng)
+        x = rng.normal(size=(9, 6, 64))
+        expected, _, _ = encoder_forward_batch(x, params, cfg)
+        assert encoder._pool is not None
+        results = []
+
+        def on_workers():
+            futures = [encoder._pool.submit(encoder_forward_batch, x, params, cfg)
+                       for _ in range(2)]
+            results.extend(future.result()[0] for future in futures)
+
+        thread = threading.Thread(target=on_workers, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(results) == 2
+        assert all(np.array_equal(r, expected) for r in results)
 
     def test_softmax_overwrites_and_returns_its_argument(self):
         x = np.random.default_rng(40).normal(size=(2, 3, 5, 5)) * 3.0

@@ -292,6 +292,12 @@ MALFORMED_MANIFESTS = {
     "classes-list": (_set_doc("classes", ["first", "second"]), "classes"),
     "recordings-not-list": (_set_doc("recordings", {"a": 1}), "recordings"),
     "entry-not-object": (_set_doc("recordings", [3]), "entry 0"),
+    # A subject id must be a JSON string: null would become "None", and 7
+    # and "7" would merge into one subject. A NUL would not survive a
+    # window set's string array.
+    "subject-null": (_set_entry("subject_id", None), "entry 0: subject_id"),
+    "subject-int": (_set_entry("subject_id", 7), "entry 0: subject_id"),
+    "subject-nul": (_set_entry("subject_id", "s00\u0000"), "entry 0: subject_id"),
 }
 
 
@@ -532,6 +538,27 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError):
             load_checkpoint(path)
 
+    # Each field set to 2**40 describes arrays of terabytes; the configs must
+    # be compared with the stored arrays before anything is allocated.
+    @pytest.mark.parametrize("field", [
+        "embed_dim", "channel_vocab", "max_patches", "num_classes", "patch_len",
+        "in_channels", "out_maps"])
+    def test_huge_config_refused_before_allocating(self, tmp_path, field):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+
+        def edit(meta):
+            if field == "in_channels":
+                meta["adapter_config"][field] = 2 ** 40
+            elif field == "out_maps":
+                meta["adapter_config"]["layers"][0][field] = 2 ** 40
+            else:
+                meta["encoder_config"][field] = 2 ** 40
+
+        rewrite_bundle(path, edit_meta=edit)
+        with pytest.raises(IntegrityError, match="do not match the stored configs"):
+            load_checkpoint(path)
+
     def test_version_mismatch_rejected(self, tmp_path):
         ckpt = small_checkpoint()
         ckpt.version = 99
@@ -589,6 +616,7 @@ MALFORMED_WINDOW_SETS = {
     "negative-class-index": (IntegrityError, "classes"),
     "sparse-class-index": (IntegrityError, "classes"),
     "subject-not-str": (IntegrityError, "subjects"),
+    "subject-nul": (IntegrityError, "subjects"),
     "unknown-split": (IntegrityError, "splits"),
 }
 
@@ -627,6 +655,9 @@ def break_window_set(src, dst, case):
         arrays["labels"][arrays["labels"] == 1] = index
     elif case == "subject-not-str":
         meta["subjects"][0] = 7
+    elif case == "subject-nul":
+        # A str array would drop the trailing NUL and load "s00".
+        meta["subjects"][0] += "\u0000"
     elif case == "unknown-split":
         meta["splits"][0] = "bogus"
     write_bundle(dst, meta, list(arrays.items()))
