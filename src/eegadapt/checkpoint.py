@@ -29,14 +29,6 @@ class Checkpoint:
     version: int = CHECKPOINT_VERSION
 
 
-def _adapter_config_meta(cfg: AdapterConfig | None):
-    if cfg is None:
-        return None
-    meta = asdict(cfg)
-    meta["layers"] = [asdict(layer) for layer in cfg.layers]
-    return meta
-
-
 def _adapter_config_from_meta(meta) -> AdapterConfig | None:
     if meta is None:
         return None
@@ -58,11 +50,11 @@ def _param_shapes(encoder: BfmConfig, adapter: AdapterConfig | None):
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    model = ckpt.model
+    model, adapter = ckpt.model, ckpt.model.adapter_config
     meta = {
         "kind": "checkpoint",
         "version": ckpt.version,
-        "adapter_config": _adapter_config_meta(model.adapter_config),
+        "adapter_config": None if adapter is None else asdict(adapter),
         "encoder_config": asdict(model.encoder_config),
         "classes": ckpt.classes,
         "fingerprint": ckpt.fingerprint,

@@ -99,7 +99,7 @@ def init_encoder_params(cfg: BfmConfig,
                         rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Uniform fan-in init for projections, 0.02 normals for embedding tables,
     ones for layer-norm gains, zeros for biases and the head (so the initial
-    mean loss is exactly ln(num_classes)); keyed as ``encoder_param_shapes``.
+    mean loss is exactly ln(num_classes)); keyed as in ``encoder_param_shapes``.
     """
     shapes = dict(encoder_param_shapes(cfg))
     params: dict[str, np.ndarray] = {}
@@ -187,6 +187,16 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 _on_worker = threading.local()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the pool object came along but its threads did not."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _map(fn, starts: range) -> None:

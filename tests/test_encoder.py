@@ -1,7 +1,9 @@
 """Patch embedding, attention stack, pooling, head, and their gradients."""
 
+import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -663,6 +665,37 @@ class TestInPlaceHotPath:
         assert not thread.is_alive()
         assert len(results) == 2
         assert all(np.array_equal(r, expected) for r in results)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forward_in_a_forked_child_finishes(self, monkeypatch, workers):
+        # The child inherits the parent's pool object but none of its
+        # threads; its first forward must not wait on them.
+        workers(2)
+        cfg = pooled_config()
+        force_forward_chunk(monkeypatch, 3, 24, cfg.embed_dim)
+        rng = np.random.default_rng(92)
+        params = init_encoder_params(cfg, rng)
+        x = rng.normal(size=(9, 6, 64))
+        expected, _, _ = encoder_forward_batch(x, params, cfg)
+        assert encoder._pool is not None
+        pid = os.fork()
+        if pid == 0:
+            try:
+                logits, _, _ = encoder_forward_batch(x, params, cfg)
+                os._exit(0 if np.array_equal(logits, expected) else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's forward did not finish in 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_softmax_overwrites_and_returns_its_argument(self):
         x = np.random.default_rng(40).normal(size=(2, 3, 5, 5)) * 3.0
