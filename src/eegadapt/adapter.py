@@ -87,40 +87,29 @@ class AdapterConfig:
 
 
 def default_adapter_config(in_channels: int, in_timesteps: int,
-                           out_channels: int = 23,
-                           out_timesteps: int | None = None,
+                           out_timesteps: int, out_channels: int = 23,
                            hidden_maps: int = 64) -> AdapterConfig:
     """Two-layer default: a wide temporal layer, then a channel-shaping layer.
 
-    With ``out_timesteps`` unset the first layer uses kernel 15 / stride 1
-    and the output is 16 samples shorter than the input. With it set, the
-    first layer's kernel and stride are solved so the cascade lands exactly
-    on the requested length; the candidate with kernel closest to 15 wins.
+    The first layer's kernel and stride are solved so the cascade lands
+    exactly on ``out_timesteps``; the candidate with kernel closest to 15
+    wins.
     """
-    if out_timesteps is None:
-        out_timesteps = in_timesteps - 16
-        if out_timesteps < 1:
-            raise ConfigurationError(
-                f"input of {in_timesteps} steps is too short for the default "
-                "kernel sizes; pass an explicit layer stack"
-            )
-        first = ConvLayerSpec(hidden_maps, 15, 1, "gelu")
-    else:
-        # Second layer is kernel 3 / stride 1, so the first layer must
-        # produce out_timesteps + 2 samples: kernel = T - stride*(out + 1).
-        best = None
-        for stride in range(1, 65):
-            kernel = in_timesteps - stride * (out_timesteps + 1)
-            if 2 <= kernel <= 64:
-                cand = (abs(kernel - 15), stride, kernel)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            raise ConfigurationError(
-                f"no two-layer stack maps {in_timesteps} steps onto "
-                f"{out_timesteps}; pass an explicit layer stack"
-            )
-        first = ConvLayerSpec(hidden_maps, best[2], best[1], "gelu")
+    # Second layer is kernel 3 / stride 1, so the first layer must
+    # produce out_timesteps + 2 samples: kernel = T - stride*(out + 1).
+    best = None
+    for stride in range(1, 65):
+        kernel = in_timesteps - stride * (out_timesteps + 1)
+        if 2 <= kernel <= 64:
+            cand = (abs(kernel - 15), stride, kernel)
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        raise ConfigurationError(
+            f"no two-layer stack maps {in_timesteps} steps onto "
+            f"{out_timesteps}; pass an explicit layer stack"
+        )
+    first = ConvLayerSpec(hidden_maps, best[2], best[1], "gelu")
     return AdapterConfig(
         in_channels=in_channels,
         in_timesteps=in_timesteps,

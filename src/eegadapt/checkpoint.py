@@ -10,11 +10,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import islice
 
+import numpy as np
+
 from .adapter import AdapterConfig, ConvLayerSpec, adapter_param_shapes
 from .encoder import BfmConfig, encoder_param_shapes
 from .errors import IntegrityError
 from .fileio import read_bundle, write_bundle
-from .model import EegClassifier, build_classifier
+from .model import EegClassifier
 
 CHECKPOINT_VERSION = 1
 
@@ -66,7 +68,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint, refusing a meta or array table that does not match.
 
     The stored configs describe the model; every array it names must be
-    present with exactly its shape, and no other array may be present.
+    present with exactly its shape, and no other array may be present. The
+    model holds the arrays as read, cast to float64 where stored narrower.
     """
     meta, arrays = read_bundle(path)
     if meta.get("kind") != "checkpoint":
@@ -98,7 +101,16 @@ def load_checkpoint(path) -> Checkpoint:
         if problems:
             raise IntegrityError(f"{path}: malformed checkpoint, arrays do not "
                                  "match the stored configs: " + "; ".join(problems))
-        model = build_classifier(encoder_config, adapter_config, seed=0)
+        params = {"adapter": {}, "encoder": {}}
+        for name in shapes:
+            part, short = name.split(".", 1)
+            params[part][short] = arrays[name].astype(np.float64, copy=False)
+        model = EegClassifier(
+            encoder_config=encoder_config,
+            encoder=params["encoder"],
+            adapter_config=adapter_config,
+            adapter=None if adapter_config is None else params["adapter"],
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IntegrityError(f"{path}: malformed checkpoint meta: {exc!r}") from exc
     classes = meta["classes"]
@@ -108,8 +120,5 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: 'classes' must map names to the head indices "
             f"0..{model.num_classes - 1}, got {sorted(classes.values())}"
         )
-    expected = dict(model.named_arrays())
-    for name, arr in expected.items():
-        arr[...] = arrays[name]
     return Checkpoint(model=model, classes=classes,
                       fingerprint=meta["fingerprint"], version=version)

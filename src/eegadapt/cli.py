@@ -201,6 +201,9 @@ def _choose_adapter_steps(in_timesteps: int, patch_len: int) -> int:
 def cmd_train(args) -> int:
     if args.patch_len < 1:
         raise ConfigurationError(f"--patch-len must be >= 1, got {args.patch_len}")
+    if args.adapter_steps is not None and args.adapter_steps < 1:
+        raise ConfigurationError(
+            f"--adapter-steps must be >= 1, got {args.adapter_steps}")
     wset, manifest = _train_window_set(args)
 
     if args.mode in ("select", "mix"):

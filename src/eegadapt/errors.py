@@ -39,7 +39,3 @@ class IntegrityError(PipelineError):
 
 class FingerprintMismatchError(ConfigurationError):
     """Checkpoint preprocessing fingerprint disagrees with the data."""
-
-
-class GradientCheckError(PipelineError):
-    """Analytic gradients disagree with finite differences."""

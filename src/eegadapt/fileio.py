@@ -35,13 +35,13 @@ from .errors import IntegrityError, ManifestError, NumericError
 __all__ = [
     "write_recording_binary",
     "read_recording_binary",
-    "write_recording_text",
     "read_recording_text",
     "write_bundle",
     "read_bundle",
     "write_embeddings_text",
     "read_embeddings_text",
     "write_text",
+    "read_text",
 ]
 
 RECORDING_MAGIC = b"EEGREC01"
@@ -79,12 +79,6 @@ def read_recording_binary(path: str | Path) -> np.ndarray:
     return data.astype(np.float64)
 
 
-def write_recording_text(path: str | Path, data: np.ndarray) -> None:
-    data = np.asarray(data, dtype=np.float64)
-    lines = [",".join(repr(float(v)) for v in row) for row in data]
-    write_text(path, "\n".join(lines) + "\n")
-
-
 def read_recording_text(path: str | Path) -> np.ndarray:
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
@@ -94,7 +88,7 @@ def read_recording_text(path: str | Path) -> np.ndarray:
 
 
 @contextmanager
-def _replacing(path: str | Path, mode: str = "wb"):
+def _replacing(path: str | Path):
     """Open a temporary file beside ``path`` that replaces it on a clean exit.
 
     A failed write leaves any earlier file at ``path`` untouched and removes
@@ -103,7 +97,7 @@ def _replacing(path: str | Path, mode: str = "wb"):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -112,9 +106,18 @@ def _replacing(path: str | Path, mode: str = "wb"):
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write a text file atomically: readers see the old file or the new one."""
-    with _replacing(path, "w") as fh:
-        fh.write(text)
+    """Write a UTF-8 text file atomically: readers see the old file or the
+    new one."""
+    with _replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 text file; bytes that do not decode are an IntegrityError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IntegrityError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def write_bundle(path: str | Path, meta: dict,
@@ -245,7 +248,7 @@ def read_embeddings_text(path: str | Path):
     finite.
     """
     embeddings, labels, subjects = [], [], []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

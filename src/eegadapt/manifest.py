@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DomainError, ManifestError
-from .fileio import read_recording_binary, read_recording_text
+from .fileio import read_recording_binary, read_recording_text, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -174,7 +174,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     if not path.exists():
         raise ManifestError(f"manifest not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

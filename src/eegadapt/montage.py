@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, DimensionError, DomainError, ManifestError
+from .fileio import read_text
 
 __all__ = [
     "MontageTarget",
@@ -206,4 +207,4 @@ def load_montage(spec: str | Path) -> MontageMap:
     path = Path(spec)
     if not path.exists():
         raise ManifestError(f"montage map file not found: {path}")
-    return parse_montage_text(path.read_text())
+    return parse_montage_text(read_text(path))

@@ -29,7 +29,6 @@ class SynthSpec:
     channels: int = 16
     timesteps: int = 256
     sample_rate_hz: float = 200.0
-    amplitude: float = 1.0
     noise: float = 0.3
     counts: tuple = (800, 200, 200)
     subjects: tuple = (8, 2, 2)
@@ -73,7 +72,7 @@ def synth_recording(rng: np.random.Generator, class_id: int,
     t = np.arange(spec.timesteps) / spec.sample_rate_hz
     data = np.empty((spec.channels, spec.timesteps))
     for ch in range(spec.channels):
-        amp = spec.amplitude * rng.uniform(0.8, 1.2)
+        amp = rng.uniform(0.8, 1.2)
         phase = rng.uniform(0.0, 2.0 * np.pi) + subject_phase
         phase2 = rng.uniform(0.0, 2.0 * np.pi)
         data[ch] = (
@@ -119,13 +118,14 @@ def generate_arrays(spec: SynthSpec):
     }
 
 
-def synthetic_montage(channels: int, sources_per_target: int = 3) -> MontageMap:
-    """A montage map whose sources are the synthetic channel labels."""
+def synthetic_montage(channels: int) -> MontageMap:
+    """A montage map whose sources are the synthetic channel labels, three
+    candidates per target."""
     labels = [f"ch{c:02d}" for c in range(channels)]
     targets = []
     for i, target in enumerate(TARGET_ORDER):
         sources = tuple(
-            labels[(i * (j + 1) + j) % channels] for j in range(sources_per_target)
+            labels[(i * (j + 1) + j) % channels] for j in range(3)
         )
         # Deduplicate while keeping order; a target must not repeat a source.
         seen = []

@@ -1,5 +1,4 @@
-"""Deterministic mini-batch training: cross entropy, optimizers, metrics,
-and finite-difference gradient verification.
+"""Deterministic mini-batch training: cross entropy, optimizers and metrics.
 
 Losses are computed in double precision. Serial runs with a fixed seed are
 bitwise reproducible.
@@ -12,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    GradientCheckError,
-    NumericError,
-)
+from .errors import ConfigurationError, DomainError, NumericError
 from .nnops import softmax_last
 
 logger = logging.getLogger(__name__)
@@ -37,8 +31,6 @@ __all__ = [
     "evaluate",
     "metrics_from_confusion",
     "format_metrics_report",
-    "gradient_check",
-    "GradCheckReport",
 ]
 
 
@@ -104,26 +96,21 @@ def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
     return float(losses.mean()), grad / n
 
 
-def _cosine_lr(lr: float, t: int, total_steps: int | None) -> float:
+def _cosine_lr(lr: float, t: int, total_steps: int) -> float:
     """Learning rate at step ``t``: cosine decay from ``lr`` to 0 over
-    ``total_steps``, constant when no horizon is given."""
-    if not total_steps:
-        return lr
+    ``total_steps``."""
     frac = min(t, total_steps) / total_steps
     return lr * 0.5 * (1.0 + np.cos(np.pi * frac))
 
 
 class AdamW:
-    """Adam with decoupled weight decay and optional cosine learning-rate decay."""
+    """Adam (betas 0.9 and 0.999, eps 1e-8) with decoupled weight decay and
+    cosine learning-rate decay over ``total_steps``."""
 
-    def __init__(self, arrays, lr: float, weight_decay: float = 0.01,
-                 betas=(0.9, 0.999), eps: float = 1e-8,
-                 total_steps: int | None = None):
+    def __init__(self, arrays, lr: float, weight_decay: float, total_steps: int):
         self.arrays = list(arrays)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.total_steps = total_steps
         self.t = 0
         self.m = {name: np.zeros_like(p) for name, p in self.arrays}
@@ -132,7 +119,7 @@ class AdamW:
     def step(self, grads: dict[str, np.ndarray]) -> None:
         lr_t = _cosine_lr(self.lr, self.t, self.total_steps)
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = 0.9, 0.999
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for name, p in self.arrays:
@@ -143,15 +130,15 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            update = (m / bias1) / (np.sqrt(v / bias2) + 1e-8)
             p -= lr_t * (update + self.weight_decay * p)
 
 
 class Sgd:
-    """Plain gradient descent with the same decoupled decay convention."""
+    """Plain gradient descent with the same decoupled decay and cosine
+    schedule."""
 
-    def __init__(self, arrays, lr: float, weight_decay: float = 0.0,
-                 total_steps: int | None = None):
+    def __init__(self, arrays, lr: float, weight_decay: float, total_steps: int):
         self.arrays = list(arrays)
         self.lr = lr
         self.weight_decay = weight_decay
@@ -297,7 +284,6 @@ class MetricsReport:
     recall: float
     f1: float
     confusion: np.ndarray
-    averaging: str = "weighted"
 
     @property
     def num_samples(self) -> int:
@@ -350,7 +336,7 @@ def format_metrics_report(report: MetricsReport, header_lines=()) -> str:
     lines = list(header_lines)
     lines.append("metrics-report v1")
     lines.append(f"samples = {report.num_samples}")
-    lines.append(f"averaging = {report.averaging}")
+    lines.append("averaging = weighted")
     lines.append(f"accuracy = {report.accuracy!r}")
     lines.append(f"precision = {report.precision!r}")
     lines.append(f"recall = {report.recall!r}")
@@ -360,82 +346,3 @@ def format_metrics_report(report: MetricsReport, header_lines=()) -> str:
         lines.append("  " + " ".join(str(int(v)) for v in row))
     return "\n".join(lines) + "\n"
 
-
-@dataclass
-class GradCheckReport:
-    coordinates_checked: int
-    max_rel_error: float
-    worst: tuple[str, int, float, float]
-    failures: list[tuple[str, int, float, float, float]]
-
-
-def gradient_check(model, x: np.ndarray, label: int,
-                   num_coordinates: int = 200, h: float = 1e-5,
-                   tolerance: float = 1e-4, seed: int = 0) -> GradCheckReport:
-    """Compare analytic gradients with central finite differences.
-
-    Perturbs a random subset of parameter coordinates (at least
-    ``num_coordinates`` spread over all arrays) on the cross-entropy loss of
-    one sample. Relative error uses max(|analytic|, |numeric|, 1e-4) as the
-    denominator so near-zero gradients are judged absolutely. Raises
-    GradientCheckError when the tolerance is exceeded.
-    """
-    arrays = model.named_arrays()
-    sizes = np.array([p.size for _, p in arrays])
-    total = int(sizes.sum()) if arrays else 0
-    if total == 0:
-        return GradCheckReport(coordinates_checked=0, max_rel_error=0.0,
-                               worst=("", -1, 0.0, 0.0), failures=[])
-
-    x = np.asarray(x, dtype=np.float64)
-    xb = x[None]
-    logits, _, cache = model.forward_batch(xb, keep_cache=True)
-    _, dlogits = cross_entropy_batch(logits, np.array([label]))
-    grads = model.backward_batch(cache, dlogits)
-
-    def loss_only() -> float:
-        lg, _, _ = model.forward_batch(xb)
-        loss, _ = cross_entropy_batch(lg, np.array([label]))
-        return loss
-
-    rng = np.random.default_rng(seed)
-    count = min(num_coordinates, total)
-    flat_choices = rng.choice(total, size=count, replace=False)
-    bounds = np.cumsum(sizes)
-
-    failures = []
-    worst = ("", -1, 0.0, 0.0)
-    max_rel = 0.0
-    for flat_index in np.sort(flat_choices):
-        array_idx = int(np.searchsorted(bounds, flat_index, side="right"))
-        offset = int(flat_index - (bounds[array_idx - 1] if array_idx else 0))
-        name, p = arrays[array_idx]
-        view = p.reshape(-1)
-        original = view[offset]
-        view[offset] = original + h
-        loss_plus = loss_only()
-        view[offset] = original - h
-        loss_minus = loss_only()
-        view[offset] = original
-        numeric = (loss_plus - loss_minus) / (2.0 * h)
-        analytic = float(grads[name].reshape(-1)[offset])
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4)
-        if rel > max_rel:
-            max_rel = rel
-            worst = (name, offset, analytic, numeric)
-        if rel > tolerance:
-            failures.append((name, offset, analytic, numeric, rel))
-
-    report = GradCheckReport(
-        coordinates_checked=count,
-        max_rel_error=max_rel,
-        worst=worst,
-        failures=failures,
-    )
-    if failures:
-        sample = ", ".join(f"{n}[{i}]" for n, i, *_ in failures[:5])
-        raise GradientCheckError(
-            f"{len(failures)} coordinate(s) exceed tolerance {tolerance} "
-            f"(max rel error {max_rel:.3e}): {sample}"
-        )
-    return report

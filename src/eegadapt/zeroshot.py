@@ -22,7 +22,6 @@ __all__ = [
     "linear_svm",
     "knn",
     "kmeans_fit",
-    "kmeans_accuracy",
     "best_cluster_assignment",
     "run_zeroshot",
     "subject_aggregate",
@@ -49,13 +48,13 @@ class ZeroShotProtocol:
 
 
 def linear_svm(fit_x: np.ndarray, fit_y: np.ndarray, eval_x: np.ndarray,
-               reg: float = 1e-3, epochs: int = 100, batch_size: int = 32,
                seed: int = 0) -> np.ndarray:
     """One-vs-rest linear SVM trained by seeded mini-batch subgradient descent.
 
-    Hinge loss with L2 regularization, learning rate 1/(reg * t), a fixed
-    number of passes. Prediction is the argmax margin; ties fall to the
-    lower class index because classes are scanned in ascending order.
+    Hinge loss with L2 regularization ``reg`` = 1e-3, learning rate
+    1/(reg * t), 100 passes in batches of 32. Prediction is the argmax
+    margin; ties fall to the lower class index because classes are scanned
+    in ascending order.
     """
     fit_x = np.asarray(fit_x, dtype=np.float64)
     fit_y = np.asarray(fit_y, dtype=np.int64).reshape(-1)
@@ -64,15 +63,16 @@ def linear_svm(fit_x: np.ndarray, fit_y: np.ndarray, eval_x: np.ndarray,
     if classes.size < 2:
         raise DomainError("linear SVM needs at least 2 classes to fit")
 
+    reg = 1e-3
     n, dim = fit_x.shape
-    bs = min(batch_size, n)
+    bs = min(32, n)
     w = np.zeros((classes.size, dim))
     b = np.zeros(classes.size)
     signs = np.where(fit_y[:, None] == classes[None, :], 1.0, -1.0)  # (N, K)
 
     rng = np.random.default_rng(seed)
     t = 0
-    for _ in range(epochs):
+    for _ in range(100):
         order = rng.permutation(n)
         for start in range(0, n, bs):
             idx = order[start : start + bs]
@@ -121,13 +121,13 @@ def knn(fit_x: np.ndarray, fit_y: np.ndarray, eval_x: np.ndarray,
     return preds
 
 
-def kmeans_fit(x: np.ndarray, k: int, seed: int = 0, max_iter: int = 300,
-               tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def kmeans_fit(x: np.ndarray, k: int,
+               seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Seeded k-means++ then Lloyd iterations; returns (centroids, assignments).
 
-    Convergence is a maximum centroid shift below ``tol`` or ``max_iter``
-    sweeps. An emptied cluster is reseeded at the point farthest from its
-    assigned centroid, a deterministic rule.
+    Convergence is a maximum centroid shift below 1e-8 or 300 sweeps. An
+    emptied cluster is reseeded at the point farthest from its assigned
+    centroid, a deterministic rule.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -147,7 +147,7 @@ def kmeans_fit(x: np.ndarray, k: int, seed: int = 0, max_iter: int = 300,
         d2 = np.minimum(d2, np.sum((x - centroids[j]) ** 2, axis=1))
 
     assign = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(300):
         dist = _sq_dists(x, centroids)
         assign = np.argmin(dist, axis=1)
         new_centroids = centroids.copy()
@@ -163,7 +163,7 @@ def kmeans_fit(x: np.ndarray, k: int, seed: int = 0, max_iter: int = 300,
                 assigned_dist[far] = -1.0
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
-        if shift < tol:
+        if shift < 1e-8:
             break
     return centroids, assign
 
@@ -189,15 +189,6 @@ def _match_clusters(assign: np.ndarray, labels: np.ndarray, k: int):
     return {int(r): int(classes[c]) for r, c in zip(rows, cols)}, agreement
 
 
-def kmeans_accuracy(x: np.ndarray, labels: np.ndarray, k: int,
-                    seed: int = 0) -> float:
-    """Cluster, optimally match clusters to labels, and score the agreement."""
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    _, assign = kmeans_fit(x, k, seed=seed)
-    _, agreement = _match_clusters(assign, labels, k)
-    return agreement / labels.shape[0]
-
-
 def _stratified_split(labels: np.ndarray, fit_fraction: float,
                       rng: np.random.Generator):
     fit_idx, eval_idx = [], []
@@ -217,8 +208,7 @@ def _stratified_split(labels: np.ndarray, fit_fraction: float,
 
 
 def run_zeroshot(embeddings: np.ndarray, labels: np.ndarray,
-                 protocol: ZeroShotProtocol, knn_k: int = 5,
-                 svm_reg: float = 1e-3, svm_epochs: int = 100) -> dict[str, float]:
+                 protocol: ZeroShotProtocol, knn_k: int = 5) -> dict[str, float]:
     """Fit the three downstream classifiers on held-out-class embeddings.
 
     ``embeddings`` (N, D) and ``labels`` (N,) are row aligned, as
@@ -242,8 +232,7 @@ def run_zeroshot(embeddings: np.ndarray, labels: np.ndarray,
     fit_x, fit_y = x[fit_idx], y[fit_idx]
     eval_x, eval_y = x[eval_idx], y[eval_idx]
 
-    svm_pred = linear_svm(fit_x, fit_y, eval_x, reg=svm_reg, epochs=svm_epochs,
-                          seed=protocol.seed)
+    svm_pred = linear_svm(fit_x, fit_y, eval_x, seed=protocol.seed)
     knn_pred = knn(fit_x, fit_y, eval_x, k=knn_k)
 
     k = present.size

@@ -1,0 +1,113 @@
+"""Checks that only the tests use: finite-difference gradient verification,
+k-means scored against labels, and delimited-text recordings written out."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from eegadapt.errors import PipelineError
+from eegadapt.fileio import write_text
+from eegadapt.training import cross_entropy_batch
+from eegadapt.zeroshot import _match_clusters, kmeans_fit
+
+
+class GradientCheckError(PipelineError):
+    """Analytic gradients disagree with finite differences."""
+
+
+@dataclass
+class GradCheckReport:
+    coordinates_checked: int
+    max_rel_error: float
+    worst: tuple[str, int, float, float]
+    failures: list[tuple[str, int, float, float, float]]
+
+
+def gradient_check(model, x: np.ndarray, label: int,
+                   num_coordinates: int = 200, h: float = 1e-5,
+                   tolerance: float = 1e-4, seed: int = 0) -> GradCheckReport:
+    """Compare analytic gradients with central finite differences.
+
+    Perturbs a random subset of parameter coordinates (at least
+    ``num_coordinates`` spread over all arrays) on the cross-entropy loss of
+    one sample. Relative error uses max(|analytic|, |numeric|, 1e-4) as the
+    denominator so near-zero gradients are judged absolutely. Raises
+    GradientCheckError when the tolerance is exceeded.
+    """
+    arrays = model.named_arrays()
+    sizes = np.array([p.size for _, p in arrays])
+    total = int(sizes.sum()) if arrays else 0
+    if total == 0:
+        return GradCheckReport(coordinates_checked=0, max_rel_error=0.0,
+                               worst=("", -1, 0.0, 0.0), failures=[])
+
+    x = np.asarray(x, dtype=np.float64)
+    xb = x[None]
+    logits, _, cache = model.forward_batch(xb, keep_cache=True)
+    _, dlogits = cross_entropy_batch(logits, np.array([label]))
+    grads = model.backward_batch(cache, dlogits)
+
+    def loss_only() -> float:
+        lg, _, _ = model.forward_batch(xb)
+        loss, _ = cross_entropy_batch(lg, np.array([label]))
+        return loss
+
+    rng = np.random.default_rng(seed)
+    count = min(num_coordinates, total)
+    flat_choices = rng.choice(total, size=count, replace=False)
+    bounds = np.cumsum(sizes)
+
+    failures = []
+    worst = ("", -1, 0.0, 0.0)
+    max_rel = 0.0
+    for flat_index in np.sort(flat_choices):
+        array_idx = int(np.searchsorted(bounds, flat_index, side="right"))
+        offset = int(flat_index - (bounds[array_idx - 1] if array_idx else 0))
+        name, p = arrays[array_idx]
+        view = p.reshape(-1)
+        original = view[offset]
+        view[offset] = original + h
+        loss_plus = loss_only()
+        view[offset] = original - h
+        loss_minus = loss_only()
+        view[offset] = original
+        numeric = (loss_plus - loss_minus) / (2.0 * h)
+        analytic = float(grads[name].reshape(-1)[offset])
+        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4)
+        if rel > max_rel:
+            max_rel = rel
+            worst = (name, offset, analytic, numeric)
+        if rel > tolerance:
+            failures.append((name, offset, analytic, numeric, rel))
+
+    report = GradCheckReport(
+        coordinates_checked=count,
+        max_rel_error=max_rel,
+        worst=worst,
+        failures=failures,
+    )
+    if failures:
+        sample = ", ".join(f"{n}[{i}]" for n, i, *_ in failures[:5])
+        raise GradientCheckError(
+            f"{len(failures)} coordinate(s) exceed tolerance {tolerance} "
+            f"(max rel error {max_rel:.3e}): {sample}"
+        )
+    return report
+
+
+def kmeans_accuracy(x: np.ndarray, labels: np.ndarray, k: int,
+                    seed: int = 0) -> float:
+    """Cluster, optimally match clusters to labels, and score the agreement."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    _, assign = kmeans_fit(x, k, seed=seed)
+    _, agreement = _match_clusters(assign, labels, k)
+    return agreement / labels.shape[0]
+
+
+def write_recording_text(path: str | Path, data: np.ndarray) -> None:
+    data = np.asarray(data, dtype=np.float64)
+    lines = [",".join(repr(float(v)) for v in row) for row in data]
+    write_text(path, "\n".join(lines) + "\n")

@@ -25,11 +25,11 @@ from eegadapt.training import (
     TrainConfig,
     cross_entropy_batch,
     evaluate,
-    gradient_check,
     metrics_from_confusion,
     train_loop,
 )
 from eegadapt.zeroshot import ZeroShotProtocol, run_zeroshot, subject_aggregate
+from helpers import gradient_check
 from test_montage import EXPECTED_SOURCES, all_source_labels
 
 

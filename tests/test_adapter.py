@@ -88,11 +88,6 @@ class TestConfigArithmetic:
             assert cfg.out_timesteps == out
             assert cfg.layers[-1].out_maps == 23
 
-    def test_default_config_without_target(self):
-        cfg = default_adapter_config(8, 256)
-        assert cfg.out_timesteps == 240
-        assert cfg.layers[0].kernel_len == 15
-
     def test_unsolvable_target_rejected(self):
         with pytest.raises(ConfigurationError):
             default_adapter_config(8, 64, out_timesteps=63)

@@ -623,6 +623,7 @@ def test_bad_synth_flag_fails_in_one_line(tmp_path, flag, value, needle, capsys)
 
 @pytest.mark.parametrize("mode,flag,value,needle", [
     ("adapter", "--patch-len", "0", "--patch-len"),
+    ("adapter", "--adapter-steps", "0", "--adapter-steps"),
     ("raw", "--patch-len", "0", "--patch-len"),
     ("raw", "--heads", "0", "num_heads"),
 ])
@@ -632,6 +633,21 @@ def test_bad_model_flag_fails_in_one_line(windows, tmp_path, mode, flag, value,
             "--out-checkpoint", str(tmp_path / "m.ckpt"), *COMMON_TRAIN]
     assert main([*argv, flag, value]) == 2
     assert_one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeroshot", "--embeddings", "BAD", "--held-out-classes", "0,1"],
+    ["preprocess", "--manifest", "BAD", "--out", "OUT"],
+    ["align", "--windows", "WINDOWS", "--montage", "BAD", "--out", "OUT"],
+], ids=["embeddings", "manifest", "montage"])
+def test_non_utf8_text_input_fails_in_one_line(windows, tmp_path, argv, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe" + "0,1,a\n".encode("utf-16-le"))
+    out = tmp_path / "out"
+    paths = {"BAD": str(bad), "WINDOWS": str(windows), "OUT": str(out)}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert_one_line_error(capsys, str(bad), "not UTF-8")
+    assert not out.exists()
 
 
 def test_out_of_range_embeddings_label_fails_in_one_line(tmp_path, capsys):

@@ -27,7 +27,6 @@ from eegadapt.fileio import (
     write_bundle,
     write_embeddings_text,
     write_recording_binary,
-    write_recording_text,
 )
 from eegadapt.manifest import (
     load_manifest,
@@ -44,6 +43,7 @@ from eegadapt.pipeline import (
     preprocess_manifest,
     save_window_set,
 )
+from helpers import write_recording_text
 
 
 class TestRecordingFiles:
@@ -466,6 +466,37 @@ class TestCheckpoint:
         assert [n for n, _ in loaded_arrays] == list(original)
         for name, arr in loaded_arrays:
             np.testing.assert_array_equal(arr, original[name])
+
+    def test_float32_arrays_load_as_float64(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+        rewrite_bundle(path, edit_arrays=lambda a: a.update(
+            {n: v.astype("<f4") for n, v in a.items()}))
+        _, stored = read_bundle(path)
+        loaded = load_checkpoint(path)
+        for name, arr in loaded.model.named_arrays():
+            assert stored[name].dtype == np.dtype("<f4")
+            assert arr.dtype == np.float64
+            np.testing.assert_array_equal(arr, stored[name])
+
+    def test_load_holds_one_copy_of_the_parameters(self, tmp_path):
+        model = build_classifier(
+            BfmConfig(num_channels=23, num_classes=4, patch_len=16,
+                      embed_dim=128, num_layers=4, num_heads=4,
+                      channel_vocab=23, max_patches=7),
+            default_adapter_config(16, 256, out_timesteps=112), seed=0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Checkpoint(model, {c: i for i, c in enumerate("abcd")}, {}))
+        payload = sum(p.nbytes for _, p in model.named_arrays())
+        del model
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.model.num_classes == 4
+        assert peak <= 1.2 * payload
 
     def test_round_trip_without_adapter(self, tmp_path):
         ckpt = small_checkpoint(with_adapter=False)

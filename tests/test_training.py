@@ -15,10 +15,10 @@ from eegadapt.training import (
     TrainConfig,
     cross_entropy_batch,
     evaluate,
-    gradient_check,
     metrics_from_confusion,
     train_loop,
 )
+from helpers import gradient_check
 
 
 def cross_entropy(logits, label):

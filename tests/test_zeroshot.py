@@ -9,13 +9,13 @@ from eegadapt.errors import DomainError, ProtocolError
 from eegadapt.zeroshot import (
     ZeroShotProtocol,
     best_cluster_assignment,
-    kmeans_accuracy,
     kmeans_fit,
     knn,
     linear_svm,
     run_zeroshot,
     subject_aggregate,
 )
+from helpers import kmeans_accuracy
 
 
 def gaussian_clusters(rng, centers, per_class, spread=0.1):
