@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DomainError, NumericError
+from .errors import require_positive_ints
 from .nnops import (
     conv1d_backward,
     conv1d_forward,
@@ -43,8 +44,7 @@ class ConvLayerSpec:
     activation: str = "gelu"
 
     def __post_init__(self):
-        if self.out_maps < 1 or self.kernel_len < 1 or self.stride < 1:
-            raise DomainError(f"invalid conv layer spec {self}")
+        require_positive_ints(self)
         if self.activation not in _ACTIVATIONS:
             raise DomainError(f"activation must be one of {_ACTIVATIONS}")
 
@@ -64,8 +64,7 @@ class AdapterConfig:
     layers: tuple[ConvLayerSpec, ...] = ()
 
     def __post_init__(self):
-        if self.in_channels < 1 or self.in_timesteps < 1:
-            raise DomainError("input shape must be positive")
+        require_positive_ints(self)
         if not self.layers:
             raise ConfigurationError("adapter needs at least one conv layer")
         t = self.in_timesteps

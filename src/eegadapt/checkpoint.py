@@ -35,13 +35,7 @@ def _adapter_config_from_meta(meta) -> AdapterConfig | None:
     if meta is None:
         return None
     layers = tuple(ConvLayerSpec(**layer) for layer in meta["layers"])
-    return AdapterConfig(
-        in_channels=meta["in_channels"],
-        in_timesteps=meta["in_timesteps"],
-        out_channels=meta["out_channels"],
-        out_timesteps=meta["out_timesteps"],
-        layers=layers,
-    )
+    return AdapterConfig(**{**meta, "layers": layers})
 
 
 def _param_shapes(encoder: BfmConfig, adapter: AdapterConfig | None):

@@ -40,7 +40,6 @@ from .training import (
     TrainConfig,
     confusion_matrix,
     format_metrics_report,
-    forward_split,
     metrics_from_confusion,
     predict,
     train_loop,
@@ -385,7 +384,7 @@ def cmd_extract(args) -> int:
     data = wset.select(args.split)
     if not len(data):
         raise ConfigurationError(f"split {args.split!r} is empty")
-    _, embeddings = forward_split(ckpt.model, data.x, 64)
+    embeddings = ckpt.model.embed_batch(data.x)
     write_embeddings_text(
         args.out_embeddings,
         embeddings,

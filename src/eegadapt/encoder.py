@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericError
+from .errors import require_positive_ints
 from .nnops import (
     gelu,
     gelu_grad,
@@ -32,6 +33,8 @@ __all__ = [
     "init_encoder_params",
     "encoder_forward_batch",
     "encoder_backward_batch",
+    "forward_chunk",
+    "map_chunks",
 ]
 
 
@@ -54,10 +57,7 @@ class BfmConfig:
     max_patches: int = 64
 
     def __post_init__(self):
-        for name in ("num_channels", "num_classes", "patch_len", "embed_dim",
-                     "num_layers", "num_heads", "max_patches"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+        require_positive_ints(self)
         if self.embed_dim % self.num_heads != 0:
             raise ConfigurationError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
@@ -124,7 +124,12 @@ def _block(params: dict[str, np.ndarray], i: int) -> dict[str, np.ndarray]:
     return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
 
 
-def _validate_input(x: np.ndarray, cfg: BfmConfig) -> tuple[int, int]:
+def _patchify_batch(x: np.ndarray, params: dict[str, np.ndarray], cfg: BfmConfig):
+    """(N, C, T) -> tokens (N, C*P, D) with patches cached for backward.
+
+    Token c*P + p is the patch embedding of x[:, c, p*patch_len:(p+1)*patch_len]
+    plus the channel and temporal position embeddings.
+    """
     n, c, t = x.shape
     if c > cfg.channel_vocab:
         raise DimensionError(
@@ -139,17 +144,6 @@ def _validate_input(x: np.ndarray, cfg: BfmConfig) -> tuple[int, int]:
         raise DimensionError(
             f"{p} patches exceed the temporal-position table size {cfg.max_patches}"
         )
-    return c, p
-
-
-def _patchify_batch(x: np.ndarray, params: dict[str, np.ndarray], cfg: BfmConfig):
-    """(N, C, T) -> tokens (N, C*P, D) with patches cached for backward.
-
-    Token c*P + p is the patch embedding of x[:, c, p*patch_len:(p+1)*patch_len]
-    plus the channel and temporal position embeddings.
-    """
-    n = x.shape[0]
-    c, p = _validate_input(x, cfg)
     patches = x.reshape(n, c, p, cfg.patch_len)
     emb = patches @ params["patch_w"].T + params["patch_b"]
     emb = emb + params["channel_embed"][None, :c, None, :]
@@ -168,7 +162,7 @@ def _chunk_samples(h: int, s: int) -> int:
     return max(1, _SCORE_CHUNK_BYTES // (h * s * s * 8))
 
 
-# Without a cache the whole block stack runs on chunks of c >= 2 samples, so
+# Without a cache the whole model runs on chunks of c >= 2 samples, so
 # that no intermediate is batch-sized. A sample's block working set is about
 # 21 (S, D) float64 arrays, the feed-forward's three (S, 4D) ones included. At
 # 161 tokens and D = 32, chunks of 2 to 8 samples ran fastest (one sample per
@@ -176,8 +170,11 @@ def _chunk_samples(h: int, s: int) -> int:
 _FORWARD_CHUNK_BYTES = 4 << 20
 
 
-def _forward_chunk(s: int, d: int) -> int:
-    return max(2, _FORWARD_CHUNK_BYTES // (21 * s * d * 8))
+def forward_chunk(cfg: BfmConfig) -> int:
+    """Samples per chunk of a no-cache forward, sized for the most tokens the
+    config takes: num_channels x max_patches."""
+    s = cfg.num_channels * cfg.max_patches
+    return max(2, _FORWARD_CHUNK_BYTES // (21 * s * cfg.embed_dim * 8))
 
 
 # Chunks run on one worker thread per CPU the process may use; numpy and scipy
@@ -199,7 +196,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _map(fn, starts: range) -> None:
+def map_chunks(fn, starts: range) -> None:
     """Call ``fn(i)`` for every chunk start ``i``; chunks write disjoint memory."""
     global _pool
     if _WORKERS < 2 or len(starts) < 2 or getattr(_on_worker, "active", False):
@@ -240,7 +237,7 @@ def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig):
         j = slice(i, i + c)
         np.matmul(_attention_probs(q[j], k[j], scale), v[j], out=ctx_heads[j])
 
-    _map(attend, range(0, n, c))
+    map_chunks(attend, range(0, n, c))
     ctx = ctx.reshape(n, s, d)
     attn_out = ctx @ bp["wo"] + bp["bo"]
     x2 = x + attn_out
@@ -294,7 +291,7 @@ def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache):
         np.matmul(dscores, k[j], out=dq[j])
         np.matmul(dscores.transpose(0, 1, 3, 2), q[j], out=dk[j])
 
-    _map(attend_backward, range(0, n, c))
+    map_chunks(attend_backward, range(0, n, c))
     dq_m, dk_m, dv_m = (t.reshape(n, s, d) for t in (dq_m, dk_m, dv_m))
     h1_flat = h1.reshape(-1, d)
     g["wq"] = h1_flat.T @ dq_m.reshape(-1, d)
@@ -315,35 +312,21 @@ def encoder_forward_batch(x: np.ndarray, params: dict[str, np.ndarray],
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise DimensionError(f"expected a batch (N, C, T), got shape {x.shape}")
-    tokens, patches = _patchify_batch(x, params, cfg)
-    blocks = [_block(params, i) for i in range(cfg.num_layers)]
-    if keep_cache:
-        # Backward's weight-gradient products need full-batch caches.
-        h, block_caches = tokens, []
-        for bp in blocks:
-            h, cache = _block_forward(h, bp, cfg)
+    h, patches = _patchify_batch(x, params, cfg)
+    block_caches = []
+    for i in range(cfg.num_layers):
+        h, cache = _block_forward(h, _block(params, i), cfg)
+        if keep_cache:
             block_caches.append(cache)
-    else:
-        # Samples are independent until pooling: each chunk runs every block.
-        h = np.empty_like(tokens)
-        c = _forward_chunk(*tokens.shape[1:])
-
-        def run_blocks(i):
-            hc = tokens[i:i + c]
-            for bp in blocks:
-                hc = _block_forward(hc, bp, cfg)[0]
-            h[i:i + c] = hc
-
-        _map(run_blocks, range(0, len(tokens), c))
+        # Without a cache, this block's intermediates go before the next runs.
+        del cache
     hf, lnf_cache = layer_norm_forward(h, params["final_g"], params["final_b"])
     pooled = hf.mean(axis=1)
     logits = pooled @ params["head_w"] + params["head_b"]
     if not np.all(np.isfinite(logits)):
         raise NumericError("encoder forward produced non-finite logits")
-    full_cache = None
-    if keep_cache:
-        full_cache = (x.shape, patches, block_caches, lnf_cache, hf.shape[1], pooled)
-    return logits, pooled, full_cache
+    full_cache = (x.shape, patches, block_caches, lnf_cache, hf.shape[1], pooled)
+    return logits, pooled, full_cache if keep_cache else None
 
 
 def encoder_backward_batch(cache, params: dict[str, np.ndarray], cfg: BfmConfig,

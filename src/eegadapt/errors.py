@@ -1,5 +1,8 @@
 """Exception hierarchy shared by every stage of the pipeline."""
 
+from dataclasses import fields
+from numbers import Integral
+
 
 class PipelineError(Exception):
     """Base class for all errors raised by this package."""
@@ -39,3 +42,15 @@ class IntegrityError(PipelineError):
 
 class FingerprintMismatchError(ConfigurationError):
     """Checkpoint preprocessing fingerprint disagrees with the data."""
+
+
+def require_positive_ints(config) -> None:
+    """Refuse a config dataclass with an ``int`` field that is not an integer
+    >= 1: a float such as 16.0 from a checkpoint would fail later."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if field.type in ("int", int) and (
+                isinstance(value, bool) or not isinstance(value, Integral)
+                or value < 1):
+            raise ConfigurationError(
+                f"{field.name} must be an integer >= 1, got {value!r}")

@@ -22,9 +22,11 @@ from .encoder import (
     BfmConfig,
     encoder_backward_batch,
     encoder_forward_batch,
+    forward_chunk,
     init_encoder_params,
+    map_chunks,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DimensionError
 
 __all__ = ["EegClassifier", "build_classifier"]
 
@@ -66,18 +68,31 @@ class EegClassifier:
         return out
 
     def forward_batch(self, x: np.ndarray, keep_cache: bool = False):
-        """(N, C, T) -> (logits (N, K), pooled (N, D), cache)."""
-        if self.adapter is not None:
-            h, adapter_cache = adapter_forward_batch(
-                x, self.adapter, self.adapter_config, keep_cache=keep_cache
-            )
-        else:
-            h, adapter_cache = np.asarray(x, dtype=np.float64), None
-        logits, pooled, enc_cache = encoder_forward_batch(
-            h, self.encoder, self.encoder_config, keep_cache=keep_cache
-        )
-        cache = (adapter_cache, enc_cache) if keep_cache else None
-        return logits, pooled, cache
+        """(N, C, T) -> (logits (N, K), pooled (N, D), cache). Without a cache,
+        chunks of samples run the whole model on the encoder's pool, each into
+        its rows of the outputs; with one, the batch is one chunk, inline."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 3:
+            raise DimensionError(f"expected a batch (N, C, T), got shape {x.shape}")
+        n, cfg, ac = x.shape[0], self.encoder_config, self.adapter_config
+        c = n if keep_cache else forward_chunk(cfg)  # backward needs whole-batch caches
+        logits, pooled = np.empty((n, cfg.num_classes)), np.empty((n, cfg.embed_dim))
+        caches = []
+
+        # A chunk of one sample would take the head's product as a vector
+        # times a matrix, which rounds differently from a matrix product; a
+        # last sample left over joins the chunk before it.
+        def run_chunk(i):
+            j = slice(i, n if i + c >= n - 1 else i + c)
+            h, adapter_cache = x[j], None
+            if ac is not None:
+                h, adapter_cache = adapter_forward_batch(h, self.adapter, ac, keep_cache)
+            logits[j], pooled[j], enc_cache = encoder_forward_batch(
+                h, self.encoder, cfg, keep_cache)
+            caches.append((adapter_cache, enc_cache))
+
+        map_chunks(run_chunk, range(0, n - 1, c) if n > 1 else range(n))
+        return logits, pooled, caches[0] if keep_cache else None
 
     def backward_batch(self, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients for every parameter, keyed like named_arrays()."""

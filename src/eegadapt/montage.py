@@ -128,7 +128,7 @@ def mix_channels(data: np.ndarray, channel_labels, montage: MontageMap,
     sample i mod T: a longer source keeps its head (stimulus-onset-aligned
     data carries the early evoked response), a shorter one is tiled. The
     whole rule is one (23, target_len) pair of channel and time index maps,
-    applied to every window at once. Missing electrodes raise
+    applied to every window at once. Missing or repeated electrodes raise
     AlignmentError naming the label.
     """
     data = np.asarray(data)
@@ -141,7 +141,10 @@ def mix_channels(data: np.ndarray, channel_labels, montage: MontageMap,
     t = data.shape[2]
     if t < 1:
         raise DomainError("cannot fit an empty signal")
-    rows = {str(lab).strip(): i for i, lab in enumerate(channel_labels)}
+    rows = {}
+    for i, label in enumerate(str(lab).strip() for lab in channel_labels):
+        if rows.setdefault(label, i) != i:
+            raise AlignmentError(f"electrode label {label!r} appears more than once")
     ci = np.empty((len(montage.targets), target_len), dtype=np.intp)
     ti = np.empty_like(ci)
     for r, target in enumerate(montage.targets):

@@ -26,7 +26,6 @@ __all__ = [
     "AdamW",
     "Sgd",
     "train_loop",
-    "forward_split",
     "predict",
     "evaluate",
     "metrics_from_confusion",
@@ -186,19 +185,9 @@ def _trainable_arrays(model, freeze_bfm: bool):
     return arrays
 
 
-def forward_split(model, x: np.ndarray, batch_size: int):
-    """Forward N >= 1 samples in batches: (logits (N, K), pooled (N, D))."""
-    logits, pooled = [], []
-    for start in range(0, x.shape[0], batch_size):
-        batch_logits, batch_pooled, _ = model.forward_batch(x[start:start + batch_size])
-        logits.append(batch_logits)
-        pooled.append(batch_pooled)
-    return np.concatenate(logits), np.concatenate(pooled)
-
-
 def predict(model, data: LabeledSet):
     """Argmax predictions and softmax probabilities for a split."""
-    logits, _ = forward_split(model, data.x, 64)
+    logits, _, _ = model.forward_batch(data.x)
     preds = np.argmax(logits, axis=1)
     return preds, softmax_last(logits)
 
@@ -254,7 +243,7 @@ def train_loop(model, train_set: LabeledSet, val_set: LabeledSet,
         train_loss = loss_sum / len(train_set)
         train_acc = hit_sum / len(train_set)
 
-        val_logits, _ = forward_split(model, val_set.x, cfg.batch_size)
+        val_logits, _, _ = model.forward_batch(val_set.x)
         val_loss, _ = cross_entropy_batch(val_logits, val_set.y)
         val_preds = np.argmax(val_logits, axis=1)
         val_acc = float(np.mean(val_preds == val_set.y))
@@ -326,7 +315,7 @@ def evaluate(model, data: LabeledSet) -> MetricsReport:
     """Argmax predictions over a split, summarized as a MetricsReport."""
     if len(data) == 0:
         raise ConfigurationError("cannot evaluate an empty split")
-    logits, _ = forward_split(model, data.x, 64)
+    logits, _, _ = model.forward_batch(data.x)
     conf = confusion_matrix(data.y, np.argmax(logits, axis=1), model.num_classes)
     return metrics_from_confusion(conf)
 

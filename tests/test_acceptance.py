@@ -271,8 +271,7 @@ def test_c07_zeroshot_protocol():
         ys.append(y[mask])
     x_held = np.concatenate(xs)
     y_held = np.concatenate(ys)
-    emb = np.concatenate([model.embed_batch(x_held[i : i + 64])
-                          for i in range(0, len(x_held), 64)])
+    emb = model.embed_batch(x_held)
     protocol = ZeroShotProtocol(held_out_classes=frozenset([4, 5]),
                                 fit_fraction=0.5, seed=0)
     result = run_zeroshot(emb, y_held, protocol, knn_k=5)

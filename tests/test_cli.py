@@ -1,6 +1,7 @@
 """End-to-end command-line runs on a small synthetic dataset."""
 
 import hashlib
+import json
 import os
 import resource
 import shutil
@@ -167,6 +168,26 @@ class TestAlign:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_electrode_label_fails(self, dataset, tmp_path, capsys):
+        # Two rows named alike once whitespace is stripped: the gather could
+        # only pick one of them silently.
+        data = tmp_path / "d"
+        shutil.copytree(dataset, data)
+        doc = json.loads((data / "manifest.json").read_text())
+        for entry in doc["recordings"]:
+            entry["channel_labels"][1] = entry["channel_labels"][0] + " "
+        (data / "manifest.json").write_text(json.dumps(doc))
+        wpath = tmp_path / "w.wset"
+        assert main(["preprocess", "--manifest", str(data / "manifest.json"),
+                     "--window", "128", "--out", str(wpath)]) == 0
+        out = tmp_path / "a.wset"
+        assert main(["align", "--windows", str(wpath), "--mode", "select",
+                     "--montage", str(data / "montage_map.txt"),
+                     "--out", str(out)]) == 2
+        label = doc["recordings"][0]["channel_labels"][0]
+        assert_one_line_error(capsys, f"{label!r} appears more than once")
+        assert not out.exists()
 
     def test_zero_target_len_rejected(self, dataset, tmp_path, capsys):
         wpath = tmp_path / "w.wset"
@@ -663,7 +684,10 @@ def test_out_of_range_embeddings_label_fails_in_one_line(tmp_path, capsys):
      "classes"),
     (lambda meta: meta["encoder_config"].update(patch_len=2 ** 70),
      "malformed"),
-], ids=["class-index-2^70", "patch_len-2^70"])
+    (lambda meta: meta["encoder_config"].update(
+        patch_len=float(meta["encoder_config"]["patch_len"])),
+     "patch_len must be an integer"),
+], ids=["class-index-2^70", "patch_len-2^70", "patch_len-float"])
 def test_huge_checkpoint_meta_value_fails_in_one_line(dataset, mix_checkpoint,
                                                       tmp_path, edit, needle,
                                                       capsys):

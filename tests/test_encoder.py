@@ -11,6 +11,7 @@ import pytest
 from scipy.special import erf
 
 from eegadapt import encoder
+from eegadapt.adapter import default_adapter_config
 from eegadapt.encoder import (
     BfmConfig,
     _block,
@@ -28,6 +29,7 @@ from eegadapt.errors import (
     NumericError,
 )
 from eegadapt.fileio import read_embeddings_text, write_embeddings_text
+from eegadapt.model import EegClassifier, build_classifier
 from eegadapt.nnops import (
     gelu,
     gelu_grad,
@@ -425,11 +427,13 @@ def force_chunk(monkeypatch, chunk, heads, seq_len):
     assert encoder._chunk_samples(heads, seq_len) == chunk
 
 
-def force_forward_chunk(monkeypatch, chunk, seq_len, dim):
-    """Make the no-cache forward run over chunks of ``chunk`` samples."""
+def force_forward_chunk(monkeypatch, chunk, cfg):
+    """Make the no-cache forward of a model with this encoder config run over
+    chunks of ``chunk`` samples."""
+    seq_len = cfg.num_channels * cfg.max_patches
     monkeypatch.setattr(encoder, "_FORWARD_CHUNK_BYTES",
-                        chunk * 21 * seq_len * dim * 8)
-    assert encoder._forward_chunk(seq_len, dim) == chunk
+                        chunk * 21 * seq_len * cfg.embed_dim * 8)
+    assert encoder.forward_chunk(cfg) == chunk
 
 
 @pytest.fixture
@@ -455,6 +459,11 @@ def workers(monkeypatch):
 def pooled_config():
     """6 channels x 4 patches = 24 tokens, 3 heads of 8."""
     return small_config(num_channels=6, embed_dim=24, num_heads=3, max_patches=4)
+
+
+def encoder_only(cfg, params):
+    """A classifier without an adapter around the given encoder arrays."""
+    return EegClassifier(encoder_config=cfg, encoder=params)
 
 
 class TestInPlaceHotPath:
@@ -564,24 +573,25 @@ class TestInPlaceHotPath:
         assert peak < full_scores
 
     def test_no_cache_forward_peak_at_benchmark_shape(self):
-        # Each chunk of samples runs the whole block stack, so the feed-
-        # forward's (N, S, 4D) intermediates never exist for the whole batch:
-        # at batch 64, 161 tokens and D = 32 the peak stays near the
-        # batch-wide tokens and final norm.
+        # Each chunk of samples runs the whole model, so the feed-forward's
+        # (N, S, 4D) intermediates never exist for the whole batch: at batch
+        # 64, 161 tokens and D = 32 the peak stays near a few chunks' working
+        # sets.
         cfg = small_config(embed_dim=32, max_patches=7)
         rng = np.random.default_rng(72)
-        params = init_encoder_params(cfg, rng)
+        model = encoder_only(cfg, init_encoder_params(cfg, rng))
         x = rng.normal(size=(64, 23, 112))
         tracemalloc.start()
         try:
-            encoder_forward_batch(x, params, cfg)
+            model.forward_batch(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 25e6
 
     # The no-cache forward runs chunks of 3 samples, each with attention
-    # chunks of 2, so N = 4 leaves a last chunk of one and N = 63 makes 21.
+    # chunks of 2, so N = 4 makes one chunk of four (a last sample joins the
+    # chunk before it) and N = 63 makes 21.
     # Four workers are more than the cores of most test machines.
     @pytest.mark.parametrize("count", [1, 2, 4])
     @pytest.mark.parametrize("n", [1, 4, 63])
@@ -589,19 +599,42 @@ class TestInPlaceHotPath:
             self, monkeypatch, workers, count, n):
         workers(count)
         cfg = pooled_config()
-        force_forward_chunk(monkeypatch, 3, 24, cfg.embed_dim)
+        force_forward_chunk(monkeypatch, 3, cfg)
         force_chunk(monkeypatch, 2, 3, 24)
         rng = np.random.default_rng(80 + n)
         params = init_encoder_params(cfg, rng)
         params["head_w"][:] = rng.normal(0, 0.3, params["head_w"].shape)
         x = rng.normal(size=(n, 6, 64))
-        logits, pooled, cache = encoder_forward_batch(x, params, cfg)
+        logits, pooled, cache = encoder_only(cfg, params).forward_batch(x)
         ref_logits, ref_pooled = ref_forward(x, params, cfg)
         assert cache is None
         assert np.array_equal(logits, ref_logits)
         assert np.array_equal(pooled, ref_pooled)
         # One sample makes one chunk, which runs inline.
         assert (encoder._pool is not None) == (count > 1 and n > 1)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_chunked_adapter_forward_matches_one_chunk_bitwise(
+            self, monkeypatch, workers, count):
+        # The adapter runs per chunk too. Chunks of 3 over N = 7 make a chunk
+        # of three and one of four, whose last sample would otherwise have
+        # been a chunk of its own.
+        workers(count)
+        cfg = pooled_config()
+        adapter_cfg = default_adapter_config(5, 100, 64, out_channels=6,
+                                             hidden_maps=8)
+        model = build_classifier(cfg, adapter_cfg, seed=93)
+        rng = np.random.default_rng(93)
+        model.encoder["head_w"][:] = rng.normal(0, 0.3, (cfg.embed_dim,
+                                                         cfg.num_classes))
+        force_forward_chunk(monkeypatch, 3, cfg)
+        x = rng.normal(size=(7, 5, 100))
+        logits, pooled, cache = model.forward_batch(x)
+        assert cache is None
+        assert (encoder._pool is not None) == (count > 1)
+        whole_logits, whole_pooled, _ = model.forward_batch(x, keep_cache=True)
+        assert np.array_equal(logits, whole_logits)
+        assert np.array_equal(pooled, whole_pooled)
 
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_training_pass_on_workers_matches_out_of_place_formulas_bitwise(
@@ -627,35 +660,36 @@ class TestInPlaceHotPath:
     def test_error_in_a_chunk_reaches_the_caller(self, monkeypatch, workers, count):
         workers(count)
         cfg = pooled_config()
-        force_forward_chunk(monkeypatch, 3, 24, cfg.embed_dim)
+        force_forward_chunk(monkeypatch, 3, cfg)
         real = encoder._block_forward
 
+        # Seven samples make chunks of three and four.
         def fail_on_last_chunk(x, bp, cfg):
-            if x.shape[0] == 1:
-                raise DimensionError("chunk of one sample")
+            if x.shape[0] == 4:
+                raise DimensionError("chunk of four samples")
             return real(x, bp, cfg)
 
         monkeypatch.setattr(encoder, "_block_forward", fail_on_last_chunk)
         rng = np.random.default_rng(90)
-        params = init_encoder_params(cfg, rng)
-        with pytest.raises(DimensionError, match="chunk of one sample"):
-            encoder_forward_batch(rng.normal(size=(7, 6, 64)), params, cfg)
+        model = encoder_only(cfg, init_encoder_params(cfg, rng))
+        with pytest.raises(DimensionError, match="chunk of four samples"):
+            model.forward_batch(rng.normal(size=(7, 6, 64)))
 
     def test_forward_started_on_a_pool_worker_finishes(self, monkeypatch, workers):
         # Both workers run a forward whose chunks would queue behind them on
         # the same pool; they must run inline instead of waiting forever.
         workers(2)
         cfg = pooled_config()
-        force_forward_chunk(monkeypatch, 3, 24, cfg.embed_dim)
+        force_forward_chunk(monkeypatch, 3, cfg)
         rng = np.random.default_rng(91)
-        params = init_encoder_params(cfg, rng)
+        model = encoder_only(cfg, init_encoder_params(cfg, rng))
         x = rng.normal(size=(9, 6, 64))
-        expected, _, _ = encoder_forward_batch(x, params, cfg)
+        expected, _, _ = model.forward_batch(x)
         assert encoder._pool is not None
         results = []
 
         def on_workers():
-            futures = [encoder._pool.submit(encoder_forward_batch, x, params, cfg)
+            futures = [encoder._pool.submit(model.forward_batch, x)
                        for _ in range(2)]
             results.extend(future.result()[0] for future in futures)
 
@@ -672,16 +706,16 @@ class TestInPlaceHotPath:
         # threads; its first forward must not wait on them.
         workers(2)
         cfg = pooled_config()
-        force_forward_chunk(monkeypatch, 3, 24, cfg.embed_dim)
+        force_forward_chunk(monkeypatch, 3, cfg)
         rng = np.random.default_rng(92)
-        params = init_encoder_params(cfg, rng)
+        model = encoder_only(cfg, init_encoder_params(cfg, rng))
         x = rng.normal(size=(9, 6, 64))
-        expected, _, _ = encoder_forward_batch(x, params, cfg)
+        expected, _, _ = model.forward_batch(x)
         assert encoder._pool is not None
         pid = os.fork()
         if pid == 0:
             try:
-                logits, _, _ = encoder_forward_batch(x, params, cfg)
+                logits, _, _ = model.forward_batch(x)
                 os._exit(0 if np.array_equal(logits, expected) else 1)
             finally:
                 os._exit(2)

@@ -590,6 +590,28 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError, match="do not match the stored configs"):
             load_checkpoint(path)
 
+    # A float equal to the stored integer still describes the stored shapes,
+    # so only the type check stands between it and a TypeError later.
+    @pytest.mark.parametrize("field", [
+        "patch_len", "embed_dim", "num_heads", "num_classes", "in_channels",
+        "stride"])
+    def test_float_config_refused(self, tmp_path, field):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+
+        def edit(meta):
+            if field == "in_channels":
+                table = meta["adapter_config"]
+            elif field == "stride":
+                table = meta["adapter_config"]["layers"][0]
+            else:
+                table = meta["encoder_config"]
+            table[field] = float(table[field])
+
+        rewrite_bundle(path, edit_meta=edit)
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            load_checkpoint(path)
+
     def test_version_mismatch_rejected(self, tmp_path):
         ckpt = small_checkpoint()
         ckpt.version = 99
