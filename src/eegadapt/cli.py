@@ -20,7 +20,7 @@ import scipy
 from . import __version__
 from .adapter import default_adapter_config
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .encoder import BfmConfig
+from .encoder import BfmConfig, own_threads
 from .errors import ConfigurationError, IntegrityError, PipelineError
 from .fileio import read_embeddings_text, write_embeddings_text, write_text
 from .manifest import load_manifest, split_subject_independent
@@ -522,6 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    own_threads()
     try:
         return args.func(args)
     except (PipelineError, OSError) as exc:

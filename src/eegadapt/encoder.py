@@ -9,10 +9,13 @@ be verified against finite differences.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +38,7 @@ __all__ = [
     "encoder_backward_batch",
     "forward_chunk",
     "map_chunks",
+    "own_threads",
 ]
 
 
@@ -162,8 +166,8 @@ def _chunk_samples(h: int, s: int) -> int:
     return max(1, _SCORE_CHUNK_BYTES // (h * s * s * 8))
 
 
-# Without a cache the whole model runs on chunks of c >= 2 samples, so
-# that no intermediate is batch-sized. A sample's block working set is about
+# The model runs on chunks of c >= 2 samples, in training too, so that
+# no intermediate is batch-sized. A sample's block working set is about
 # 21 (S, D) float64 arrays, the feed-forward's three (S, 4D) ones included. At
 # 161 tokens and D = 32, chunks of 2 to 8 samples ran fastest (one sample per
 # task contends for the GIL, 16 and more fall out of cache); 4 MiB gives 4.
@@ -171,10 +175,28 @@ _FORWARD_CHUNK_BYTES = 4 << 20
 
 
 def forward_chunk(cfg: BfmConfig) -> int:
-    """Samples per chunk of a no-cache forward, sized for the most tokens the
-    config takes: num_channels x max_patches."""
+    """Samples per chunk of the model's forward and training step, sized for
+    the most tokens the config takes: num_channels x max_patches."""
     s = cfg.num_channels * cfg.max_patches
     return max(2, _FORWARD_CHUNK_BYTES // (21 * s * cfg.embed_dim * 8))
+
+
+@functools.cache
+def own_threads() -> bool:
+    """Hold numpy's bundled OpenBLAS at one thread, once per process.
+
+    Parallelism comes from the pool below; BLAS threads on top of it would
+    oversubscribe the CPUs, and a weight-gradient product rounds differently
+    at another BLAS thread count. Returns whether the setter was found: a
+    numpy built against another BLAS is left as it is."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in libs.glob("libscipy_openblas64_*.so"):
+        setter = getattr(ctypes.CDLL(str(lib)),
+                         "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter(1)
+            return True
+    return False
 
 
 # Chunks run on one worker thread per CPU the process may use; numpy and scipy
@@ -196,21 +218,19 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def map_chunks(fn, starts: range) -> None:
-    """Call ``fn(i)`` for every chunk start ``i``; chunks write disjoint memory."""
+def map_chunks(fn, chunks) -> list:
+    """``[fn(chunk) for chunk in chunks]``; chunks write disjoint memory."""
     global _pool
-    if _WORKERS < 2 or len(starts) < 2 or getattr(_on_worker, "active", False):
-        for i in starts:
-            fn(i)
-        return
+    own_threads()
+    if _WORKERS < 2 or len(chunks) < 2 or getattr(_on_worker, "active", False):
+        return [fn(chunk) for chunk in chunks]
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(_WORKERS, initializer=setattr,
                                        initargs=(_on_worker, "active", True))
-    futures = [_pool.submit(fn, i) for i in starts]
+    futures = [_pool.submit(fn, chunk) for chunk in chunks]
     wait(futures)
-    for future in futures:
-        future.result()
+    return [future.result() for future in futures]
 
 
 def _attention_probs(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:

@@ -67,51 +67,66 @@ class EegClassifier:
         out.extend((f"encoder.{n}", a) for n, a in self.encoder.items())
         return out
 
-    def forward_batch(self, x: np.ndarray, keep_cache: bool = False):
-        """(N, C, T) -> (logits (N, K), pooled (N, D), cache). Without a cache,
-        chunks of samples run the whole model on the encoder's pool, each into
-        its rows of the outputs; with one, the batch is one chunk, inline."""
+    def _chunks(self, x: np.ndarray):
+        """``x`` as float64 and its slices of ``forward_chunk`` samples; a last
+        sample joins the chunk before it, as a one-sample chunk's head product
+        (vector times matrix) would round differently."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise DimensionError(f"expected a batch (N, C, T), got shape {x.shape}")
-        n, cfg, ac = x.shape[0], self.encoder_config, self.adapter_config
-        c = n if keep_cache else forward_chunk(cfg)  # backward needs whole-batch caches
+        n, c = x.shape[0], forward_chunk(self.encoder_config)
+        starts = range(0, n - 1, c) if n > 1 else range(n)
+        return x, [slice(i, n if i + c >= n - 1 else i + c) for i in starts]
+
+    def forward_batch(self, x: np.ndarray):
+        """(N, C, T) -> (logits (N, K), pooled (N, D)). Chunks of samples run
+        the whole model on the encoder's pool, each into its rows."""
+        x, chunks = self._chunks(x)
+        n, cfg = x.shape[0], self.encoder_config
         logits, pooled = np.empty((n, cfg.num_classes)), np.empty((n, cfg.embed_dim))
-        caches = []
 
-        # A chunk of one sample would take the head's product as a vector
-        # times a matrix, which rounds differently from a matrix product; a
-        # last sample left over joins the chunk before it.
-        def run_chunk(i):
-            j = slice(i, n if i + c >= n - 1 else i + c)
-            h, adapter_cache = x[j], None
+        def run_chunk(j):
+            h = x[j]
+            if self.adapter is not None:
+                h, _ = adapter_forward_batch(h, self.adapter, self.adapter_config)
+            logits[j], pooled[j], _ = encoder_forward_batch(h, self.encoder, cfg)
+
+        map_chunks(run_chunk, chunks)
+        return logits, pooled
+
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray, loss_fn):
+        """(mean loss, logits (N, K), gradients keyed like named_arrays()).
+        On the pool, each chunk of m samples runs forward, ``loss_fn(logits,
+        labels) -> (mean loss, dlogits)`` on its rows and backward from dlogits
+        scaled by m/N; losses and gradients are summed in chunk order."""
+        x, chunks = self._chunks(x)
+        n, cfg, ac = x.shape[0], self.encoder_config, self.adapter_config
+        logits = np.empty((n, cfg.num_classes))
+
+        def run_chunk(j):
+            h, adapter_cache, m = x[j], None, j.stop - j.start
             if ac is not None:
-                h, adapter_cache = adapter_forward_batch(h, self.adapter, ac, keep_cache)
-            logits[j], pooled[j], enc_cache = encoder_forward_batch(
-                h, self.encoder, cfg, keep_cache)
-            caches.append((adapter_cache, enc_cache))
+                h, adapter_cache = adapter_forward_batch(h, self.adapter, ac, True)
+            logits[j], _, enc_cache = encoder_forward_batch(h, self.encoder, cfg, True)
+            loss, dlogits = loss_fn(logits[j], y[j])
+            enc_grads, dh = encoder_backward_batch(enc_cache, self.encoder, cfg,
+                                                   dlogits * (m / n))
+            grads = {f"encoder.{k}": g for k, g in enc_grads.items()}
+            if ac is not None:
+                ad_grads = adapter_backward_batch(adapter_cache, self.adapter, ac, dh)
+                grads.update((f"adapter.{k}", g) for k, g in ad_grads.items())
+            return loss * m, grads
 
-        map_chunks(run_chunk, range(0, n - 1, c) if n > 1 else range(n))
-        return logits, pooled, caches[0] if keep_cache else None
-
-    def backward_batch(self, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients for every parameter, keyed like named_arrays()."""
-        adapter_cache, enc_cache = cache
-        enc_grads, dh = encoder_backward_batch(
-            enc_cache, self.encoder, self.encoder_config, dlogits
-        )
-        grads = {f"encoder.{n}": g for n, g in enc_grads.items()}
-        if self.adapter is not None:
-            ad_grads = adapter_backward_batch(
-                adapter_cache, self.adapter, self.adapter_config, dh
-            )
-            grads.update({f"adapter.{n}": g for n, g in ad_grads.items()})
-        return grads
+        results = map_chunks(run_chunk, chunks)
+        grads = results[0][1]
+        for _, chunk_grads in results[1:]:
+            for name, g in chunk_grads.items():
+                grads[name] += g
+        return sum(loss for loss, _ in results) / n, logits, grads
 
     def embed_batch(self, x: np.ndarray) -> np.ndarray:
         """Pooled representations, the feature extractor for zero-shot use."""
-        _, pooled, _ = self.forward_batch(x)
-        return pooled
+        return self.forward_batch(x)[1]
 
 
 def build_classifier(encoder_config: BfmConfig,

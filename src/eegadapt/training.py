@@ -187,7 +187,7 @@ def _trainable_arrays(model, freeze_bfm: bool):
 
 def predict(model, data: LabeledSet):
     """Argmax predictions and softmax probabilities for a split."""
-    logits, _, _ = model.forward_batch(data.x)
+    logits, _ = model.forward_batch(data.x)
     preds = np.argmax(logits, axis=1)
     return preds, softmax_last(logits)
 
@@ -232,18 +232,16 @@ def train_loop(model, train_set: LabeledSet, val_set: LabeledSet,
         for step in range(steps_per_epoch):
             idx = order[step * cfg.batch_size : (step + 1) * cfg.batch_size]
             xb, yb = train_set.x[idx], train_set.y[idx]
-            logits, _, cache = model.forward_batch(xb, keep_cache=True)
-            loss, dlogits = cross_entropy_batch(logits, yb)
+            loss, logits, grads = model.loss_and_grads(xb, yb, cross_entropy_batch)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {step}")
-            grads = model.backward_batch(cache, dlogits)
             opt.step(grads)
             loss_sum += loss * len(idx)
             hit_sum += int(np.sum(np.argmax(logits, axis=1) == yb))
         train_loss = loss_sum / len(train_set)
         train_acc = hit_sum / len(train_set)
 
-        val_logits, _, _ = model.forward_batch(val_set.x)
+        val_logits, _ = model.forward_batch(val_set.x)
         val_loss, _ = cross_entropy_batch(val_logits, val_set.y)
         val_preds = np.argmax(val_logits, axis=1)
         val_acc = float(np.mean(val_preds == val_set.y))
@@ -315,7 +313,7 @@ def evaluate(model, data: LabeledSet) -> MetricsReport:
     """Argmax predictions over a split, summarized as a MetricsReport."""
     if len(data) == 0:
         raise ConfigurationError("cannot evaluate an empty split")
-    logits, _, _ = model.forward_batch(data.x)
+    logits, _ = model.forward_batch(data.x)
     conf = confusion_matrix(data.y, np.argmax(logits, axis=1), model.num_classes)
     return metrics_from_confusion(conf)
 

@@ -1,8 +1,12 @@
-"""Shared test scaffolding: small model wrappers and cached synthetic data."""
+"""Shared test scaffolding: small model wrappers, the encoder's worker count
+and cached synthetic data."""
+
+import sys
 
 import numpy as np
 import pytest
 
+from eegadapt import encoder
 from eegadapt.adapter import (
     adapter_backward_batch,
     adapter_forward_batch,
@@ -30,17 +34,19 @@ class AdapterOnlyClassifier:
     def named_arrays(self):
         return list(self.params.items())
 
-    def forward_batch(self, x, keep_cache=False):
-        out, cache = adapter_forward_batch(x, self.params, self.config,
-                                           keep_cache=keep_cache)
-        logits = out.mean(axis=2)
-        return logits, logits, (cache, out.shape)
+    def forward_batch(self, x):
+        logits = adapter_forward_batch(x, self.params, self.config)[0].mean(axis=2)
+        return logits, logits
 
-    def backward_batch(self, cache, dlogits):
-        adapter_cache, out_shape = cache
-        dout = np.repeat(dlogits[:, :, None], out_shape[2], axis=2) / out_shape[2]
-        return adapter_backward_batch(adapter_cache, self.params,
-                                      self.config, dout)
+    def loss_and_grads(self, x, y, loss_fn):
+        """The whole batch as one chunk."""
+        out, cache = adapter_forward_batch(x, self.params, self.config,
+                                           keep_cache=True)
+        logits = out.mean(axis=2)
+        loss, dlogits = loss_fn(logits, y)
+        dout = np.repeat(dlogits[:, :, None], out.shape[2], axis=2) / out.shape[2]
+        return loss, logits, adapter_backward_batch(cache, self.params,
+                                                    self.config, dout)
 
 
 class StubModel:
@@ -57,10 +63,29 @@ class StubModel:
     def named_arrays(self):
         return []
 
-    def forward_batch(self, x, keep_cache=False):
-        ids = np.asarray(x)[:, 0, 0].astype(int)
-        logits = self.logit_table[ids]
-        return logits, logits, None
+    def forward_batch(self, x):
+        logits = self.logit_table[np.asarray(x)[:, 0, 0].astype(int)]
+        return logits, logits
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the encoder's worker count; the next parallel map makes a fresh
+    pool of that size, which is shut down after the test. Threads switch
+    every microsecond meanwhile, so that chunks interleave as much as they
+    can."""
+    def set_count(count):
+        monkeypatch.setattr(encoder, "_WORKERS", count)
+        monkeypatch.setattr(encoder, "_pool", None)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield set_count
+    finally:
+        sys.setswitchinterval(interval)
+        if encoder._pool is not None:
+            encoder._pool.shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Checks that only the tests use: finite-difference gradient verification,
-k-means scored against labels, and delimited-text recordings written out."""
+a forced chunk size, k-means scored against labels, and delimited-text
+recordings written out."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from eegadapt import encoder
 from eegadapt.errors import PipelineError
 from eegadapt.fileio import write_text
 from eegadapt.training import cross_entropy_batch
@@ -26,16 +28,18 @@ class GradCheckReport:
     failures: list[tuple[str, int, float, float, float]]
 
 
-def gradient_check(model, x: np.ndarray, label: int,
+def gradient_check(model, x: np.ndarray, labels,
                    num_coordinates: int = 200, h: float = 1e-5,
                    tolerance: float = 1e-4, seed: int = 0) -> GradCheckReport:
-    """Compare analytic gradients with central finite differences.
+    """Compare the gradients of ``model.loss_and_grads`` with central finite
+    differences.
 
     Perturbs a random subset of parameter coordinates (at least
-    ``num_coordinates`` spread over all arrays) on the cross-entropy loss of
-    one sample. Relative error uses max(|analytic|, |numeric|, 1e-4) as the
-    denominator so near-zero gradients are judged absolutely. Raises
-    GradientCheckError when the tolerance is exceeded.
+    ``num_coordinates`` spread over all arrays) on the mean cross-entropy
+    loss of the batch ``x`` (N, C, T) with ``labels`` (N,). Relative error
+    uses max(|analytic|, |numeric|, 1e-4) as the denominator so near-zero
+    gradients are judged absolutely. Raises GradientCheckError when the
+    tolerance is exceeded.
     """
     arrays = model.named_arrays()
     sizes = np.array([p.size for _, p in arrays])
@@ -45,15 +49,12 @@ def gradient_check(model, x: np.ndarray, label: int,
                                worst=("", -1, 0.0, 0.0), failures=[])
 
     x = np.asarray(x, dtype=np.float64)
-    xb = x[None]
-    logits, _, cache = model.forward_batch(xb, keep_cache=True)
-    _, dlogits = cross_entropy_batch(logits, np.array([label]))
-    grads = model.backward_batch(cache, dlogits)
+    labels = np.asarray(labels, dtype=np.int64)
+    _, _, grads = model.loss_and_grads(x, labels, cross_entropy_batch)
 
     def loss_only() -> float:
-        lg, _, _ = model.forward_batch(xb)
-        loss, _ = cross_entropy_batch(lg, np.array([label]))
-        return loss
+        logits, _ = model.forward_batch(x)
+        return cross_entropy_batch(logits, labels)[0]
 
     rng = np.random.default_rng(seed)
     count = min(num_coordinates, total)
@@ -96,6 +97,15 @@ def gradient_check(model, x: np.ndarray, label: int,
             f"(max rel error {max_rel:.3e}): {sample}"
         )
     return report
+
+
+def force_forward_chunk(monkeypatch, chunk, cfg):
+    """Make the forward and training step of a model with this encoder config
+    run over chunks of ``chunk`` samples."""
+    seq_len = cfg.num_channels * cfg.max_patches
+    monkeypatch.setattr(encoder, "_FORWARD_CHUNK_BYTES",
+                        chunk * 21 * seq_len * cfg.embed_dim * 8)
+    assert encoder.forward_chunk(cfg) == chunk
 
 
 def kmeans_accuracy(x: np.ndarray, labels: np.ndarray, k: int,

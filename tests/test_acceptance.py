@@ -120,7 +120,7 @@ def test_c03_gradient_correctness():
     adapter_model = AdapterOnlyClassifier(in_channels=5, in_timesteps=40,
                                           num_classes=4, out_timesteps=12,
                                           seed=1)
-    rep_a = gradient_check(adapter_model, rng.normal(size=(5, 40), ), 2,
+    rep_a = gradient_check(adapter_model, rng.normal(size=(1, 5, 40)), [2],
                            num_coordinates=220, seed=3)
 
     acfg = default_adapter_config(6, 48, out_timesteps=16)
@@ -130,7 +130,7 @@ def test_c03_gradient_correctness():
     full_model = build_classifier(bcfg, acfg, seed=5)
     full_model.encoder["head_w"][:] = rng.normal(
         0, 0.3, full_model.encoder["head_w"].shape)
-    rep_b = gradient_check(full_model, rng.normal(size=(6, 48)), 1,
+    rep_b = gradient_check(full_model, rng.normal(size=(1, 6, 48)), [1],
                            num_coordinates=220, seed=7)
     elapsed = time.monotonic() - start
     ok = (rep_a.coordinates_checked >= 200 and rep_b.coordinates_checked >= 200
@@ -152,7 +152,7 @@ def test_c04_initial_loss_sanity():
         model = build_classifier(cfg, None, seed=9)
         x = rng.normal(size=(32, 8, 64))
         labels = rng.integers(0, k, size=32)
-        logits, _, _ = model.forward_batch(x)
+        logits, _ = model.forward_batch(x)
         loss, _ = cross_entropy_batch(logits, labels)
         deviations.append(abs(loss - np.log(k)))
     elapsed = time.monotonic() - start
@@ -226,7 +226,7 @@ def test_c06_mode_parity(synth_pipeline):
         train_loop(model, small("train", data), small("val", data),
                    TrainConfig(epochs=1, batch_size=32, seed=0))
         rep = evaluate(model, small("test", data))
-        logits, _, _ = model.forward_batch(data.select("test").x[:4])
+        logits, _ = model.forward_batch(data.select("test").x[:4])
         shapes[mode] = logits.shape
         assert rep.confusion.shape == (4, 4)
     elapsed = time.monotonic() - start

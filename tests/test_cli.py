@@ -304,27 +304,25 @@ class TestTrain:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "m.ckpt", "m.ckpt.log.csv", "m.ckpt.metrics.txt"]
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_fresh_processes_write_identical_bytes(self, subject_windows,
-                                                   tmp_path, threads):
-        # The determinism contract: the same seed, flags, numpy/BLAS build
-        # and BLAS thread count give the same bytes in every new process,
-        # for train's outputs and for the eval and extract passes over its
-        # checkpoint.
+                                                   tmp_path):
+        # The determinism contract: the same seed, flags and numpy/BLAS build
+        # give the same bytes in every new process, for train's outputs and
+        # for the eval and extract passes over its checkpoint, whatever the
+        # BLAS thread count and the number of CPUs. BLAS is held at one
+        # thread; the encoder spreads its chunks over every CPU the process
+        # may run on, and OpenBLAS would cap its own threads at those CPUs.
         src = str(Path(eegadapt.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
-        # Nor on the number of CPUs: the encoder spreads its chunks over
-        # every CPU the process may run on, so one more run is pinned to one.
         def one_cpu():
             os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
-        def run_chain(run, preexec_fn=None):
+        def run_chain(run, threads, preexec_fn=None):
             run_dir = tmp_path / run
             run_dir.mkdir()
             shutil.copy(subject_windows, run_dir / "w.wset")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
             for argv in (
                 ["train", "--windows", "w.wset", "--mode", "adapter",
                  "--out-checkpoint", "m.ckpt", *COMMON_TRAIN, "--epochs", "1"],
@@ -341,14 +339,9 @@ class TestTrain:
                 for name in ("m.ckpt", "m.ckpt.log.csv", "m.ckpt.metrics.txt",
                              "eval.txt", "emb.csv")}
 
-        first = run_chain("a")
-        assert run_chain("b") == first
-        # OpenBLAS caps its threads at the CPUs it may use, so pinning a run
-        # set to 2 BLAS threads would change its BLAS thread count as well.
-        if threads == "1":
-            if len(os.sched_getaffinity(0)) < 2:
-                pytest.skip("one CPU available: a pinned run would repeat run a")
-            assert run_chain("one-cpu", one_cpu) == first
+        first = run_chain("blas-1", "1")
+        assert run_chain("blas-2", "2") == first
+        assert run_chain("blas-2-one-cpu", "2", one_cpu) == first
 
     def test_mode_parity_all_four_run(self, dataset, tmp_path):
         for mode in ("adapter", "select", "mix", "raw"):

@@ -1,10 +1,11 @@
 """Patch embedding, attention stack, pooling, head, and their gradients."""
 
+import ctypes
 import os
-import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from eegadapt.nnops import (
     softmax_backward,
     softmax_last,
 )
+from eegadapt.training import cross_entropy_batch
+from helpers import force_forward_chunk
 
 
 def small_config(**overrides):
@@ -427,35 +430,6 @@ def force_chunk(monkeypatch, chunk, heads, seq_len):
     assert encoder._chunk_samples(heads, seq_len) == chunk
 
 
-def force_forward_chunk(monkeypatch, chunk, cfg):
-    """Make the no-cache forward of a model with this encoder config run over
-    chunks of ``chunk`` samples."""
-    seq_len = cfg.num_channels * cfg.max_patches
-    monkeypatch.setattr(encoder, "_FORWARD_CHUNK_BYTES",
-                        chunk * 21 * seq_len * cfg.embed_dim * 8)
-    assert encoder.forward_chunk(cfg) == chunk
-
-
-@pytest.fixture
-def workers(monkeypatch):
-    """Set the encoder's worker count; the next parallel map makes a fresh
-    pool of that size, which is shut down after the test. Threads switch
-    every microsecond meanwhile, so that chunks interleave as much as they
-    can."""
-    def set_count(count):
-        monkeypatch.setattr(encoder, "_WORKERS", count)
-        monkeypatch.setattr(encoder, "_pool", None)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield set_count
-    finally:
-        sys.setswitchinterval(interval)
-        if encoder._pool is not None:
-            encoder._pool.shutdown()
-
-
 def pooled_config():
     """6 channels x 4 patches = 24 tokens, 3 heads of 8."""
     return small_config(num_channels=6, embed_dim=24, num_heads=3, max_patches=4)
@@ -464,6 +438,15 @@ def pooled_config():
 def encoder_only(cfg, params):
     """A classifier without an adapter around the given encoder arrays."""
     return EegClassifier(encoder_config=cfg, encoder=params)
+
+
+def test_blas_is_held_at_one_thread():
+    # numpy's bundled OpenBLAS exports the setter; without it the bytes
+    # would follow the BLAS thread count again.
+    assert encoder.own_threads()
+    lib = next((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+               .glob("libscipy_openblas64_*.so"))
+    assert ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_() == 1
 
 
 class TestInPlaceHotPath:
@@ -605,9 +588,8 @@ class TestInPlaceHotPath:
         params = init_encoder_params(cfg, rng)
         params["head_w"][:] = rng.normal(0, 0.3, params["head_w"].shape)
         x = rng.normal(size=(n, 6, 64))
-        logits, pooled, cache = encoder_only(cfg, params).forward_batch(x)
+        logits, pooled = encoder_only(cfg, params).forward_batch(x)
         ref_logits, ref_pooled = ref_forward(x, params, cfg)
-        assert cache is None
         assert np.array_equal(logits, ref_logits)
         assert np.array_equal(pooled, ref_pooled)
         # One sample makes one chunk, which runs inline.
@@ -618,7 +600,7 @@ class TestInPlaceHotPath:
             self, monkeypatch, workers, count):
         # The adapter runs per chunk too. Chunks of 3 over N = 7 make a chunk
         # of three and one of four, whose last sample would otherwise have
-        # been a chunk of its own.
+        # been a chunk of its own. The training step runs the same chunks.
         workers(count)
         cfg = pooled_config()
         adapter_cfg = default_adapter_config(5, 100, 64, out_channels=6,
@@ -629,12 +611,39 @@ class TestInPlaceHotPath:
                                                          cfg.num_classes))
         force_forward_chunk(monkeypatch, 3, cfg)
         x = rng.normal(size=(7, 5, 100))
-        logits, pooled, cache = model.forward_batch(x)
-        assert cache is None
+        logits, pooled = model.forward_batch(x)
         assert (encoder._pool is not None) == (count > 1)
-        whole_logits, whole_pooled, _ = model.forward_batch(x, keep_cache=True)
+        _, step_logits, _ = model.loss_and_grads(x, np.arange(7) % 4,
+                                                 cross_entropy_batch)
+        assert np.array_equal(step_logits, logits)
+        force_forward_chunk(monkeypatch, 7, cfg)
+        whole_logits, whole_pooled = model.forward_batch(x)
         assert np.array_equal(logits, whole_logits)
         assert np.array_equal(pooled, whole_pooled)
+
+    def test_training_step_is_bitwise_equal_on_one_and_two_workers(
+            self, monkeypatch, workers):
+        # Chunks of 3 over N = 8 leave a last chunk of two; the gradients are
+        # summed in chunk order whichever worker finished first.
+        cfg = pooled_config()
+        adapter_cfg = default_adapter_config(5, 100, 64, out_channels=6,
+                                             hidden_maps=8)
+        model = build_classifier(cfg, adapter_cfg, seed=94)
+        rng = np.random.default_rng(94)
+        model.encoder["head_w"][:] = rng.normal(0, 0.3, (cfg.embed_dim,
+                                                         cfg.num_classes))
+        force_forward_chunk(monkeypatch, 3, cfg)
+        x, y = rng.normal(size=(8, 5, 100)), rng.integers(0, 4, size=8)
+        steps = []
+        for count in (1, 2):
+            workers(count)
+            steps.append(model.loss_and_grads(x, y, cross_entropy_batch))
+            assert (encoder._pool is not None) == (count > 1)
+        (loss_1, logits_1, grads_1), (loss_2, logits_2, grads_2) = steps
+        assert loss_1 == loss_2
+        assert np.array_equal(logits_1, logits_2)
+        assert_same_grads(grads_1, grads_2)
+        assert sorted(grads_1) == sorted(n for n, _ in model.named_arrays())
 
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_training_pass_on_workers_matches_out_of_place_formulas_bitwise(
@@ -684,7 +693,7 @@ class TestInPlaceHotPath:
         rng = np.random.default_rng(91)
         model = encoder_only(cfg, init_encoder_params(cfg, rng))
         x = rng.normal(size=(9, 6, 64))
-        expected, _, _ = model.forward_batch(x)
+        expected, _ = model.forward_batch(x)
         assert encoder._pool is not None
         results = []
 
@@ -710,12 +719,12 @@ class TestInPlaceHotPath:
         rng = np.random.default_rng(92)
         model = encoder_only(cfg, init_encoder_params(cfg, rng))
         x = rng.normal(size=(9, 6, 64))
-        expected, _, _ = model.forward_batch(x)
+        expected, _ = model.forward_batch(x)
         assert encoder._pool is not None
         pid = os.fork()
         if pid == 0:
             try:
-                logits, _, _ = model.forward_batch(x)
+                logits, _ = model.forward_batch(x)
                 os._exit(0 if np.array_equal(logits, expected) else 1)
             finally:
                 os._exit(2)

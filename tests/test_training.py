@@ -10,6 +10,7 @@ from eegadapt.adapter import default_adapter_config
 from eegadapt.encoder import BfmConfig
 from eegadapt.errors import ConfigurationError, DomainError
 from eegadapt.model import build_classifier
+from eegadapt import training
 from eegadapt.training import (
     LabeledSet,
     TrainConfig,
@@ -18,7 +19,7 @@ from eegadapt.training import (
     metrics_from_confusion,
     train_loop,
 )
-from helpers import gradient_check
+from helpers import force_forward_chunk, gradient_check
 
 
 def cross_entropy(logits, label):
@@ -136,6 +137,27 @@ class TestTrainLoop:
         with pytest.raises(ConfigurationError):
             train_loop(model, bad, bad, TrainConfig(epochs=1, batch_size=2))
 
+    def test_replaced_cross_entropy_sees_the_first_step_at_ln_k(
+            self, monkeypatch, workers):
+        # train_loop looks cross_entropy_batch up at every step, so a probe
+        # put in its place on the module sees the losses of the chunks the
+        # pool runs: four chunks of two make the one step, then validation.
+        workers(2)
+        original, seen = training.cross_entropy_batch, []
+
+        def probe(logits, labels):
+            loss, grad = original(logits, labels)
+            seen.append(loss)
+            return loss, grad
+
+        monkeypatch.setattr(training, "cross_entropy_batch", probe)
+        model = tiny_model(num_classes=4)
+        force_forward_chunk(monkeypatch, 2, model.encoder_config)
+        train_loop(model, tiny_set(8, num_classes=4), tiny_set(4, num_classes=4),
+                   TrainConfig(epochs=1, batch_size=8, seed=0))
+        assert len(seen) == 5
+        assert all(abs(loss - np.log(4)) <= 1e-12 for loss in seen[:4])
+
     def test_freeze_bfm_keeps_encoder_body_fixed(self):
         model = tiny_model()
         before = {n: p.copy() for n, p in model.named_arrays()}
@@ -157,7 +179,7 @@ class TestTrainLoop:
             model = build_classifier(cfg, None, seed=11)
             x, y, _ = synth4["train"]
             labels = np.minimum(y, k - 1)
-            logits, _, _ = model.forward_batch(x[:32])
+            logits, _ = model.forward_batch(x[:32])
             loss, _ = cross_entropy_batch(logits, labels[:32])
             assert abs(loss - np.log(k)) <= 0.05
 
@@ -243,8 +265,8 @@ class TestGradientCheck:
     def test_adapter_only_model(self):
         model = AdapterOnlyClassifier(in_channels=5, in_timesteps=40,
                                       num_classes=4, out_timesteps=12, seed=1)
-        x = np.random.default_rng(2).normal(size=(5, 40))
-        report = gradient_check(model, x, 2, num_coordinates=200, seed=3)
+        x = np.random.default_rng(2).normal(size=(1, 5, 40))
+        report = gradient_check(model, x, [2], num_coordinates=200, seed=3)
         assert report.coordinates_checked >= 200 or \
             report.coordinates_checked == sum(p.size for _, p in model.named_arrays())
         assert report.max_rel_error <= 1e-4
@@ -257,12 +279,34 @@ class TestGradientCheck:
         model = build_classifier(bcfg, acfg, seed=5)
         rng = np.random.default_rng(6)
         model.encoder["head_w"][:] = rng.normal(0, 0.3, model.encoder["head_w"].shape)
-        x = rng.normal(size=(6, 48))
-        report = gradient_check(model, x, 1, num_coordinates=220, seed=7)
+        x = rng.normal(size=(1, 6, 48))
+        report = gradient_check(model, x, [1], num_coordinates=220, seed=7)
+        assert report.max_rel_error <= 1e-4
+
+    # Chunks of 3: N = 7 makes chunks of three and four (a last sample joins
+    # the chunk before it), N = 8 makes chunks of three, three and two.
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("mode", ["adapter", "mix", "raw"])
+    def test_summed_chunk_gradients(self, monkeypatch, mode, n):
+        channels = {"adapter": 23, "mix": 23, "raw": 10}[mode]
+        cfg = BfmConfig(num_channels=channels, num_classes=4, patch_len=8,
+                        embed_dim=12, num_layers=2, num_heads=3,
+                        channel_vocab=128 if mode == "raw" else 23,
+                        max_patches=2)
+        acfg = default_adapter_config(6, 48, out_timesteps=16) \
+            if mode == "adapter" else None
+        model = build_classifier(cfg, acfg, seed=n)
+        rng = np.random.default_rng(n)
+        model.encoder["head_w"][:] = rng.normal(0, 0.3, model.encoder["head_w"].shape)
+        force_forward_chunk(monkeypatch, 3, cfg)
+        x = rng.normal(size=(n, 6, 48) if acfg else (n, channels, 16))
+        report = gradient_check(model, x, rng.integers(0, 4, size=n),
+                                num_coordinates=200, seed=n)
+        assert report.coordinates_checked == 200
         assert report.max_rel_error <= 1e-4
 
     def test_zero_parameter_model_passes_vacuously(self):
         model = StubModel(np.zeros((4, 2)))
-        report = gradient_check(model, np.zeros((1, 1)), 0)
+        report = gradient_check(model, np.zeros((1, 1, 1)), [0])
         assert report.coordinates_checked == 0
         assert report.max_rel_error == 0.0
