@@ -194,6 +194,7 @@ def own_threads() -> bool:
         setter = getattr(ctypes.CDLL(str(lib)),
                          "scipy_openblas_set_num_threads64_", None)
         if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
             setter(1)
             return True
     return False

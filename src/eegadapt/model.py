@@ -106,8 +106,10 @@ class EegClassifier:
         def run_chunk(j):
             h, adapter_cache, m = x[j], None, j.stop - j.start
             if ac is not None:
-                h, adapter_cache = adapter_forward_batch(h, self.adapter, ac, True)
-            logits[j], _, enc_cache = encoder_forward_batch(h, self.encoder, cfg, True)
+                h, adapter_cache = adapter_forward_batch(h, self.adapter, ac,
+                                                         keep_cache=True)
+            logits[j], _, enc_cache = encoder_forward_batch(h, self.encoder, cfg,
+                                                            keep_cache=True)
             loss, dlogits = loss_fn(logits[j], y[j])
             enc_grads, dh = encoder_backward_batch(enc_cache, self.encoder, cfg,
                                                    dlogits * (m / n))

@@ -446,7 +446,9 @@ def test_blas_is_held_at_one_thread():
     assert encoder.own_threads()
     lib = next((Path(np.__file__).resolve().parent.parent / "numpy.libs")
                .glob("libscipy_openblas64_*.so"))
-    assert ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_() == 1
+    getter = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    assert getter() == 1
 
 
 class TestInPlaceHotPath:
