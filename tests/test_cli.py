@@ -304,8 +304,9 @@ class TestTrain:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "m.ckpt", "m.ckpt.log.csv", "m.ckpt.metrics.txt"]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_fresh_processes_write_identical_bytes(self, subject_windows,
-                                                   tmp_path):
+                                                   tmp_path, threads):
         # The determinism contract: the same seed, flags and numpy/BLAS build
         # give the same bytes in every new process, for train's outputs and
         # for the eval and extract passes over its checkpoint, whatever the
@@ -339,9 +340,11 @@ class TestTrain:
                 for name in ("m.ckpt", "m.ckpt.log.csv", "m.ckpt.metrics.txt",
                              "eval.txt", "emb.csv")}
 
+        # Each case compares a fresh run at its own thread count, free and
+        # pinned to one CPU, with a run at one BLAS thread.
         first = run_chain("blas-1", "1")
-        assert run_chain("blas-2", "2") == first
-        assert run_chain("blas-2-one-cpu", "2", one_cpu) == first
+        assert run_chain(f"blas-{threads}-fresh", threads) == first
+        assert run_chain(f"blas-{threads}-one-cpu", threads, one_cpu) == first
 
     def test_mode_parity_all_four_run(self, dataset, tmp_path):
         for mode in ("adapter", "select", "mix", "raw"):
