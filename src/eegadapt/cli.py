@@ -20,11 +20,11 @@ import scipy
 from . import __version__
 from .adapter import default_adapter_config
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .encoder import BfmConfig, own_threads
+from .encoder import BfmConfig
 from .errors import ConfigurationError, IntegrityError, PipelineError
 from .fileio import read_embeddings_text, write_embeddings_text, write_text
 from .manifest import load_manifest, split_subject_independent
-from .model import build_classifier
+from .model import build_classifier, own_threads
 from .montage import MontageMap, load_montage
 from .pipeline import (
     FilterSettings,
@@ -165,6 +165,9 @@ def _train_window_set(args) -> tuple[WindowSet, object]:
     if bool(args.windows) == bool(args.manifest):
         raise ConfigurationError("pass exactly one of --windows or --manifest")
     if args.windows:
+        if args.auto_split:
+            raise ConfigurationError(
+                "--auto-split splits a --manifest; a --windows set keeps its splits")
         return load_window_set(args.windows), None
     manifest = load_manifest(args.manifest)
     if args.auto_split:

@@ -9,13 +9,7 @@ be verified against finite differences.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -36,9 +30,6 @@ __all__ = [
     "init_encoder_params",
     "encoder_forward_batch",
     "encoder_backward_batch",
-    "forward_chunk",
-    "map_chunks",
-    "own_threads",
 ]
 
 
@@ -155,87 +146,12 @@ def _patchify_batch(x: np.ndarray, params: dict[str, np.ndarray], cfg: BfmConfig
     return emb.reshape(n, c * p, cfg.embed_dim), patches
 
 
-# Attention runs over chunks of c samples so that only one chunk's (c, H, S, S)
-# float64 scores are live at a time; backward recomputes them from q and k
-# instead of keeping them. Backward holds two such blocks (probabilities and
-# their gradient), so 1 MiB each keeps both within a 2 MiB per-core L2.
-_SCORE_CHUNK_BYTES = 1 << 20
-
-
-def _chunk_samples(h: int, s: int) -> int:
-    return max(1, _SCORE_CHUNK_BYTES // (h * s * s * 8))
-
-
-# The model runs on chunks of c >= 2 samples, in training too, so that
-# no intermediate is batch-sized. A sample's block working set is about
-# 21 (S, D) float64 arrays, the feed-forward's three (S, 4D) ones included. At
-# 161 tokens and D = 32, chunks of 2 to 8 samples ran fastest (one sample per
-# task contends for the GIL, 16 and more fall out of cache); 4 MiB gives 4.
-_FORWARD_CHUNK_BYTES = 4 << 20
-
-
-def forward_chunk(cfg: BfmConfig) -> int:
-    """Samples per chunk of the model's forward and training step, sized for
-    the most tokens the config takes: num_channels x max_patches."""
-    s = cfg.num_channels * cfg.max_patches
-    return max(2, _FORWARD_CHUNK_BYTES // (21 * s * cfg.embed_dim * 8))
-
-
-@functools.cache
-def own_threads() -> bool:
-    """Hold numpy's bundled OpenBLAS at one thread, once per process.
-
-    Parallelism comes from the pool below; BLAS threads on top of it would
-    oversubscribe the CPUs, and a weight-gradient product rounds differently
-    at another BLAS thread count. Returns whether the setter was found: a
-    numpy built against another BLAS is left as it is."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in libs.glob("libscipy_openblas64_*.so"):
-        setter = getattr(ctypes.CDLL(str(lib)),
-                         "scipy_openblas_set_num_threads64_", None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-            return True
-    return False
-
-
-# Chunks run on one worker thread per CPU the process may use; numpy and scipy
-# release the GIL in their loops. A task already on a worker runs its own
-# chunks inline: waiting on the pool from inside it could deadlock.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-_on_worker = threading.local()
-
-
-def _forget_pool() -> None:
-    """In a forked child: the pool object came along but its threads did not."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def map_chunks(fn, chunks) -> list:
-    """``[fn(chunk) for chunk in chunks]``; chunks write disjoint memory."""
-    global _pool
-    own_threads()
-    if _WORKERS < 2 or len(chunks) < 2 or getattr(_on_worker, "active", False):
-        return [fn(chunk) for chunk in chunks]
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS, initializer=setattr,
-                                       initargs=(_on_worker, "active", True))
-    futures = [_pool.submit(fn, chunk) for chunk in chunks]
-    wait(futures)
-    return [future.result() for future in futures]
-
-
+# Attention runs one sample at a time, so that only one sample's (H, S, S)
+# float64 scores are live; backward recomputes them from q and k instead of
+# keeping them. Each sample's work is a call of its own, whose arrays are
+# freed before the next sample starts.
 def _attention_probs(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
-    attn = q @ k.transpose(0, 1, 3, 2)
+    attn = q @ k.swapaxes(-1, -2)
     attn *= scale
     return softmax_last(attn)
 
@@ -249,16 +165,15 @@ def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig):
     q = (h1 @ bp["wq"] + bp["bq"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
     k = (h1 @ bp["wk"] + bp["bk"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
     v = (h1 @ bp["wv"] + bp["bv"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
-    # Each chunk's context is written head by head into token-major memory.
+    # Each sample's context is written head by head into token-major memory.
     ctx = np.empty((n, s, h, dh))
     ctx_heads = ctx.transpose(0, 2, 1, 3)
-    c = _chunk_samples(h, s)
 
     def attend(i):
-        j = slice(i, i + c)
-        np.matmul(_attention_probs(q[j], k[j], scale), v[j], out=ctx_heads[j])
+        np.matmul(_attention_probs(q[i], k[i], scale), v[i], out=ctx_heads[i])
 
-    map_chunks(attend, range(0, n, c))
+    for i in range(n):
+        attend(i)
     ctx = ctx.reshape(n, s, d)
     attn_out = ctx @ bp["wo"] + bp["bo"]
     x2 = x + attn_out
@@ -300,19 +215,18 @@ def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache):
     dctx = (dattn_out @ bp["wo"].T).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
     dq_m, dk_m, dv_m = (np.empty((n, s, h, dh)) for _ in range(3))
     dq, dk, dv = (t.transpose(0, 2, 1, 3) for t in (dq_m, dk_m, dv_m))
-    c = _chunk_samples(h, s)
 
     def attend_backward(i):
-        j = slice(i, i + c)
-        attn = _attention_probs(q[j], k[j], scale)
-        dattn = dctx[j] @ v[j].transpose(0, 1, 3, 2)
-        np.matmul(attn.transpose(0, 1, 3, 2), dctx[j], out=dv[j])
+        attn = _attention_probs(q[i], k[i], scale)
+        dattn = dctx[i] @ v[i].swapaxes(-1, -2)
+        np.matmul(attn.swapaxes(-1, -2), dctx[i], out=dv[i])
         dscores = softmax_backward(attn, dattn)
         dscores *= scale
-        np.matmul(dscores, k[j], out=dq[j])
-        np.matmul(dscores.transpose(0, 1, 3, 2), q[j], out=dk[j])
+        np.matmul(dscores, k[i], out=dq[i])
+        np.matmul(dscores.swapaxes(-1, -2), q[i], out=dk[i])
 
-    map_chunks(attend_backward, range(0, n, c))
+    for i in range(n):
+        attend_backward(i)
     dq_m, dk_m, dv_m = (t.reshape(n, s, d) for t in (dq_m, dk_m, dv_m))
     h1_flat = h1.reshape(-1, d)
     g["wq"] = h1_flat.T @ dq_m.reshape(-1, d)

@@ -3,11 +3,20 @@
 With an adapter the input may have any channel count and length the adapter
 was configured for; without one the input must already fit the encoder grid
 (aligned 23-channel data, or raw data within the channel vocabulary).
+
+This module alone splits a batch into chunks of samples and decides where
+they run: on a thread pool, with numpy's BLAS held at one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -22,13 +31,79 @@ from .encoder import (
     BfmConfig,
     encoder_backward_batch,
     encoder_forward_batch,
-    forward_chunk,
     init_encoder_params,
-    map_chunks,
 )
 from .errors import ConfigurationError, DimensionError
 
-__all__ = ["EegClassifier", "build_classifier"]
+__all__ = ["EegClassifier", "build_classifier", "own_threads"]
+
+
+# The model runs on chunks of c >= 2 samples, in training too, so that
+# no intermediate is batch-sized. A sample's block working set is about
+# 21 (S, D) float64 arrays, the feed-forward's three (S, 4D) ones included. At
+# 161 tokens and D = 32, chunks of 2 to 8 samples ran fastest (one sample per
+# task contends for the GIL, 16 and more fall out of cache); 4 MiB gives 4.
+_FORWARD_CHUNK_BYTES = 4 << 20
+
+
+def _forward_chunk(cfg: BfmConfig) -> int:
+    """Samples per chunk of the model's forward and training step, sized for
+    the most tokens the config takes: num_channels x max_patches."""
+    s = cfg.num_channels * cfg.max_patches
+    return max(2, _FORWARD_CHUNK_BYTES // (21 * s * cfg.embed_dim * 8))
+
+
+@functools.cache
+def own_threads() -> bool:
+    """Hold numpy's bundled OpenBLAS at one thread, once per process.
+
+    Parallelism comes from the pool below; BLAS threads on top of it would
+    oversubscribe the CPUs, and a weight-gradient product rounds differently
+    at another BLAS thread count. Returns whether the setter was found: a
+    numpy built against another BLAS is left as it is."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in libs.glob("libscipy_openblas64_*.so"):
+        setter = getattr(ctypes.CDLL(str(lib)),
+                         "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return True
+    return False
+
+
+# Chunks run on one worker thread per CPU the process may use; numpy and scipy
+# release the GIL in their loops. A task already on a worker runs its own
+# chunks inline: waiting on the pool from inside it could deadlock.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_on_worker = threading.local()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the pool object came along but its threads did not."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _map_chunks(fn, chunks) -> list:
+    """``[fn(chunk) for chunk in chunks]``; chunks write disjoint memory."""
+    global _pool
+    own_threads()
+    if _WORKERS < 2 or len(chunks) < 2 or getattr(_on_worker, "active", False):
+        return [fn(chunk) for chunk in chunks]
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS, initializer=setattr,
+                                       initargs=(_on_worker, "active", True))
+    futures = [_pool.submit(fn, chunk) for chunk in chunks]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 @dataclass
@@ -68,19 +143,19 @@ class EegClassifier:
         return out
 
     def _chunks(self, x: np.ndarray):
-        """``x`` as float64 and its slices of ``forward_chunk`` samples; a last
+        """``x`` as float64 and its slices of ``_forward_chunk`` samples; a last
         sample joins the chunk before it, as a one-sample chunk's head product
         (vector times matrix) would round differently."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise DimensionError(f"expected a batch (N, C, T), got shape {x.shape}")
-        n, c = x.shape[0], forward_chunk(self.encoder_config)
+        n, c = x.shape[0], _forward_chunk(self.encoder_config)
         starts = range(0, n - 1, c) if n > 1 else range(n)
         return x, [slice(i, n if i + c >= n - 1 else i + c) for i in starts]
 
     def forward_batch(self, x: np.ndarray):
         """(N, C, T) -> (logits (N, K), pooled (N, D)). Chunks of samples run
-        the whole model on the encoder's pool, each into its rows."""
+        the whole model on the pool, each into its rows."""
         x, chunks = self._chunks(x)
         n, cfg = x.shape[0], self.encoder_config
         logits, pooled = np.empty((n, cfg.num_classes)), np.empty((n, cfg.embed_dim))
@@ -91,7 +166,7 @@ class EegClassifier:
                 h, _ = adapter_forward_batch(h, self.adapter, self.adapter_config)
             logits[j], pooled[j], _ = encoder_forward_batch(h, self.encoder, cfg)
 
-        map_chunks(run_chunk, chunks)
+        _map_chunks(run_chunk, chunks)
         return logits, pooled
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray, loss_fn):
@@ -119,7 +194,7 @@ class EegClassifier:
                 grads.update((f"adapter.{k}", g) for k, g in ad_grads.items())
             return loss * m, grads
 
-        results = map_chunks(run_chunk, chunks)
+        results = _map_chunks(run_chunk, chunks)
         grads = results[0][1]
         for _, chunk_grads in results[1:]:
             for name, g in chunk_grads.items():

@@ -250,12 +250,14 @@ def load_window_set(path) -> WindowSet:
         raise IntegrityError(
             f"{path}: 'classes' must map names to the dense int indices "
             f"0..{len(classes) - 1}")
-    labels = arrays["labels"].astype(np.int64)
+    labels = arrays["labels"]
+    if not np.all(np.isfinite(labels) & (labels == np.round(labels))):
+        raise IntegrityError(f"{path}: 'labels' must hold finite whole numbers")
     if not np.all(np.isin(labels, list(classes.values()))):
         raise DomainError(f"{path}: 'labels' holds indices missing from 'classes'")
     return WindowSet(
         data=data,
-        labels=labels,
+        labels=labels.astype(np.int64),
         subjects=np.array(meta["subjects"], dtype=str),
         splits=np.array(meta["splits"], dtype=str),
         sample_rates=rates,

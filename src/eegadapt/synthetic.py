@@ -20,7 +20,7 @@ from .fileio import write_recording_binary, write_text
 from .montage import TARGET_ORDER, MontageMap, MontageTarget, format_montage_text
 
 __all__ = ["SynthSpec", "class_frequencies", "synth_recording",
-           "generate_arrays", "synthetic_montage", "write_synthetic_dataset"]
+           "synthetic_montage", "write_synthetic_dataset"]
 
 
 @dataclass(frozen=True)
@@ -102,20 +102,6 @@ def _recordings(spec: SynthSpec):
             rec = synth_recording(rng, cls, spec, subject_phase[subject])
             yield split, f"s{subject:02d}", cls, rec
         first += n_subj
-
-
-def generate_arrays(spec: SynthSpec):
-    """In-memory dataset: {split: (x (N, C, T), y (N,), subjects)}."""
-    out = {s: ([], [], []) for s in ("train", "val", "test")}
-    for split, sid, cls, rec in _recordings(spec):
-        xs, ys, subs = out[split]
-        xs.append(rec)
-        ys.append(cls)
-        subs.append(sid)
-    return {
-        split: (np.stack(xs), np.array(ys, dtype=np.int64), subs)
-        for split, (xs, ys, subs) in out.items()
-    }
 
 
 def synthetic_montage(channels: int) -> MontageMap:

@@ -1,4 +1,4 @@
-"""Shared test scaffolding: small model wrappers, the encoder's worker count
+"""Shared test scaffolding: small model wrappers, the model's worker count
 and cached synthetic data."""
 
 import sys
@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from eegadapt import encoder
+from eegadapt import model
 from eegadapt.adapter import (
     adapter_backward_batch,
     adapter_forward_batch,
@@ -70,13 +70,13 @@ class StubModel:
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Set the encoder's worker count; the next parallel map makes a fresh
+    """Set the model's worker count; the next parallel map makes a fresh
     pool of that size, which is shut down after the test. Threads switch
     every microsecond meanwhile, so that chunks interleave as much as they
     can."""
     def set_count(count):
-        monkeypatch.setattr(encoder, "_WORKERS", count)
-        monkeypatch.setattr(encoder, "_pool", None)
+        monkeypatch.setattr(model, "_WORKERS", count)
+        monkeypatch.setattr(model, "_pool", None)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -84,14 +84,15 @@ def workers(monkeypatch):
         yield set_count
     finally:
         sys.setswitchinterval(interval)
-        if encoder._pool is not None:
-            encoder._pool.shutdown()
+        if model._pool is not None:
+            model._pool.shutdown()
 
 
 @pytest.fixture(scope="session")
 def synth4():
     """Small 4-class synthetic dataset shared across training tests."""
-    from eegadapt.synthetic import SynthSpec, generate_arrays
+    from eegadapt.synthetic import SynthSpec
+    from helpers import generate_arrays
 
     spec = SynthSpec(num_classes=4, channels=8, timesteps=128,
                      counts=(160, 48, 48), subjects=(4, 2, 2), seed=0)

@@ -1,6 +1,6 @@
 """Checks that only the tests use: finite-difference gradient verification,
-a forced chunk size, k-means scored against labels, and delimited-text
-recordings written out."""
+a forced chunk size, k-means scored against labels, delimited-text
+recordings written out, and synthetic datasets held in memory."""
 
 from __future__ import annotations
 
@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from eegadapt import encoder
+from eegadapt import model
 from eegadapt.errors import PipelineError
 from eegadapt.fileio import write_text
+from eegadapt.synthetic import SynthSpec, _recordings
 from eegadapt.training import cross_entropy_batch
 from eegadapt.zeroshot import _match_clusters, kmeans_fit
 
@@ -103,9 +104,9 @@ def force_forward_chunk(monkeypatch, chunk, cfg):
     """Make the forward and training step of a model with this encoder config
     run over chunks of ``chunk`` samples."""
     seq_len = cfg.num_channels * cfg.max_patches
-    monkeypatch.setattr(encoder, "_FORWARD_CHUNK_BYTES",
+    monkeypatch.setattr(model, "_FORWARD_CHUNK_BYTES",
                         chunk * 21 * seq_len * cfg.embed_dim * 8)
-    assert encoder.forward_chunk(cfg) == chunk
+    assert model._forward_chunk(cfg) == chunk
 
 
 def kmeans_accuracy(x: np.ndarray, labels: np.ndarray, k: int,
@@ -121,3 +122,17 @@ def write_recording_text(path: str | Path, data: np.ndarray) -> None:
     data = np.asarray(data, dtype=np.float64)
     lines = [",".join(repr(float(v)) for v in row) for row in data]
     write_text(path, "\n".join(lines) + "\n")
+
+
+def generate_arrays(spec: SynthSpec):
+    """In-memory dataset: {split: (x (N, C, T), y (N,), subjects)}."""
+    out = {s: ([], [], []) for s in ("train", "val", "test")}
+    for split, sid, cls, rec in _recordings(spec):
+        xs, ys, subs = out[split]
+        xs.append(rec)
+        ys.append(cls)
+        subs.append(sid)
+    return {
+        split: (np.stack(xs), np.array(ys, dtype=np.int64), subs)
+        for split, (xs, ys, subs) in out.items()
+    }

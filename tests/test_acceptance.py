@@ -29,7 +29,7 @@ from eegadapt.training import (
     train_loop,
 )
 from eegadapt.zeroshot import ZeroShotProtocol, run_zeroshot, subject_aggregate
-from helpers import gradient_check
+from helpers import generate_arrays, gradient_check
 from test_montage import EXPECTED_SOURCES, all_source_labels
 
 
@@ -238,8 +238,6 @@ def test_c06_mode_parity(synth_pipeline):
 
 def test_c07_zeroshot_protocol():
     start = time.monotonic()
-    from eegadapt.synthetic import generate_arrays
-
     spec = SynthSpec(num_classes=6, channels=16, timesteps=256,
                      counts=(600, 150, 150), subjects=(6, 2, 2), seed=1)
     data = generate_arrays(spec)

@@ -230,7 +230,8 @@ def subject_windows(tmp_path_factory):
 
 @pytest.mark.parametrize("case", ["zero-rate", "missing-channel-label",
                                   "no-subjects", "short-splits", "nonfinite-data",
-                                  "unknown-label", "negative-class-index",
+                                  "unknown-label", "fractional-label",
+                                  "nonfinite-label", "negative-class-index",
                                   "sparse-class-index", "subject-not-str",
                                   "subject-nul", "unknown-split"])
 def test_malformed_window_set_fails_in_one_line(dataset, windows, mix_checkpoint,
@@ -311,7 +312,7 @@ class TestTrain:
         # give the same bytes in every new process, for train's outputs and
         # for the eval and extract passes over its checkpoint, whatever the
         # BLAS thread count and the number of CPUs. BLAS is held at one
-        # thread; the encoder spreads its chunks over every CPU the process
+        # thread; the model spreads its chunks over every CPU the process
         # may run on, and OpenBLAS would cap its own threads at those CPUs.
         src = str(Path(eegadapt.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -612,6 +613,16 @@ def test_bad_list_flag_fails_in_one_line(dataset, windows, tmp_path, flag, value
                 "--out-checkpoint", str(tmp_path / "m.ckpt")]
     assert main([*argv, flag, value]) == 2
     assert_one_line_error(capsys, flag)
+
+
+def test_auto_split_with_windows_fails_in_one_line(windows, tmp_path, capsys):
+    # A window set carries its splits; --auto-split would be silently dropped.
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--mode", "raw", "--windows", str(windows),
+                 "--auto-split", "0.6,0.2,0.2", "--out-checkpoint", str(ckpt),
+                 *COMMON_TRAIN]) == 2
+    assert_one_line_error(capsys, "--auto-split", "--windows")
+    assert not ckpt.exists()
 
 
 def test_ragged_embeddings_fail_in_one_line(tmp_path, capsys):

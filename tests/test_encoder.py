@@ -12,6 +12,7 @@ import pytest
 from scipy.special import erf
 
 from eegadapt import encoder
+from eegadapt import model as model_module
 from eegadapt.adapter import default_adapter_config
 from eegadapt.encoder import (
     BfmConfig,
@@ -423,13 +424,6 @@ def assert_same_grads(got, want):
         assert np.array_equal(got[name], want[name]), name
 
 
-def force_chunk(monkeypatch, chunk, heads, seq_len):
-    """Make attention run over chunks of ``chunk`` samples at this shape."""
-    monkeypatch.setattr(encoder, "_SCORE_CHUNK_BYTES",
-                        chunk * heads * seq_len * seq_len * 8)
-    assert encoder._chunk_samples(heads, seq_len) == chunk
-
-
 def pooled_config():
     """6 channels x 4 patches = 24 tokens, 3 heads of 8."""
     return small_config(num_channels=6, embed_dim=24, num_heads=3, max_patches=4)
@@ -443,7 +437,7 @@ def encoder_only(cfg, params):
 def test_blas_is_held_at_one_thread():
     # numpy's bundled OpenBLAS exports the setter; without it the bytes
     # would follow the BLAS thread count again.
-    assert encoder.own_threads()
+    assert model_module.own_threads()
     lib = next((Path(np.__file__).resolve().parent.parent / "numpy.libs")
                .glob("libscipy_openblas64_*.so"))
     getter = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
@@ -462,7 +456,8 @@ class TestInPlaceHotPath:
         rng = np.random.default_rng(20 + heads)
         params = init_encoder_params(cfg, rng)
         bp = _block(params, 1)
-        x = rng.normal(size=(3, 10, cfg.embed_dim))
+        # An odd batch: attention runs sample by sample over all five.
+        x = rng.normal(size=(5, 10, cfg.embed_dim))
         dout = rng.normal(size=x.shape)
         out, cache = _block_forward(x, bp, cfg)
         ref_out, ref_cache = ref_block_forward(x, bp, cfg)
@@ -479,8 +474,8 @@ class TestInPlaceHotPath:
         rng = np.random.default_rng(30 + heads)
         params = init_encoder_params(cfg, rng)
         params["head_w"][:] = rng.normal(0, 0.3, params["head_w"].shape)
-        x = rng.normal(size=(4, 6, 64))
-        dlogits = rng.normal(size=(4, cfg.num_classes))
+        x = rng.normal(size=(5, 6, 64))
+        dlogits = rng.normal(size=(5, cfg.num_classes))
         logits, _, cache = encoder_forward_batch(x, params, cfg, keep_cache=True)
         grads, dx = encoder_backward_batch(cache, params, cfg, dlogits)
         ref_logits, ref_grads, ref_dx = ref_encoder(x, params, cfg, dlogits)
@@ -491,43 +486,6 @@ class TestInPlaceHotPath:
         again, dx_again = encoder_backward_batch(cache, params, cfg, dlogits)
         assert np.array_equal(dx_again, dx)
         assert_same_grads(again, grads)
-
-    @pytest.mark.parametrize("chunk,heads", [(1, 2), (1, 3), (2, 2), (2, 3)])
-    def test_chunked_block_matches_out_of_place_formulas_bitwise(
-            self, monkeypatch, chunk, heads):
-        cfg = small_config(embed_dim=24, num_heads=heads)
-        force_chunk(monkeypatch, chunk, heads, 10)
-        rng = np.random.default_rng(50 + heads)
-        params = init_encoder_params(cfg, rng)
-        bp = _block(params, 0)
-        # Five samples: a chunk of 2 leaves a last chunk of one.
-        x = rng.normal(size=(5, 10, cfg.embed_dim))
-        dout = rng.normal(size=x.shape)
-        out, cache = _block_forward(x, bp, cfg)
-        ref_out, ref_cache = ref_block_forward(x, bp, cfg)
-        assert np.array_equal(out, ref_out)
-        dx, grads = _block_backward(dout, bp, cfg, cache)
-        ref_dx, ref_grads = ref_block_backward(dout, bp, cfg, ref_cache)
-        assert np.array_equal(dx, ref_dx)
-        assert_same_grads(grads, ref_grads)
-
-    @pytest.mark.parametrize("chunk", [1, 2])
-    def test_chunked_encoder_matches_out_of_place_formulas_bitwise(
-            self, monkeypatch, chunk):
-        cfg = small_config(num_channels=6, embed_dim=24, num_heads=3,
-                           max_patches=4)
-        force_chunk(monkeypatch, chunk, 3, 6 * 4)
-        rng = np.random.default_rng(60 + chunk)
-        params = init_encoder_params(cfg, rng)
-        params["head_w"][:] = rng.normal(0, 0.3, params["head_w"].shape)
-        x = rng.normal(size=(5, 6, 64))
-        dlogits = rng.normal(size=(5, cfg.num_classes))
-        logits, _, cache = encoder_forward_batch(x, params, cfg, keep_cache=True)
-        grads, dx = encoder_backward_batch(cache, params, cfg, dlogits)
-        ref_logits, ref_grads, ref_dx = ref_encoder(x, params, cfg, dlogits)
-        assert np.array_equal(logits, ref_logits)
-        assert np.array_equal(dx, ref_dx)
-        assert_same_grads(grads, ref_grads)
 
     def test_block_cache_holds_no_score_tensor(self):
         cfg = small_config(embed_dim=24, num_heads=3)
@@ -574,9 +532,8 @@ class TestInPlaceHotPath:
             tracemalloc.stop()
         assert peak <= 25e6
 
-    # The no-cache forward runs chunks of 3 samples, each with attention
-    # chunks of 2, so N = 4 makes one chunk of four (a last sample joins the
-    # chunk before it) and N = 63 makes 21.
+    # The no-cache forward runs chunks of 3 samples, so N = 4 makes one chunk
+    # of four (a last sample joins the chunk before it) and N = 63 makes 21.
     # Four workers are more than the cores of most test machines.
     @pytest.mark.parametrize("count", [1, 2, 4])
     @pytest.mark.parametrize("n", [1, 4, 63])
@@ -585,7 +542,6 @@ class TestInPlaceHotPath:
         workers(count)
         cfg = pooled_config()
         force_forward_chunk(monkeypatch, 3, cfg)
-        force_chunk(monkeypatch, 2, 3, 24)
         rng = np.random.default_rng(80 + n)
         params = init_encoder_params(cfg, rng)
         params["head_w"][:] = rng.normal(0, 0.3, params["head_w"].shape)
@@ -594,8 +550,8 @@ class TestInPlaceHotPath:
         ref_logits, ref_pooled = ref_forward(x, params, cfg)
         assert np.array_equal(logits, ref_logits)
         assert np.array_equal(pooled, ref_pooled)
-        # One sample makes one chunk, which runs inline.
-        assert (encoder._pool is not None) == (count > 1 and n > 1)
+        # One or four samples make one chunk, which runs inline.
+        assert (model_module._pool is not None) == (count > 1 and n > 4)
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_chunked_adapter_forward_matches_one_chunk_bitwise(
@@ -614,7 +570,7 @@ class TestInPlaceHotPath:
         force_forward_chunk(monkeypatch, 3, cfg)
         x = rng.normal(size=(7, 5, 100))
         logits, pooled = model.forward_batch(x)
-        assert (encoder._pool is not None) == (count > 1)
+        assert (model_module._pool is not None) == (count > 1)
         _, step_logits, _ = model.loss_and_grads(x, np.arange(7) % 4,
                                                  cross_entropy_batch)
         assert np.array_equal(step_logits, logits)
@@ -640,32 +596,12 @@ class TestInPlaceHotPath:
         for count in (1, 2):
             workers(count)
             steps.append(model.loss_and_grads(x, y, cross_entropy_batch))
-            assert (encoder._pool is not None) == (count > 1)
+            assert (model_module._pool is not None) == (count > 1)
         (loss_1, logits_1, grads_1), (loss_2, logits_2, grads_2) = steps
         assert loss_1 == loss_2
         assert np.array_equal(logits_1, logits_2)
         assert_same_grads(grads_1, grads_2)
         assert sorted(grads_1) == sorted(n for n, _ in model.named_arrays())
-
-    @pytest.mark.parametrize("count", [1, 2, 4])
-    def test_training_pass_on_workers_matches_out_of_place_formulas_bitwise(
-            self, monkeypatch, workers, count):
-        # Attention forward and backward run one sample per chunk.
-        workers(count)
-        cfg = pooled_config()
-        force_chunk(monkeypatch, 1, 3, 24)
-        rng = np.random.default_rng(85 + count)
-        params = init_encoder_params(cfg, rng)
-        params["head_w"][:] = rng.normal(0, 0.3, params["head_w"].shape)
-        x = rng.normal(size=(9, 6, 64))
-        dlogits = rng.normal(size=(9, cfg.num_classes))
-        logits, _, cache = encoder_forward_batch(x, params, cfg, keep_cache=True)
-        grads, dx = encoder_backward_batch(cache, params, cfg, dlogits)
-        ref_logits, ref_grads, ref_dx = ref_encoder(x, params, cfg, dlogits)
-        assert np.array_equal(logits, ref_logits)
-        assert np.array_equal(dx, ref_dx)
-        assert_same_grads(grads, ref_grads)
-        assert (encoder._pool is not None) == (count > 1)
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_error_in_a_chunk_reaches_the_caller(self, monkeypatch, workers, count):
@@ -696,11 +632,11 @@ class TestInPlaceHotPath:
         model = encoder_only(cfg, init_encoder_params(cfg, rng))
         x = rng.normal(size=(9, 6, 64))
         expected, _ = model.forward_batch(x)
-        assert encoder._pool is not None
+        assert model_module._pool is not None
         results = []
 
         def on_workers():
-            futures = [encoder._pool.submit(model.forward_batch, x)
+            futures = [model_module._pool.submit(model.forward_batch, x)
                        for _ in range(2)]
             results.extend(future.result()[0] for future in futures)
 
@@ -722,7 +658,7 @@ class TestInPlaceHotPath:
         model = encoder_only(cfg, init_encoder_params(cfg, rng))
         x = rng.normal(size=(9, 6, 64))
         expected, _ = model.forward_batch(x)
-        assert encoder._pool is not None
+        assert model_module._pool is not None
         pid = os.fork()
         if pid == 0:
             try:

@@ -1,5 +1,5 @@
-"""Every name a module exports through ``__all__`` exists in that module, and
-no module imports a sibling's private names."""
+"""Every name a module exports through ``__all__`` exists in that module, no
+module imports a sibling's private names, and only ``model`` runs threads."""
 
 import ast
 import importlib
@@ -35,3 +35,26 @@ def test_no_private_names_imported_from_siblings(name):
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert not private, f"eegadapt.{name} imports {private}"
+
+
+THREAD_MODULES = {"threading", "concurrent.futures", "ctypes"}
+
+
+def imported_modules(name):
+    source = Path(eegadapt.__file__).with_name(f"{name}.py").read_text()
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_only_model_imports_thread_and_ctypes_modules():
+    # model.py alone decides how samples are split and where they run: the
+    # pool and the BLAS thread setter live there and nowhere else.
+    users = {name: sorted(imported_modules(name) & THREAD_MODULES)
+             for name in MODULES}
+    assert {name for name, found in users.items() if found} == {"model"}, users

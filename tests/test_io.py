@@ -665,6 +665,8 @@ MALFORMED_WINDOW_SETS = {
     "data-2d": (IntegrityError, "data"),
     "unknown-label": (DomainError, "labels"),
     "negative-label": (DomainError, "labels"),
+    "fractional-label": (IntegrityError, "labels"),
+    "nonfinite-label": (IntegrityError, "labels"),
     "class-index-not-int": (IntegrityError, "classes"),
     "negative-class-index": (IntegrityError, "classes"),
     "sparse-class-index": (IntegrityError, "classes"),
@@ -699,6 +701,12 @@ def break_window_set(src, dst, case):
         arrays["labels"][0] = len(meta["classes"])
     elif case == "negative-label":
         arrays["labels"][0] = -1
+    elif case == "fractional-label":
+        # Stored as floats; cast to int, 0.7 and 1.7 would load as 0 and 1.
+        arrays["labels"] = arrays["labels"] + 0.7
+    elif case == "nonfinite-label":
+        arrays["labels"] = arrays["labels"].astype(np.float64)
+        arrays["labels"][0] = np.nan
     elif case == "class-index-not-int":
         meta["classes"]["first"] = "0"
     elif case in ("negative-class-index", "sparse-class-index"):
