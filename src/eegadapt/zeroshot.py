@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DomainError, ProtocolError
+from .errors import DomainError, NumericError, ProtocolError
 from .training import confusion_matrix, metrics_from_confusion
 
 __all__ = [
@@ -232,13 +232,19 @@ def run_zeroshot(embeddings: np.ndarray, labels: np.ndarray,
     fit_x, fit_y = x[fit_idx], y[fit_idx]
     eval_x, eval_y = x[eval_idx], y[eval_idx]
 
-    svm_pred = linear_svm(fit_x, fit_y, eval_x, seed=protocol.seed)
-    knn_pred = knn(fit_x, fit_y, eval_x, k=knn_k)
-
     k = present.size
-    centroids, fit_assign = kmeans_fit(fit_x, k, seed=protocol.seed)
+    # Finite but huge embeddings overflow the squared distances and the SVM
+    # margins; the scores would then mean nothing, so refuse them.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            svm_pred = linear_svm(fit_x, fit_y, eval_x, seed=protocol.seed)
+            knn_pred = knn(fit_x, fit_y, eval_x, k=knn_k)
+            centroids, fit_assign = kmeans_fit(fit_x, k, seed=protocol.seed)
+            eval_assign = np.argmin(_sq_dists(eval_x, centroids), axis=1)
+    except FloatingPointError as exc:
+        raise NumericError(
+            f"zero-shot classifiers overflow on these embeddings ({exc})") from exc
     cluster_to_label, _ = _match_clusters(fit_assign, fit_y, k)
-    eval_assign = np.argmin(_sq_dists(eval_x, centroids), axis=1)
     km_pred = np.array([cluster_to_label.get(int(a), -1) for a in eval_assign])
 
     return {

@@ -686,6 +686,22 @@ def test_out_of_range_embeddings_label_fails_in_one_line(tmp_path, capsys):
     assert_one_line_error(capsys, f"{emb}:2", "label")
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_embeddings_fail_in_one_line(tmp_path, capsys):
+    # Finite, but its square overflows the classifiers' distances and margins.
+    rng = np.random.default_rng(0)
+    rows = [[float(v) for v in rng.normal(size=2) + 5.0 * (i % 2)] for i in range(20)]
+    rows[3][1] = 1e308
+    emb = tmp_path / "e.csv"
+    emb.write_text("".join(f"{a!r},{b!r},{i % 2},s{i % 4}\n"
+                           for i, (a, b) in enumerate(rows)))
+    out = tmp_path / "zeroshot.txt"
+    assert main(["zeroshot", "--embeddings", str(emb),
+                 "--held-out-classes", "0,1", "--out", str(out)]) == 2
+    assert_one_line_error(capsys, "overflow")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit,needle", [
     (lambda meta: meta["classes"].update({next(iter(meta["classes"])): 2 ** 70}),
      "classes"),

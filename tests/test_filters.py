@@ -1,11 +1,21 @@
-"""Filter design and zero-phase application, measured spectrally."""
+"""Filter design and zero-phase application, measured spectrally and against scipy."""
+
+import json
 
 import numpy as np
 import pytest
-from scipy.signal import sosfilt
+import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import sosfilt, sosfiltfilt
 
+from eegadapt import filters
+from eegadapt.core import extract_windows
 from eegadapt.errors import DomainError
+from eegadapt.fileio import write_recording_binary
 from eegadapt.filters import _checked, apply_chain_to_rows, design_bandpass, design_notch
+from eegadapt.manifest import load_manifest, load_recording
+from eegadapt.pipeline import FilterSettings, preprocess_manifest
 
 
 def filtfilt(sos, x):
@@ -141,3 +151,74 @@ class TestCompositePipeline:
         k12 = int(round(12.0 * n / fs))
         assert spectrum[k50] / spectrum[k12] < 0.05
         assert np.abs(np.mean(y[1000:3000])) < 0.05
+
+
+@st.composite
+def filter_cases(draw):
+    """A notch or bandpass design, and a matrix long enough for its padding."""
+    fs = draw(st.sampled_from([100.0, 128.0, 200.0, 250.0, 256.0, 500.0, 1000.0]))
+    if draw(st.booleans()):
+        sos = design_notch(draw(st.sampled_from([0.05, 0.2, 0.4])) * fs, fs, 30.0)
+    else:
+        sos = design_bandpass(0.1, draw(st.sampled_from([20.0, 45.0])),
+                              draw(st.integers(1, 6)), fs)
+    padlen = 6 * len(sos)
+    t = draw(st.integers(padlen + 1, 2048))
+    rows = draw(st.integers(1, 16))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        scale=50.0, size=(rows, t))
+    layout = draw(st.sampled_from(["C", "reversed", "F"]))
+    x = {"C": x, "reversed": x[::-1, ::-1], "F": np.asfortranarray(x)}[layout]
+    return sos, x
+
+
+class TestMatchesScipy:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(filter_cases())
+    def test_bitwise_equal_to_sosfiltfilt(self, case):
+        sos, x = case
+        expected = sosfiltfilt(sos, x, axis=1, padlen=6 * len(sos))
+        assert np.array_equal(apply_chain_to_rows(sos, x), expected)
+
+
+def test_steady_state_solved_once_per_design(tmp_path, monkeypatch):
+    """Recordings at 200 and 250 Hz each get their own rate's chain, and
+    tripling the recordings solves no further steady state."""
+    rng = np.random.default_rng(3)
+    entries = []
+    for i in range(12):
+        write_recording_binary(tmp_path / f"r{i}.raw",
+                               rng.normal(scale=20.0, size=(3, 300)))
+        entries.append({
+            "path": f"r{i}.raw", "format": "f32-binary",
+            "channel_labels": ["a", "b", "c"],
+            "sample_rate_hz": (200.0, 250.0)[i % 2], "label": "first",
+            "subject_id": f"s{i}", "split": "train",
+        })
+    solves = []
+    solve = scipy.signal.sosfilt_zi
+    monkeypatch.setattr(scipy.signal, "sosfilt_zi",
+                        lambda sos: solves.append(sos) or solve(sos))
+    cfg = FilterSettings()
+    for n in (4, 12):
+        path = tmp_path / f"manifest{n}.json"
+        path.write_text(json.dumps({"classes": {"first": 0},
+                                    "recordings": entries[:n]}))
+        manifest = load_manifest(path)
+        filters._steady_state.cache_clear()
+        solves.clear()
+        wset = preprocess_manifest(manifest, cfg, 100)
+        # One notch and one bandpass design for each of the two rates.
+        assert len(solves) == 4
+
+        expected = []
+        for entry in manifest.recordings:
+            fs = entry.sample_rate_hz
+            notch = design_notch(cfg.notch_hz, fs, cfg.notch_q)
+            band = design_bandpass(cfg.band_low_hz, cfg.band_high_hz,
+                                   cfg.band_order, fs)
+            x = load_recording(entry, manifest.base_dir)
+            x = sosfiltfilt(notch, x, axis=1, padlen=6 * len(notch))
+            x = sosfiltfilt(band, x, axis=1, padlen=6 * len(band))
+            expected.append(extract_windows(x, 100))
+        np.testing.assert_array_equal(wset.data, np.concatenate(expected))
