@@ -269,6 +269,10 @@ def cmd_train(args) -> int:
 
     train_set = wset.select("train", mask, labels)
     val_set = wset.select("val", mask, labels)
+    fingerprint = dict(wset.fingerprint)
+    fingerprint["mode"] = args.mode
+    # The splits are copies: the loaded windows can go before training.
+    del wset
     cfg = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch,
@@ -279,9 +283,6 @@ def cmd_train(args) -> int:
         freeze_bfm=args.freeze_bfm,
     )
     result = train_loop(model, train_set, val_set, cfg)
-
-    fingerprint = dict(wset.fingerprint)
-    fingerprint["mode"] = args.mode
     save_checkpoint(args.out_checkpoint, Checkpoint(model, classes, fingerprint))
 
     header = repro_header("train", args)

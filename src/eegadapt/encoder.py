@@ -146,17 +146,21 @@ def _patchify_batch(x: np.ndarray, params: dict[str, np.ndarray], cfg: BfmConfig
     return emb.reshape(n, c * p, cfg.embed_dim), patches
 
 
-# Attention runs one sample at a time, so that only one sample's (H, S, S)
-# float64 scores are live; backward recomputes them from q and k instead of
-# keeping them. Each sample's work is a call of its own, whose arrays are
-# freed before the next sample starts.
-def _attention_probs(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
-    attn = q @ k.swapaxes(-1, -2)
+# Attention runs one sample at a time, so that at most one sample's (H, S, S)
+# float64 scores are being built. A training forward may keep each sample's
+# probabilities for backward; otherwise backward recomputes them from q and k.
+# Each sample's work is a call of its own, whose temporaries are freed before
+# the next sample starts.
+def _attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    attn = np.matmul(q, k.swapaxes(-1, -2), out=out)
     attn *= scale
     return softmax_last(attn)
 
 
-def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig):
+def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig, probs=None):
+    """(output, cache); with ``probs``, an (N, H, S, S) array, the attention
+    probabilities are written there and kept for backward."""
     n, s, d = x.shape
     h, dh = cfg.num_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
@@ -170,7 +174,8 @@ def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig):
     ctx_heads = ctx.transpose(0, 2, 1, 3)
 
     def attend(i):
-        np.matmul(_attention_probs(q[i], k[i], scale), v[i], out=ctx_heads[i])
+        attn = _attention_probs(q[i], k[i], scale, None if probs is None else probs[i])
+        np.matmul(attn, v[i], out=ctx_heads[i])
 
     for i in range(n):
         attend(i)
@@ -183,41 +188,50 @@ def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig):
     g1, cdf = gelu(a1)
     x3 = x2 + g1 @ bp["w2"] + bp["b2"]
 
-    # The GELU output is rebuilt as a1 * cdf in backward rather than kept.
-    cache = (x, h1, ln1_cache, q, k, v, ctx, x2, h2, ln2_cache, a1, cdf)
+    # Backward needs neither x nor x2, and rebuilds the GELU output as
+    # a1 * cdf rather than keeping it.
+    cache = (h1, ln1_cache, q, k, v, probs, ctx, h2, ln2_cache, a1, cdf)
     return x3, cache
 
 
-def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache):
-    x, h1, ln1_cache, q, k, v, ctx, x2, h2, ln2_cache, a1, cdf = cache
-    n, s, d = x.shape
+def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache,
+                    param_grads: bool = True):
+    """(dx, gradients of the block's arrays). With ``param_grads`` False the
+    weight-gradient products and bias sums are skipped, so only the layer-norm
+    gradients come back. Reads the cache and leaves it as it was."""
+    h1, ln1_cache, q, k, v, probs, ctx, h2, ln2_cache, a1, cdf = cache
+    n, s, d = dout.shape
     h, dh = cfg.num_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
     g: dict[str, np.ndarray] = {}
 
     # Feed-forward branch.
     df = dout
-    g1 = a1 * cdf
-    g["w2"] = g1.reshape(-1, cfg.ff_dim).T @ df.reshape(-1, d)
-    g["b2"] = df.sum(axis=(0, 1))
+    if param_grads:
+        g1 = a1 * cdf
+        g["w2"] = g1.reshape(-1, cfg.ff_dim).T @ df.reshape(-1, d)
+        g["b2"] = df.sum(axis=(0, 1))
+        del g1  # gone before da1 and its temporaries: a lower peak
     da1 = df @ bp["w2"].T
     da1 *= gelu_grad(a1, cdf)
-    g["w1"] = h2.reshape(-1, d).T @ da1.reshape(-1, cfg.ff_dim)
-    g["b1"] = da1.sum(axis=(0, 1))
+    if param_grads:
+        g["w1"] = h2.reshape(-1, d).T @ da1.reshape(-1, cfg.ff_dim)
+        g["b1"] = da1.sum(axis=(0, 1))
     dh2 = da1 @ bp["w1"].T
     dx2_ln, g["ln2_g"], g["ln2_b"] = layer_norm_backward(ln2_cache, bp["ln2_g"], dh2)
     dx2 = dout + dx2_ln
 
     # Attention branch.
     dattn_out = dx2
-    g["wo"] = ctx.reshape(-1, d).T @ dattn_out.reshape(-1, d)
-    g["bo"] = dattn_out.sum(axis=(0, 1))
+    if param_grads:
+        g["wo"] = ctx.reshape(-1, d).T @ dattn_out.reshape(-1, d)
+        g["bo"] = dattn_out.sum(axis=(0, 1))
     dctx = (dattn_out @ bp["wo"].T).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
     dq_m, dk_m, dv_m = (np.empty((n, s, h, dh)) for _ in range(3))
     dq, dk, dv = (t.transpose(0, 2, 1, 3) for t in (dq_m, dk_m, dv_m))
 
     def attend_backward(i):
-        attn = _attention_probs(q[i], k[i], scale)
+        attn = probs[i] if probs is not None else _attention_probs(q[i], k[i], scale)
         dattn = dctx[i] @ v[i].swapaxes(-1, -2)
         np.matmul(attn.swapaxes(-1, -2), dctx[i], out=dv[i])
         dscores = softmax_backward(attn, dattn)
@@ -228,13 +242,14 @@ def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache):
     for i in range(n):
         attend_backward(i)
     dq_m, dk_m, dv_m = (t.reshape(n, s, d) for t in (dq_m, dk_m, dv_m))
-    h1_flat = h1.reshape(-1, d)
-    g["wq"] = h1_flat.T @ dq_m.reshape(-1, d)
-    g["bq"] = dq_m.sum(axis=(0, 1))
-    g["wk"] = h1_flat.T @ dk_m.reshape(-1, d)
-    g["bk"] = dk_m.sum(axis=(0, 1))
-    g["wv"] = h1_flat.T @ dv_m.reshape(-1, d)
-    g["bv"] = dv_m.sum(axis=(0, 1))
+    if param_grads:
+        h1_flat = h1.reshape(-1, d)
+        g["wq"] = h1_flat.T @ dq_m.reshape(-1, d)
+        g["bq"] = dq_m.sum(axis=(0, 1))
+        g["wk"] = h1_flat.T @ dk_m.reshape(-1, d)
+        g["bk"] = dk_m.sum(axis=(0, 1))
+        g["wv"] = h1_flat.T @ dv_m.reshape(-1, d)
+        g["bv"] = dv_m.sum(axis=(0, 1))
     dh1 = dq_m @ bp["wq"].T + dk_m @ bp["wk"].T + dv_m @ bp["wv"].T
     dx_ln, g["ln1_g"], g["ln1_b"] = layer_norm_backward(ln1_cache, bp["ln1_g"], dh1)
     dx = dx2 + dx_ln
@@ -242,15 +257,25 @@ def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache):
 
 
 def encoder_forward_batch(x: np.ndarray, params: dict[str, np.ndarray],
-                          cfg: BfmConfig, keep_cache: bool = False):
-    """Full forward on a batch (N, C, T); returns (logits, pooled, cache)."""
+                          cfg: BfmConfig, keep_cache=False):
+    """Full forward on a batch (N, C, T); returns (logits, pooled, cache).
+
+    ``keep_cache`` False keeps nothing for backward. True keeps each block's
+    activations, and backward recomputes every sample's attention
+    probabilities from them. A (layers, N, H, S, S) array keeps those
+    probabilities too: block i writes them into ``keep_cache[i]``, and
+    backward reads them there.
+    """
+    probs = keep_cache if isinstance(keep_cache, np.ndarray) else None
+    keep_cache = probs is not None or keep_cache
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise DimensionError(f"expected a batch (N, C, T), got shape {x.shape}")
     h, patches = _patchify_batch(x, params, cfg)
     block_caches = []
     for i in range(cfg.num_layers):
-        h, cache = _block_forward(h, _block(params, i), cfg)
+        h, cache = _block_forward(h, _block(params, i), cfg,
+                                  probs=None if probs is None else probs[i])
         if keep_cache:
             block_caches.append(cache)
         # Without a cache, this block's intermediates go before the next runs.
@@ -265,8 +290,12 @@ def encoder_forward_batch(x: np.ndarray, params: dict[str, np.ndarray],
 
 
 def encoder_backward_batch(cache, params: dict[str, np.ndarray], cfg: BfmConfig,
-                           dlogits: np.ndarray):
-    """Gradients for all encoder parameters and the input batch."""
+                           dlogits: np.ndarray, body_grads: bool = True):
+    """Gradients for the encoder parameters and the input batch.
+
+    With ``body_grads`` False only the head's gradients are computed and
+    returned, with the input gradient; the body's weight-gradient products and
+    table sums are skipped."""
     x_shape, patches, block_caches, lnf_cache, seq_len, pooled = cache
     n, c, t = x_shape
     p = t // cfg.patch_len
@@ -277,21 +306,24 @@ def encoder_backward_batch(cache, params: dict[str, np.ndarray], cfg: BfmConfig,
     dpooled = dlogits @ params["head_w"].T
     dhf = np.broadcast_to((dpooled / seq_len)[:, None, :],
                           (n, seq_len, cfg.embed_dim))
-    dh, grads["final_g"], grads["final_b"] = layer_norm_backward(
-        lnf_cache, params["final_g"], dhf
-    )
+    dh, final_g, final_b = layer_norm_backward(lnf_cache, params["final_g"], dhf)
+    if body_grads:
+        grads["final_g"], grads["final_b"] = final_g, final_b
     for i in reversed(range(cfg.num_layers)):
-        dh, block_grads = _block_backward(dh, _block(params, i), cfg, block_caches[i])
-        for name, value in block_grads.items():
-            grads[f"blocks.{i}.{name}"] = value
+        dh, block_grads = _block_backward(dh, _block(params, i), cfg,
+                                          block_caches[i], body_grads)
+        if body_grads:
+            for name, value in block_grads.items():
+                grads[f"blocks.{i}.{name}"] = value
 
     demb = dh.reshape(n, c, p, cfg.embed_dim)
-    grads["channel_embed"] = np.zeros_like(params["channel_embed"])
-    grads["channel_embed"][:c] = demb.sum(axis=(0, 2))
-    grads["temporal_embed"] = np.zeros_like(params["temporal_embed"])
-    grads["temporal_embed"][:p] = demb.sum(axis=(0, 1))
-    demb_flat = demb.reshape(-1, cfg.embed_dim)
-    grads["patch_w"] = demb_flat.T @ patches.reshape(-1, cfg.patch_len)
-    grads["patch_b"] = demb_flat.sum(axis=0)
+    if body_grads:
+        grads["channel_embed"] = np.zeros_like(params["channel_embed"])
+        grads["channel_embed"][:c] = demb.sum(axis=(0, 2))
+        grads["temporal_embed"] = np.zeros_like(params["temporal_embed"])
+        grads["temporal_embed"][:p] = demb.sum(axis=(0, 1))
+        demb_flat = demb.reshape(-1, cfg.embed_dim)
+        grads["patch_w"] = demb_flat.T @ patches.reshape(-1, cfg.patch_len)
+        grads["patch_b"] = demb_flat.sum(axis=0)
     dx = (demb @ params["patch_w"]).reshape(n, c, t)
     return grads, dx

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +53,18 @@ def _forward_chunk(cfg: BfmConfig) -> int:
     the most tokens the config takes: num_channels x max_patches."""
     s = cfg.num_channels * cfg.max_patches
     return max(2, _FORWARD_CHUNK_BYTES // (21 * s * cfg.embed_dim * 8))
+
+
+def _kept_probs_shape(cfg: BfmConfig, shape):
+    """(layers, m, H, S, S) for a training chunk with encoder input ``shape``
+    (m, C, T) that keeps its attention probabilities for backward: each
+    block's m (H, S, S) float64 arrays must fit the chunk budget. None when
+    they do not, and backward recomputes them."""
+    m, c, t = shape
+    s = c * (t // cfg.patch_len)
+    if m * cfg.num_heads * s * s * 8 > _FORWARD_CHUNK_BYTES:
+        return None
+    return cfg.num_layers, m, cfg.num_heads, s, s
 
 
 @functools.cache
@@ -91,19 +105,25 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _map_chunks(fn, chunks) -> list:
-    """``[fn(chunk) for chunk in chunks]``; chunks write disjoint memory."""
+def _map_chunks(fn, chunks):
+    """Yields ``fn(chunk)`` for each chunk in chunk order, each as soon as it
+    and the chunks before it are done; chunks write disjoint memory."""
     global _pool
     own_threads()
     if _WORKERS < 2 or len(chunks) < 2 or getattr(_on_worker, "active", False):
-        return [fn(chunk) for chunk in chunks]
+        yield from map(fn, chunks)
+        return
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(_WORKERS, initializer=setattr,
                                        initargs=(_on_worker, "active", True))
-    futures = [_pool.submit(fn, chunk) for chunk in chunks]
-    wait(futures)
-    return [future.result() for future in futures]
+    futures = deque(_pool.submit(fn, chunk) for chunk in chunks)
+    try:
+        while futures:
+            yield futures.popleft().result()
+    finally:
+        # An error leaves no chunk running behind the caller's back.
+        wait(futures)
 
 
 @dataclass
@@ -166,40 +186,61 @@ class EegClassifier:
                 h, _ = adapter_forward_batch(h, self.adapter, self.adapter_config)
             logits[j], pooled[j], _ = encoder_forward_batch(h, self.encoder, cfg)
 
-        _map_chunks(run_chunk, chunks)
+        for _ in _map_chunks(run_chunk, chunks):
+            pass
         return logits, pooled
 
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray, loss_fn):
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray, loss_fn,
+                       freeze_bfm: bool = False):
         """(mean loss, logits (N, K), gradients keyed like named_arrays()).
         On the pool, each chunk of m samples runs forward, ``loss_fn(logits,
         labels) -> (mean loss, dlogits)`` on its rows and backward from dlogits
-        scaled by m/N; losses and gradients are summed in chunk order."""
+        scaled by m/N; losses and gradients are summed in chunk order, each
+        chunk's as soon as it and the chunks before it are done. With
+        ``freeze_bfm`` the encoder body's gradients are neither computed nor
+        returned: only the adapter's and the head's."""
         x, chunks = self._chunks(x)
         n, cfg, ac = x.shape[0], self.encoder_config, self.adapter_config
         logits = np.empty((n, cfg.num_classes))
+        # Per thread, one buffer that its chunks, one after another, keep their
+        # probabilities in: fresh arrays per chunk would be returned to the
+        # system and page-faulted in again for every chunk.
+        buffers = {}
 
         def run_chunk(j):
             h, adapter_cache, m = x[j], None, j.stop - j.start
             if ac is not None:
                 h, adapter_cache = adapter_forward_batch(h, self.adapter, ac,
                                                          keep_cache=True)
+            keep, shape = True, _kept_probs_shape(cfg, h.shape)
+            if shape is not None:
+                size, thread = math.prod(shape), threading.get_ident()
+                buffer = buffers.get(thread)
+                if buffer is None or buffer.size < size:
+                    buffer = buffers[thread] = np.empty(size)
+                keep = buffer[:size].reshape(shape)
             logits[j], _, enc_cache = encoder_forward_batch(h, self.encoder, cfg,
-                                                            keep_cache=True)
+                                                            keep_cache=keep)
             loss, dlogits = loss_fn(logits[j], y[j])
             enc_grads, dh = encoder_backward_batch(enc_cache, self.encoder, cfg,
-                                                   dlogits * (m / n))
+                                                   dlogits * (m / n),
+                                                   body_grads=not freeze_bfm)
+            del enc_cache
             grads = {f"encoder.{k}": g for k, g in enc_grads.items()}
             if ac is not None:
                 ad_grads = adapter_backward_batch(adapter_cache, self.adapter, ac, dh)
                 grads.update((f"adapter.{k}", g) for k, g in ad_grads.items())
             return loss * m, grads
 
-        results = _map_chunks(run_chunk, chunks)
-        grads = results[0][1]
-        for _, chunk_grads in results[1:]:
+        loss_sum, grads = 0.0, None
+        for loss, chunk_grads in _map_chunks(run_chunk, chunks):
+            loss_sum += loss
+            if grads is None:
+                grads = chunk_grads
+                continue
             for name, g in chunk_grads.items():
                 grads[name] += g
-        return sum(loss for loss, _ in results) / n, logits, grads
+        return loss_sum / n, logits, grads
 
     def embed_batch(self, x: np.ndarray) -> np.ndarray:
         """Pooled representations, the feature extractor for zero-shot use."""

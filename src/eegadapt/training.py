@@ -232,7 +232,8 @@ def train_loop(model, train_set: LabeledSet, val_set: LabeledSet,
         for step in range(steps_per_epoch):
             idx = order[step * cfg.batch_size : (step + 1) * cfg.batch_size]
             xb, yb = train_set.x[idx], train_set.y[idx]
-            loss, logits, grads = model.loss_and_grads(xb, yb, cross_entropy_batch)
+            loss, logits, grads = model.loss_and_grads(xb, yb, cross_entropy_batch,
+                                                       freeze_bfm=cfg.freeze_bfm)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {step}")
             opt.step(grads)

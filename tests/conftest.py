@@ -38,8 +38,8 @@ class AdapterOnlyClassifier:
         logits = adapter_forward_batch(x, self.params, self.config)[0].mean(axis=2)
         return logits, logits
 
-    def loss_and_grads(self, x, y, loss_fn):
-        """The whole batch as one chunk."""
+    def loss_and_grads(self, x, y, loss_fn, freeze_bfm=False):
+        """The whole batch as one chunk; there is no encoder to freeze."""
         out, cache = adapter_forward_batch(x, self.params, self.config,
                                            keep_cache=True)
         logits = out.mean(axis=2)

@@ -434,6 +434,22 @@ def encoder_only(cfg, params):
     return EegClassifier(encoder_config=cfg, encoder=params)
 
 
+def adapter_model(channels, patches, seed):
+    """An adapter model whose encoder sees ``channels`` x ``patches`` tokens
+    (3 heads of 8), with a random head, and a batch of 8 inputs of 5 x (16 x
+    patches + 36)."""
+    cfg = small_config(num_channels=channels, embed_dim=24, num_heads=3,
+                       max_patches=patches, channel_vocab=max(23, channels))
+    steps = 16 * patches + 36
+    adapter_cfg = default_adapter_config(5, steps, 16 * patches,
+                                         out_channels=channels, hidden_maps=8)
+    model = build_classifier(cfg, adapter_cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    model.encoder["head_w"][:] = rng.normal(0, 0.3, (cfg.embed_dim,
+                                                     cfg.num_classes))
+    return model, rng.normal(size=(8, 5, steps)), rng.integers(0, 4, size=8)
+
+
 def test_blas_is_held_at_one_thread():
     # numpy's bundled OpenBLAS exports the setter; without it the bytes
     # would follow the BLAS thread count again.
@@ -467,25 +483,32 @@ class TestInPlaceHotPath:
         assert np.array_equal(dx, ref_dx)
         assert_same_grads(grads, ref_grads)
 
+    # 6 channels x 4 patches = 24 tokens keep their probabilities for
+    # backward; 6 x 40 = 240 tokens are over the keep rule, so backward
+    # recomputes them.
     @pytest.mark.parametrize("heads", [2, 3])
     def test_encoder_matches_out_of_place_formulas_bitwise(self, heads):
-        cfg = small_config(num_channels=6, embed_dim=24, num_heads=heads,
-                           max_patches=4)
-        rng = np.random.default_rng(30 + heads)
-        params = init_encoder_params(cfg, rng)
-        params["head_w"][:] = rng.normal(0, 0.3, params["head_w"].shape)
-        x = rng.normal(size=(5, 6, 64))
-        dlogits = rng.normal(size=(5, cfg.num_classes))
-        logits, _, cache = encoder_forward_batch(x, params, cfg, keep_cache=True)
-        grads, dx = encoder_backward_batch(cache, params, cfg, dlogits)
-        ref_logits, ref_grads, ref_dx = ref_encoder(x, params, cfg, dlogits)
-        assert np.array_equal(logits, ref_logits)
-        assert np.array_equal(dx, ref_dx)
-        assert_same_grads(grads, ref_grads)
-        # Backward leaves its cache intact, so it can run again.
-        again, dx_again = encoder_backward_batch(cache, params, cfg, dlogits)
-        assert np.array_equal(dx_again, dx)
-        assert_same_grads(again, grads)
+        for patches, kept in ((4, True), (40, False)):
+            cfg = small_config(num_channels=6, embed_dim=24, num_heads=heads,
+                               max_patches=patches)
+            rng = np.random.default_rng(30 + heads)
+            params = init_encoder_params(cfg, rng)
+            params["head_w"][:] = rng.normal(0, 0.3, params["head_w"].shape)
+            x = rng.normal(size=(5, 6, 16 * patches))
+            dlogits = rng.normal(size=(5, cfg.num_classes))
+            shape = model_module._kept_probs_shape(cfg, x.shape)
+            assert (shape is not None) == kept
+            logits, _, cache = encoder_forward_batch(
+                x, params, cfg, keep_cache=np.empty(shape) if kept else True)
+            grads, dx = encoder_backward_batch(cache, params, cfg, dlogits)
+            ref_logits, ref_grads, ref_dx = ref_encoder(x, params, cfg, dlogits)
+            assert np.array_equal(logits, ref_logits)
+            assert np.array_equal(dx, ref_dx)
+            assert_same_grads(grads, ref_grads)
+            # Backward leaves its cache intact, so it can run again.
+            again, dx_again = encoder_backward_batch(cache, params, cfg, dlogits)
+            assert np.array_equal(dx_again, dx)
+            assert_same_grads(again, grads)
 
     def test_block_cache_holds_no_score_tensor(self):
         cfg = small_config(embed_dim=24, num_heads=3)
@@ -582,26 +605,90 @@ class TestInPlaceHotPath:
     def test_training_step_is_bitwise_equal_on_one_and_two_workers(
             self, monkeypatch, workers):
         # Chunks of 3 over N = 8 leave a last chunk of two; the gradients are
-        # summed in chunk order whichever worker finished first.
-        cfg = pooled_config()
-        adapter_cfg = default_adapter_config(5, 100, 64, out_channels=6,
-                                             hidden_maps=8)
-        model = build_classifier(cfg, adapter_cfg, seed=94)
-        rng = np.random.default_rng(94)
-        model.encoder["head_w"][:] = rng.normal(0, 0.3, (cfg.embed_dim,
-                                                         cfg.num_classes))
-        force_forward_chunk(monkeypatch, 3, cfg)
-        x, y = rng.normal(size=(8, 5, 100)), rng.integers(0, 4, size=8)
-        steps = []
-        for count in (1, 2):
-            workers(count)
-            steps.append(model.loss_and_grads(x, y, cross_entropy_batch))
-            assert (model_module._pool is not None) == (count > 1)
-        (loss_1, logits_1, grads_1), (loss_2, logits_2, grads_2) = steps
-        assert loss_1 == loss_2
-        assert np.array_equal(logits_1, logits_2)
-        assert_same_grads(grads_1, grads_2)
-        assert sorted(grads_1) == sorted(n for n, _ in model.named_arrays())
+        # summed in chunk order whichever worker finished first. The adapter
+        # emits 6 x 4 = 24 tokens, which keep their probabilities for backward,
+        # and then 16 x 17 = 272 tokens, which are over the keep rule.
+        for channels, patches, kept in ((6, 4, True), (16, 17, False)):
+            model, x, y = adapter_model(channels, patches, seed=94)
+            cfg = model.encoder_config
+            force_forward_chunk(monkeypatch, 3, cfg)
+            for m in (2, 3):
+                shape = (m, channels, 16 * patches)
+                assert (model_module._kept_probs_shape(cfg, shape) is not None) == kept
+            steps = []
+            for count in (1, 2):
+                workers(count)
+                steps.append(model.loss_and_grads(x, y, cross_entropy_batch))
+                assert (model_module._pool is not None) == (count > 1)
+            (loss_1, logits_1, grads_1), (loss_2, logits_2, grads_2) = steps
+            assert loss_1 == loss_2
+            assert np.array_equal(logits_1, logits_2)
+            assert_same_grads(grads_1, grads_2)
+            assert sorted(grads_1) == sorted(n for n, _ in model.named_arrays())
+
+    def test_kept_probabilities_give_the_bytes_of_recomputed_ones(self, monkeypatch):
+        model, x, y = adapter_model(6, 4, seed=95)
+        force_forward_chunk(monkeypatch, 3, model.encoder_config)
+        kept = model.loss_and_grads(x, y, cross_entropy_batch)
+        monkeypatch.setattr(model_module, "_kept_probs_shape", lambda cfg, shape: None)
+        recomputed = model.loss_and_grads(x, y, cross_entropy_batch)
+        assert kept[0] == recomputed[0]
+        assert np.array_equal(kept[1], recomputed[1])
+        assert_same_grads(kept[2], recomputed[2])
+
+    @pytest.mark.parametrize("channels, patches, per_sample_layer",
+                             [(6, 4, 1), (16, 17, 2)])
+    def test_probabilities_are_computed_once_unless_over_the_keep_rule(
+            self, monkeypatch, workers, channels, patches, per_sample_layer):
+        workers(2)
+        model, x, y = adapter_model(channels, patches, seed=96)
+        force_forward_chunk(monkeypatch, 3, model.encoder_config)
+        calls = []
+        real = encoder._attention_probs
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(encoder, "_attention_probs", counted)
+        model.loss_and_grads(x, y, cross_entropy_batch)
+        layers = model.encoder_config.num_layers
+        assert len(calls) == per_sample_layer * len(x) * layers
+
+    def test_frozen_encoder_body_gets_no_gradients(self, monkeypatch):
+        # The adapter and head gradients are the bytes of an unfrozen step.
+        model, x, y = adapter_model(6, 4, seed=97)
+        force_forward_chunk(monkeypatch, 3, model.encoder_config)
+        _, _, full = model.loss_and_grads(x, y, cross_entropy_batch)
+        _, _, frozen = model.loss_and_grads(x, y, cross_entropy_batch,
+                                            freeze_bfm=True)
+        trained = [n for n in full if n.startswith(("adapter.", "encoder.head_"))]
+        assert sorted(frozen) == sorted(trained)
+        assert_same_grads(frozen, {n: full[n] for n in trained})
+
+    def test_training_step_peak_at_benchmark_shape(self, workers):
+        # One batch of 32 through the adapter (16 x 256 -> 23 x 112, 161
+        # tokens, D = 32) on two workers. Each chunk of 4 keeps 2 x 3.3 MB of
+        # probabilities, and its gradients join the sum as soon as it and the
+        # chunks before it are done. With the probabilities recomputed in
+        # backward and all 8 chunks' gradients summed at the end, this step
+        # peaked at 25.0-27.1 MB; keeping them, it peaks at 32.9-34.5 MB.
+        # Probabilities kept for one chunk more than the two that run at
+        # once (+6.6 MB), or a batch-sized score tensor, would cross 36 MB.
+        workers(2)
+        cfg = small_config(embed_dim=32, max_patches=7)
+        adapter_cfg = default_adapter_config(16, 256, out_channels=23,
+                                             out_timesteps=112, hidden_maps=64)
+        model = build_classifier(cfg, adapter_cfg, seed=98)
+        rng = np.random.default_rng(98)
+        x, y = rng.normal(size=(32, 16, 256)), rng.integers(0, 4, size=32)
+        tracemalloc.start()
+        try:
+            model.loss_and_grads(x, y, cross_entropy_batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36e6
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_error_in_a_chunk_reaches_the_caller(self, monkeypatch, workers, count):
@@ -611,10 +698,10 @@ class TestInPlaceHotPath:
         real = encoder._block_forward
 
         # Seven samples make chunks of three and four.
-        def fail_on_last_chunk(x, bp, cfg):
+        def fail_on_last_chunk(x, bp, cfg, **kwargs):
             if x.shape[0] == 4:
                 raise DimensionError("chunk of four samples")
-            return real(x, bp, cfg)
+            return real(x, bp, cfg, **kwargs)
 
         monkeypatch.setattr(encoder, "_block_forward", fail_on_last_chunk)
         rng = np.random.default_rng(90)
