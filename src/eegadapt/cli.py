@@ -358,6 +358,8 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     wset = _eval_window_set(args, ckpt)
     data = wset.select(args.split, *_head_labels(wset, ckpt.classes))
+    # The split is a copy: the loaded windows can go before the forward.
+    del wset
     if not len(data):
         raise ConfigurationError(
             f"split {args.split!r} holds no samples of the checkpoint's classes"
@@ -386,6 +388,7 @@ def cmd_extract(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     wset = _eval_window_set(args, ckpt)
     data = wset.select(args.split)
+    del wset
     if not len(data):
         raise ConfigurationError(f"split {args.split!r} is empty")
     embeddings = ckpt.model.embed_batch(data.x)

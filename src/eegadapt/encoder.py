@@ -30,6 +30,7 @@ __all__ = [
     "init_encoder_params",
     "encoder_forward_batch",
     "encoder_backward_batch",
+    "head_grads",
 ]
 
 
@@ -289,6 +290,11 @@ def encoder_forward_batch(x: np.ndarray, params: dict[str, np.ndarray],
     return logits, pooled, full_cache if keep_cache else None
 
 
+def head_grads(pooled: np.ndarray, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    """The linear head's gradients from the pooled batch and dlogits."""
+    return {"head_w": pooled.T @ dlogits, "head_b": dlogits.sum(axis=0)}
+
+
 def encoder_backward_batch(cache, params: dict[str, np.ndarray], cfg: BfmConfig,
                            dlogits: np.ndarray, body_grads: bool = True):
     """Gradients for the encoder parameters and the input batch.
@@ -299,10 +305,7 @@ def encoder_backward_batch(cache, params: dict[str, np.ndarray], cfg: BfmConfig,
     x_shape, patches, block_caches, lnf_cache, seq_len, pooled = cache
     n, c, t = x_shape
     p = t // cfg.patch_len
-    grads: dict[str, np.ndarray] = {}
-
-    grads["head_w"] = pooled.T @ dlogits
-    grads["head_b"] = dlogits.sum(axis=0)
+    grads = head_grads(pooled, dlogits)
     dpooled = dlogits @ params["head_w"].T
     dhf = np.broadcast_to((dpooled / seq_len)[:, None, :],
                           (n, seq_len, cfg.embed_dim))

@@ -34,6 +34,7 @@ from .errors import IntegrityError, ManifestError, NumericError
 
 __all__ = [
     "write_recording_binary",
+    "read_recording_header",
     "read_recording_binary",
     "read_recording_text",
     "write_bundle",
@@ -62,20 +63,38 @@ def write_recording_binary(path: str | Path, data: np.ndarray) -> None:
         fh.write(payload)
 
 
-def read_recording_binary(path: str | Path) -> np.ndarray:
+@contextmanager
+def _recording(path: str | Path):
+    """An open binary recording at its first sample, and its (E, T), once
+    the magic and the file's length agree with the header."""
     path = Path(path)
     if not path.exists():
         raise IntegrityError(f"recording file not found: {path}")
-    raw = path.read_bytes()
-    if len(raw) < 16 or raw[:8] != RECORDING_MAGIC:
-        raise IntegrityError(f"{path} is not a binary recording (bad magic)")
-    e, t = struct.unpack("<II", raw[8:16])
-    expected = 16 + 4 * e * t
-    if len(raw) != expected:
-        raise IntegrityError(
-            f"{path} is {len(raw)} bytes; {e}x{t} recording needs {expected}"
-        )
-    data = np.frombuffer(raw, dtype="<f4", offset=16).reshape(e, t)
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if len(head) < 16 or head[:8] != RECORDING_MAGIC:
+            raise IntegrityError(f"{path} is not a binary recording (bad magic)")
+        e, t = struct.unpack("<II", head[8:])
+        size, expected = os.fstat(fh.fileno()).st_size, 16 + 4 * e * t
+        if size != expected:
+            raise IntegrityError(
+                f"{path} is {size} bytes; {e}x{t} recording needs {expected}"
+            )
+        yield fh, e, t
+
+
+def read_recording_header(path: str | Path) -> tuple[int, int]:
+    """(E, T) of a binary recording, from its 16-byte header alone."""
+    with _recording(path) as (_, e, t):
+        return e, t
+
+
+def read_recording_binary(path: str | Path) -> np.ndarray:
+    """A binary recording's (E, T) samples as float64."""
+    with _recording(path) as (fh, e, t):
+        data = np.empty((e, t), dtype="<f4")
+        if fh.readinto(memoryview(data.reshape(-1)).cast("B")) != data.nbytes:
+            raise IntegrityError(f"{path} was truncated while it was read")
     return data.astype(np.float64)
 
 

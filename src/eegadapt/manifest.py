@@ -35,7 +35,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DomainError, ManifestError
-from .fileio import read_recording_binary, read_recording_text, read_text
+from .fileio import (
+    read_recording_binary,
+    read_recording_header,
+    read_recording_text,
+    read_text,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +48,7 @@ __all__ = [
     "ManifestEntry",
     "DatasetManifest",
     "load_manifest",
+    "size_recording",
     "load_recording",
     "split_subject_independent",
 ]
@@ -198,21 +204,45 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     )
 
 
-def load_recording(entry: ManifestEntry, base_dir: Path) -> np.ndarray:
+def _check_shape(entry: ManifestEntry, shape: tuple[int, int]) -> None:
+    if shape[0] != len(entry.channel_labels):
+        raise ManifestError(
+            f"{entry.path}: file holds {shape[0]} channels, manifest "
+            f"lists {len(entry.channel_labels)}"
+        )
+    if shape[1] < 1:
+        raise DimensionError("recording must contain at least one sample")
+
+
+def size_recording(entry: ManifestEntry,
+                   base_dir: Path) -> tuple[tuple[int, int], np.ndarray | None]:
+    """One entry's (E, T), checked against the entry, before its samples
+    are loaded: a binary file's from its header. A delimited-text file has
+    no header, so it is parsed here, and its float64 array comes back to be
+    passed to ``load_recording``; a binary file gives None."""
+    path = base_dir / entry.path
+    if entry.format == "f32-binary":
+        shape, data = read_recording_header(path), None
+    else:
+        data = read_recording_text(path)
+        shape = data.shape
+    _check_shape(entry, shape)
+    return shape, data
+
+
+def load_recording(entry: ManifestEntry, base_dir: Path,
+                   data: np.ndarray | None = None) -> np.ndarray:
     """Read one entry's (E, T) matrix and return it in microvolts.
 
+    ``data`` is the file's array when ``size_recording`` already parsed it.
     Quantized entries are rounded to whole counts and scaled row by row:
     sample (c, t) is ``resolution[c] * rint(count[c, t])``.
     """
-    read = read_recording_binary if entry.format == "f32-binary" else read_recording_text
-    data = read(base_dir / entry.path)
-    if data.shape[0] != len(entry.channel_labels):
-        raise ManifestError(
-            f"{entry.path}: file holds {data.shape[0]} channels, manifest "
-            f"lists {len(entry.channel_labels)}"
-        )
-    if data.shape[1] < 1:
-        raise DimensionError("recording must contain at least one sample")
+    if data is None:
+        read = (read_recording_binary if entry.format == "f32-binary"
+                else read_recording_text)
+        data = read(base_dir / entry.path)
+    _check_shape(entry, data.shape)
     if entry.resolution is not None:
         data = np.array(entry.resolution)[:, None] * np.rint(data)
     # After scaling: NaN counts stay NaN, and an overflowing product shows.

@@ -33,6 +33,7 @@ from .encoder import (
     BfmConfig,
     encoder_backward_batch,
     encoder_forward_batch,
+    head_grads,
     init_encoder_params,
 )
 from .errors import ConfigurationError, DimensionError
@@ -198,9 +199,12 @@ class EegClassifier:
         scaled by m/N; losses and gradients are summed in chunk order, each
         chunk's as soon as it and the chunks before it are done. With
         ``freeze_bfm`` the encoder body's gradients are neither computed nor
-        returned: only the adapter's and the head's."""
+        returned: only the adapter's and the head's. Without an adapter too,
+        only the head trains: the forward keeps no cache and no block runs
+        backward."""
         x, chunks = self._chunks(x)
         n, cfg, ac = x.shape[0], self.encoder_config, self.adapter_config
+        head_only = freeze_bfm and ac is None
         logits = np.empty((n, cfg.num_classes))
         # Per thread, one buffer that its chunks, one after another, keep their
         # probabilities in: fresh arrays per chunk would be returned to the
@@ -212,19 +216,22 @@ class EegClassifier:
             if ac is not None:
                 h, adapter_cache = adapter_forward_batch(h, self.adapter, ac,
                                                          keep_cache=True)
-            keep, shape = True, _kept_probs_shape(cfg, h.shape)
-            if shape is not None:
+            keep, shape = not head_only, _kept_probs_shape(cfg, h.shape)
+            if keep and shape is not None:
                 size, thread = math.prod(shape), threading.get_ident()
                 buffer = buffers.get(thread)
                 if buffer is None or buffer.size < size:
                     buffer = buffers[thread] = np.empty(size)
                 keep = buffer[:size].reshape(shape)
-            logits[j], _, enc_cache = encoder_forward_batch(h, self.encoder, cfg,
-                                                            keep_cache=keep)
+            logits[j], pooled, enc_cache = encoder_forward_batch(
+                h, self.encoder, cfg, keep_cache=keep)
             loss, dlogits = loss_fn(logits[j], y[j])
-            enc_grads, dh = encoder_backward_batch(enc_cache, self.encoder, cfg,
-                                                   dlogits * (m / n),
-                                                   body_grads=not freeze_bfm)
+            if head_only:
+                enc_grads = head_grads(pooled, dlogits * (m / n))
+            else:
+                enc_grads, dh = encoder_backward_batch(enc_cache, self.encoder, cfg,
+                                                       dlogits * (m / n),
+                                                       body_grads=not freeze_bfm)
             del enc_cache
             grads = {f"encoder.{k}": g for k, g in enc_grads.items()}
             if ac is not None:

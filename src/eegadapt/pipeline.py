@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import extract_windows
+from .core import extract_windows, window_count
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -21,7 +21,7 @@ from .errors import (
 )
 from .fileio import read_bundle, write_bundle
 from .filters import apply_chain_to_rows, design_bandpass, design_notch
-from .manifest import SPLITS, DatasetManifest, load_recording
+from .manifest import SPLITS, DatasetManifest, load_recording, size_recording
 from .montage import TARGET_ORDER, MontageMap, mix_channels, montage_identity
 from .training import LabeledSet
 
@@ -101,20 +101,33 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
     """Load, convert to microvolts, filter (notch then bandpass), window.
 
     Every recording in a manifest must share one channel layout; filters are
-    designed per distinct sample rate and cached.
+    designed per distinct sample rate and cached. Every recording is sized
+    before any is loaded (a binary file from its header; a text file is
+    parsed, and the array is kept until its turn), so the windows fill one
+    array allocated once, each recording's rows in manifest order: the peak
+    is one window set plus one recording's working set.
     """
-    chains: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    blocks, labels, subjects, splits, rates = [], [], [], [], []
-    channel_labels: list[str] | None = None
-
-    for idx, entry in enumerate(manifest.recordings):
-        data = load_recording(entry, manifest.base_dir)
-        if channel_labels is None:
-            channel_labels = entry.channel_labels
-        elif entry.channel_labels != channel_labels:
+    recordings = manifest.recordings
+    channel_labels = recordings[0].channel_labels if recordings else []
+    sized, counts = [], []
+    for entry in recordings:
+        shape, parsed = size_recording(entry, manifest.base_dir)
+        if entry.channel_labels != channel_labels:
             raise ConfigurationError(
                 f"{entry.path}: channel labels differ from the first recording; "
                 "a manifest must use one acquisition layout"
+            )
+        sized.append((shape, parsed))
+        counts.append(window_count(shape[1], window_len))
+
+    chains: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    def windows_of(entry, shape, parsed) -> np.ndarray:
+        data = load_recording(entry, manifest.base_dir, parsed)
+        if data.shape != shape:
+            raise IntegrityError(
+                f"{entry.path} changed while it was preprocessed: sized as "
+                f"{shape[0]}x{shape[1]}, read as {data.shape[0]}x{data.shape[1]}"
             )
         fs = entry.sample_rate_hz
         if fs not in chains:
@@ -125,19 +138,24 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
             )
         notch, band = chains[fs]
         filtered = apply_chain_to_rows(band, apply_chain_to_rows(notch, data))
-        block = extract_windows(filtered, window_len)
-        n = block.shape[0]
-        blocks.append(block)
-        labels += [manifest.classes[entry.label]] * n
-        subjects += [entry.subject_id] * n
-        splits += [entry.split] * n
-        rates += [fs] * n
+        return extract_windows(filtered, window_len)
+
+    windows = np.empty((sum(counts), len(channel_labels), window_len))
+    row = 0
+    for idx, (entry, n) in enumerate(zip(recordings, counts)):
+        windows[row:row + n] = windows_of(entry, *sized[idx])
+        sized[idx] = None  # a parsed text recording goes after its turn
+        row += n
         logger.debug("recording %d (%s): %d windows", idx, entry.path, n)
 
-    if not labels:
+    if not row:
         raise ConfigurationError(
             f"no windows of length {window_len} could be extracted"
         )
+
+    def per_window(values, dtype) -> np.ndarray:
+        return np.repeat(np.array(values, dtype=dtype), counts)
+
     fingerprint = asdict(filters)
     fingerprint.update({
         "window_len": window_len,
@@ -148,11 +166,11 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
         "timesteps": window_len,
     })
     return WindowSet(
-        data=np.concatenate(blocks),
-        labels=np.array(labels, dtype=np.int64),
-        subjects=np.array(subjects, dtype=str),
-        splits=np.array(splits, dtype=str),
-        sample_rates=np.array(rates, dtype=np.float64),
+        data=windows,
+        labels=per_window([manifest.classes[e.label] for e in recordings], np.int64),
+        subjects=per_window([e.subject_id for e in recordings], str),
+        splits=per_window([e.split for e in recordings], str),
+        sample_rates=per_window([e.sample_rate_hz for e in recordings], np.float64),
         channel_labels=channel_labels,
         classes=dict(manifest.classes),
         fingerprint=fingerprint,

@@ -1,9 +1,11 @@
 """Checks that only the tests use: finite-difference gradient verification,
 a forced chunk size, k-means scored against labels, delimited-text
-recordings written out, and synthetic datasets held in memory."""
+recordings written out, synthetic datasets held in memory, and the peak of
+traced allocations during a call."""
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,3 +138,14 @@ def generate_arrays(spec: SynthSpec):
         split: (np.stack(xs), np.array(ys, dtype=np.int64), subs)
         for split, (xs, ys, subs) in out.items()
     }
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak bytes traced by tracemalloc during the
+    call)``; tracing stops even when ``fn`` raises."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -7,12 +7,14 @@ import resource
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eegadapt
+from eegadapt import cli
 from eegadapt.cli import main
 from eegadapt.fileio import (
     read_bundle,
@@ -20,6 +22,7 @@ from eegadapt.fileio import (
     write_bundle,
     write_recording_binary,
 )
+from eegadapt.model import EegClassifier
 from eegadapt.pipeline import load_window_set
 from test_io import (
     MALFORMED_HEADERS,
@@ -613,6 +616,35 @@ def test_bad_list_flag_fails_in_one_line(dataset, windows, tmp_path, flag, value
                 "--out-checkpoint", str(tmp_path / "m.ckpt")]
     assert main([*argv, flag, value]) == 2
     assert_one_line_error(capsys, flag)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("eval", ["--split", "test"]),
+    ("extract", ["--split", "all", "--out-embeddings", "emb.csv"]),
+])
+def test_loaded_window_set_is_dropped_before_the_forward(
+        dataset, mix_checkpoint, tmp_path, monkeypatch, command, flags):
+    # The split is a copy, so the loaded set must not stay alive beside it
+    # while the model runs.
+    loaded, alive = [], []
+    real_window_set = cli._eval_window_set
+    real_forward = EegClassifier.forward_batch
+
+    def window_set(*args):
+        wset = real_window_set(*args)
+        loaded.append(weakref.ref(wset))
+        return wset
+
+    def forward(self, x):
+        alive.append(loaded[0]() is not None)
+        return real_forward(self, x)
+
+    monkeypatch.setattr(cli, "_eval_window_set", window_set)
+    monkeypatch.setattr(EegClassifier, "forward_batch", forward)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--checkpoint", str(mix_checkpoint),
+                 "--manifest", str(dataset / "manifest.json"), *flags]) == 0
+    assert alive == [False]
 
 
 def test_auto_split_with_windows_fails_in_one_line(windows, tmp_path, capsys):

@@ -4,7 +4,6 @@ import ctypes
 import os
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,7 @@ from eegadapt.nnops import (
     softmax_last,
 )
 from eegadapt.training import cross_entropy_batch
-from helpers import force_forward_chunk
+from helpers import force_forward_chunk, traced_peak
 
 
 def small_config(**overrides):
@@ -530,12 +529,7 @@ class TestInPlaceHotPath:
         params = init_encoder_params(cfg, rng)
         x = rng.normal(size=(64, 23, 112))
         full_scores = 64 * 4 * 161 * 161 * 8
-        tracemalloc.start()
-        try:
-            encoder_forward_batch(x, params, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(encoder_forward_batch, x, params, cfg)
         assert peak < full_scores
 
     def test_no_cache_forward_peak_at_benchmark_shape(self):
@@ -547,12 +541,7 @@ class TestInPlaceHotPath:
         rng = np.random.default_rng(72)
         model = encoder_only(cfg, init_encoder_params(cfg, rng))
         x = rng.normal(size=(64, 23, 112))
-        tracemalloc.start()
-        try:
-            model.forward_batch(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(model.forward_batch, x)
         assert peak <= 25e6
 
     # The no-cache forward runs chunks of 3 samples, so N = 4 makes one chunk
@@ -666,6 +655,25 @@ class TestInPlaceHotPath:
         assert sorted(frozen) == sorted(trained)
         assert_same_grads(frozen, {n: full[n] for n in trained})
 
+        # Without an adapter only the head trains: no block runs backward,
+        # and the head's gradients keep the bytes of an unfrozen step.
+        cfg = pooled_config()
+        rng = np.random.default_rng(97)
+        bare = encoder_only(cfg, init_encoder_params(cfg, rng))
+        bare.encoder["head_w"][:] = rng.normal(0, 0.3, bare.encoder["head_w"].shape)
+        x, y = rng.normal(size=(8, 6, 64)), rng.integers(0, 4, size=8)
+        force_forward_chunk(monkeypatch, 3, cfg)
+        _, _, full = bare.loss_and_grads(x, y, cross_entropy_batch)
+        backward_calls = []
+        real = encoder._block_backward
+        monkeypatch.setattr(encoder, "_block_backward",
+                            lambda *a: backward_calls.append(1) or real(*a))
+        _, _, frozen = bare.loss_and_grads(x, y, cross_entropy_batch,
+                                           freeze_bfm=True)
+        assert not backward_calls
+        assert_same_grads(frozen, {n: full[n] for n in ("encoder.head_w",
+                                                         "encoder.head_b")})
+
     def test_training_step_peak_at_benchmark_shape(self, workers):
         # One batch of 32 through the adapter (16 x 256 -> 23 x 112, 161
         # tokens, D = 32) on two workers. Each chunk of 4 keeps 2 x 3.3 MB of
@@ -682,12 +690,7 @@ class TestInPlaceHotPath:
         model = build_classifier(cfg, adapter_cfg, seed=98)
         rng = np.random.default_rng(98)
         x, y = rng.normal(size=(32, 16, 256)), rng.integers(0, 4, size=32)
-        tracemalloc.start()
-        try:
-            model.loss_and_grads(x, y, cross_entropy_batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(model.loss_and_grads, x, y, cross_entropy_batch)
         assert peak <= 36e6
 
     @pytest.mark.parametrize("count", [1, 2])

@@ -2,14 +2,17 @@
 
 import json
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from scipy.signal import sosfiltfilt
 
+from eegadapt import manifest as manifest_module
+from eegadapt import pipeline
 from eegadapt.adapter import default_adapter_config
 from eegadapt.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from eegadapt.core import extract_windows
 from eegadapt.encoder import BfmConfig
 from eegadapt.errors import (
     ConfigurationError,
@@ -28,6 +31,7 @@ from eegadapt.fileio import (
     write_embeddings_text,
     write_recording_binary,
 )
+from eegadapt.filters import design_bandpass, design_notch
 from eegadapt.manifest import (
     load_manifest,
     load_recording,
@@ -43,7 +47,7 @@ from eegadapt.pipeline import (
     preprocess_manifest,
     save_window_set,
 )
-from helpers import write_recording_text
+from helpers import traced_peak, write_recording_text
 
 
 class TestRecordingFiles:
@@ -183,25 +187,19 @@ class TestBundle:
         write_bundle(path, {"kind": "windows"}, [("data", data), ("labels", labels)])
         payload = data.nbytes + labels.nbytes
         del data
-        tracemalloc.start()
-        try:
-            _, arrays = read_bundle(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, arrays), peak = traced_peak(read_bundle, path)
         assert arrays["data"].shape == (512, 16, 256)
         assert peak <= 1.1 * payload
 
     def test_huge_claimed_shape_refused_before_allocating(self, tmp_path):
         path = tmp_path / "b.bundle"
         write_raw_bundle(path, _spec(shape=[1 << 40]), payload=bytes(8))
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(IntegrityError, match="truncated inside array a"):
                 read_bundle(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refused)
         assert peak < 1 << 20
 
     def test_checksum_reported_ahead_of_structure(self, tmp_path):
@@ -489,12 +487,7 @@ class TestCheckpoint:
         save_checkpoint(path, Checkpoint(model, {c: i for i, c in enumerate("abcd")}, {}))
         payload = sum(p.nbytes for _, p in model.named_arrays())
         del model
-        tracemalloc.start()
-        try:
-            loaded = load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        loaded, peak = traced_peak(load_checkpoint, path)
         assert loaded.model.num_classes == 4
         assert peak <= 1.2 * payload
 
@@ -798,3 +791,108 @@ class TestPipeline:
         error, field = MALFORMED_WINDOW_SETS[case]
         with pytest.raises(error, match=field):
             load_window_set(broken)
+
+
+def mixed_manifest(tmp_path):
+    """Binary and delimited-text recordings of two channels and different
+    lengths; c.raw is shorter than a window of 100 and d.raw is quantized.
+    Returns the manifest and each file's values as float64."""
+    specs = [("a.raw", 700, None), ("b.csv", 430, None), ("c.raw", 60, None),
+             ("d.raw", 250, [0.5, 0.25]), ("e.csv", 333, None)]
+    rng = np.random.default_rng(41)
+    entries, values = [], []
+    for i, (name, t, resolution) in enumerate(specs):
+        if resolution is None:
+            data = rng.normal(scale=20.0, size=(2, t))
+        else:
+            data = rng.integers(-200, 200, size=(2, t)).astype(np.float64)
+        binary = name.endswith(".raw")
+        if binary:
+            write_recording_binary(tmp_path / name, data)
+            data = data.astype(np.float32).astype(np.float64)
+        else:
+            write_recording_text(tmp_path / name, data)
+        values.append(data)
+        entries.append({
+            "path": name,
+            "format": "f32-binary" if binary else "delimited-text",
+            "channel_labels": ["e0", "e1"],
+            "sample_rate_hz": (250.0, 200.0)[i % 2],
+            "label": ("first", "second")[i % 2],
+            "subject_id": f"s{i}",
+            "split": "train",
+        })
+        if resolution is not None:
+            entries[-1]["resolution"] = resolution
+    return load_manifest(write_manifest(tmp_path, entries)), values
+
+
+class TestPreprocessFill:
+    """Every recording is sized before any is loaded, and the windows fill
+    one array allocated once."""
+
+    def test_mixed_manifest_matches_the_per_recording_oracle(self, tmp_path):
+        manifest, values = mixed_manifest(tmp_path)
+        cfg = FilterSettings()
+        wset = preprocess_manifest(manifest, cfg, 100)
+        expected = []
+        for entry, x in zip(manifest.recordings, values):
+            if entry.resolution is not None:
+                x = np.array(entry.resolution)[:, None] * np.rint(x)
+            fs = entry.sample_rate_hz
+            for sos in (design_notch(cfg.notch_hz, fs, cfg.notch_q),
+                        design_bandpass(cfg.band_low_hz, cfg.band_high_hz,
+                                        cfg.band_order, fs)):
+                x = sosfiltfilt(sos, x, axis=1, padlen=6 * len(sos))
+            expected.append(extract_windows(x, 100))
+        expected = np.concatenate(expected)
+        assert wset.data.shape == expected.shape == (16, 2, 100)
+        assert wset.data.tobytes() == expected.tobytes()
+        counts = [7, 4, 0, 2, 3]
+        assert wset.labels.tolist() == np.repeat([0, 1, 0, 1, 0], counts).tolist()
+        assert wset.subjects.tolist() == np.repeat(
+            [f"s{i}" for i in range(5)], counts).tolist()
+        assert wset.sample_rates.tolist() == np.repeat(
+            [250.0, 200.0, 250.0, 200.0, 250.0], counts).tolist()
+
+    def test_text_recordings_are_parsed_once(self, tmp_path, monkeypatch):
+        manifest, _ = mixed_manifest(tmp_path)
+        parsed = []
+        real = manifest_module.read_recording_text
+        monkeypatch.setattr(manifest_module, "read_recording_text",
+                            lambda path: parsed.append(path.name) or real(path))
+        preprocess_manifest(manifest, FilterSettings(), 100)
+        assert parsed == ["b.csv", "e.csv"]
+
+    def test_recording_changed_after_sizing_is_refused(self, tmp_path, monkeypatch):
+        manifest, _ = mixed_manifest(tmp_path)
+        real = pipeline.load_recording
+
+        def rewritten_before_load(entry, base_dir, data=None):
+            if entry.path == "d.raw":
+                write_recording_binary(base_dir / entry.path, np.zeros((2, 900)))
+            return real(entry, base_dir, data)
+
+        monkeypatch.setattr(pipeline, "load_recording", rewritten_before_load)
+        with pytest.raises(IntegrityError, match="d.raw changed while it was "
+                           "preprocessed: sized as 2x250, read as 2x900"):
+            preprocess_manifest(manifest, FilterSettings(), 100)
+
+    def test_binary_manifest_peaks_near_one_window_set(self, tmp_path):
+        # 96 recordings of 4 x 1024 make 384 windows of 4 x 256 (3.1 MB),
+        # and one recording's working set is a few 32 KB arrays. Windows
+        # kept per recording and then concatenated peaked at twice the set.
+        rng = np.random.default_rng(42)
+        entries = []
+        for i in range(96):
+            write_recording_binary(tmp_path / f"r{i}.raw",
+                                   rng.normal(scale=20.0, size=(4, 1024)))
+            entries.append({
+                "path": f"r{i}.raw", "format": "f32-binary",
+                "channel_labels": ["a", "b", "c", "d"], "sample_rate_hz": 250.0,
+                "label": "first", "subject_id": f"s{i % 8}", "split": "train",
+            })
+        manifest = load_manifest(write_manifest(tmp_path, entries))
+        wset, peak = traced_peak(preprocess_manifest, manifest, FilterSettings(), 256)
+        assert wset.data.shape == (384, 4, 256)
+        assert peak <= 1.25 * wset.data.nbytes
