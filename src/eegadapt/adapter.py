@@ -162,9 +162,13 @@ def adapter_forward_batch(x: np.ndarray, params: dict[str, np.ndarray],
     for i, spec in enumerate(cfg.layers):
         z = conv1d_forward(h, params[f"layers.{i}.w"], params[f"layers.{i}.b"],
                            spec.stride)
-        h, cdf = gelu(z) if spec.activation == "gelu" else (z, None)
+        if spec.activation == "gelu":
+            h, cdf = gelu(z, out=None if keep_cache else z)
+        else:
+            h, cdf = z, None
         if keep_cache:
             cache.append((z, cdf))
+        del z, cdf  # without a cache, the output is all this layer leaves
     if not np.all(np.isfinite(h)):
         raise NumericError("adapter forward produced non-finite values")
     return h, cache

@@ -271,7 +271,7 @@ def cmd_train(args) -> int:
     val_set = wset.select("val", mask, labels)
     fingerprint = dict(wset.fingerprint)
     fingerprint["mode"] = args.mode
-    # The splits are copies: the loaded windows can go before training.
+    # The splits hold all the rows training reads: the set can go first.
     del wset
     cfg = TrainConfig(
         epochs=args.epochs,
@@ -358,7 +358,7 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     wset = _eval_window_set(args, ckpt)
     data = wset.select(args.split, *_head_labels(wset, ckpt.classes))
-    # The split is a copy: the loaded windows can go before the forward.
+    # The split holds all the rows the forward reads: the set can go first.
     del wset
     if not len(data):
         raise ConfigurationError(

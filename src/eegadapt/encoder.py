@@ -159,9 +159,12 @@ def _attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
     return softmax_last(attn)
 
 
-def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig, probs=None):
+def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig, probs=None,
+                   keep: bool = True):
     """(output, cache); with ``probs``, an (N, H, S, S) array, the attention
-    probabilities are written there and kept for backward."""
+    probabilities are written there and kept for backward. Without ``keep``
+    the cache is None and each intermediate goes once its next step has read
+    it; the GELU output then overwrites its input."""
     n, s, d = x.shape
     h, dh = cfg.num_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
@@ -181,13 +184,22 @@ def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig, probs=None):
     for i in range(n):
         attend(i)
     ctx = ctx.reshape(n, s, d)
-    attn_out = ctx @ bp["wo"] + bp["bo"]
-    x2 = x + attn_out
+    if not keep:
+        del h1, ln1_cache, q, k, v, ctx_heads
+    x2 = x + (ctx @ bp["wo"] + bp["bo"])
+    if not keep:
+        del ctx
 
     h2, ln2_cache = layer_norm_forward(x2, bp["ln2_g"], bp["ln2_b"])
     a1 = h2 @ bp["w1"] + bp["b1"]
-    g1, cdf = gelu(a1)
+    if keep:
+        g1, cdf = gelu(a1)
+    else:
+        del h2, ln2_cache
+        g1 = gelu(a1, out=a1)[0]  # and its CDF goes at once
     x3 = x2 + g1 @ bp["w2"] + bp["b2"]
+    if not keep:
+        return x3, None
 
     # Backward needs neither x nor x2, and rebuilds the GELU output as
     # a1 * cdf rather than keeping it.
@@ -275,12 +287,9 @@ def encoder_forward_batch(x: np.ndarray, params: dict[str, np.ndarray],
     h, patches = _patchify_batch(x, params, cfg)
     block_caches = []
     for i in range(cfg.num_layers):
-        h, cache = _block_forward(h, _block(params, i), cfg,
+        h, cache = _block_forward(h, _block(params, i), cfg, keep=keep_cache,
                                   probs=None if probs is None else probs[i])
-        if keep_cache:
-            block_caches.append(cache)
-        # Without a cache, this block's intermediates go before the next runs.
-        del cache
+        block_caches.append(cache)
     hf, lnf_cache = layer_norm_forward(h, params["final_g"], params["final_b"])
     pooled = hf.mean(axis=1)
     logits = pooled @ params["head_w"] + params["head_b"]

@@ -2,9 +2,10 @@
 
 Everything here works in double precision. ``softmax_last`` and
 ``softmax_backward`` overwrite the array they are given, which the caller
-must own, and return it; every other function returns fresh arrays. Backward
-functions return exact reverse-mode gradients of their forward counterparts;
-they are verified against central finite differences in the test suite.
+must own, and return it; every other function returns fresh arrays, except
+``gelu`` when it is given ``out``. Backward functions return exact
+reverse-mode gradients of their forward counterparts; they are verified
+against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -20,18 +21,18 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 LAYERNORM_EPS = 1e-5
 
 
-def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact Gaussian error linear unit x * Phi(x); returns (output, Phi(x)).
 
     ``gelu_grad`` takes the CDF Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) back, so
     a caller that keeps it for backward keeps neither the output nor a
-    second erf.
+    second erf. ``out`` may be ``x`` itself, when nothing reads x afterwards.
     """
     cdf = x / _SQRT2
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    return x * cdf, cdf
+    return np.multiply(x, cdf, out=out), cdf
 
 
 def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -138,10 +139,11 @@ def conv1d_input_grad(w: np.ndarray, stride: int, dy: np.ndarray,
 
 def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Normalize the last axis to zero mean, unit variance, then scale/shift."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    # The mean of the squared deviations is x.var's own formula, bit for bit.
+    var = np.square(xc).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = (x - mean) * inv_std
+    xhat = np.multiply(xc, inv_std, out=xc)
     out = xhat * gamma + beta
     return out, (xhat, inv_std)
 
@@ -150,10 +152,14 @@ def layer_norm_backward(cache, gamma: np.ndarray, dy: np.ndarray):
     """Gradients of layer_norm_forward; returns (dx, dgamma, dbeta)."""
     xhat, inv_std = cache
     axes = tuple(range(dy.ndim - 1))
-    dgamma = np.sum(dy * xhat, axis=axes)
+    # One temporary holds each product with xhat in turn.
+    prod = dy * xhat
+    dgamma = np.sum(prod, axis=axes)
     dbeta = np.sum(dy, axis=axes)
     dxhat = dy * gamma
     mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = (dxhat - mean_dxhat - xhat * mean_dxhat_xhat) * inv_std
+    mean_dxhat_xhat = np.multiply(dxhat, xhat, out=prod).mean(axis=-1, keepdims=True)
+    dx = dxhat - mean_dxhat
+    dx -= np.multiply(xhat, mean_dxhat_xhat, out=prod)
+    dx *= inv_std
     return dx, dgamma, dbeta

@@ -73,15 +73,18 @@ class WindowSet:
 
     def select(self, split: str, keep: np.ndarray | None = None,
                labels: np.ndarray | None = None) -> LabeledSet:
-        """Materialize one split ('train', 'val', 'test', or 'all').
+        """One split ('train', 'val', 'test', or 'all') as a ``LabeledSet``.
 
         ``keep`` is an optional row mask ANDed with the split's; ``labels``
         optionally replaces ``self.labels`` (e.g. remapped class indices).
+        A split that keeps every row holds this set's arrays, not copies.
         """
         mask = self.mask(split)
         if keep is not None:
             mask &= keep
         y = self.labels if labels is None else labels
+        if mask.all():
+            return LabeledSet(x=self.data, y=y, subjects=self.subjects)
         return LabeledSet(
             x=self.data[mask],
             y=y[mask],

@@ -46,6 +46,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be >= 1")
+        for name in ("learning_rate", "weight_decay"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.learning_rate < 0 or self.weight_decay < 0:
             raise ConfigurationError("learning_rate and weight_decay must be >= 0")
         if self.optimizer not in ("adamw", "sgd"):

@@ -624,8 +624,8 @@ def test_bad_list_flag_fails_in_one_line(dataset, windows, tmp_path, flag, value
 ])
 def test_loaded_window_set_is_dropped_before_the_forward(
         dataset, mix_checkpoint, tmp_path, monkeypatch, command, flags):
-    # The split is a copy, so the loaded set must not stay alive beside it
-    # while the model runs.
+    # The loaded set must not stay alive beside the split while the model
+    # runs; a split of every row holds only its arrays.
     loaded, alive = [], []
     real_window_set = cli._eval_window_set
     real_forward = EegClassifier.forward_batch
@@ -645,6 +645,21 @@ def test_loaded_window_set_is_dropped_before_the_forward(
     assert main([command, "--checkpoint", str(mix_checkpoint),
                  "--manifest", str(dataset / "manifest.json"), *flags]) == 0
     assert alive == [False]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--lr", "--weight-decay"])
+def test_non_finite_optimizer_setting_fails_in_one_line(windows, tmp_path, capsys,
+                                                        flag, value):
+    # NaN is not below 0, so a range check alone let a NaN rate through to a
+    # full step that then failed on the logits, naming neither flag.
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--mode", "raw", "--windows", str(windows),
+                 "--out-checkpoint", str(ckpt), *COMMON_TRAIN,
+                 f"{flag}={value}"]) == 2
+    field = {"--lr": "learning_rate", "--weight-decay": "weight_decay"}[flag]
+    assert_one_line_error(capsys, f"{field} must be finite, got {value}")
+    assert not list(tmp_path.iterdir())
 
 
 def test_auto_split_with_windows_fails_in_one_line(windows, tmp_path, capsys):

@@ -6,13 +6,17 @@ import threading
 import time
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from eegadapt import encoder
 from eegadapt import model as model_module
-from eegadapt.adapter import default_adapter_config
+from eegadapt.adapter import adapter_forward_batch, default_adapter_config
 from eegadapt.encoder import (
     BfmConfig,
     _block,
@@ -32,6 +36,7 @@ from eegadapt.errors import (
 from eegadapt.fileio import read_embeddings_text, write_embeddings_text
 from eegadapt.model import EegClassifier, build_classifier
 from eegadapt.nnops import (
+    LAYERNORM_EPS,
     gelu,
     gelu_grad,
     layer_norm_backward,
@@ -323,6 +328,22 @@ def ref_softmax_backward(probs, dprobs):
     return probs * (dprobs - inner)
 
 
+def ref_layer_norm(x, gamma, beta):
+    mean = x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LAYERNORM_EPS)
+    xhat = (x - mean) * inv_std
+    return xhat * gamma + beta, (xhat, inv_std)
+
+
+def ref_layer_norm_backward(cache, gamma, dy):
+    xhat, inv_std = cache
+    axes = tuple(range(dy.ndim - 1))
+    dxhat = dy * gamma
+    dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+          - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv_std
+    return dx, np.sum(dy * xhat, axis=axes), np.sum(dy, axis=axes)
+
+
 def ref_block_forward(x, bp, cfg):
     n, s, d = x.shape
     h, dh = cfg.num_heads, cfg.head_dim
@@ -509,6 +530,27 @@ class TestInPlaceHotPath:
             assert np.array_equal(dx_again, dx)
             assert_same_grads(again, grads)
 
+    # The benchmark's token grid, two odd ones and a one-wide feature axis;
+    # the upstream gradient is also given as the encoder's final norm gets
+    # it, broadcast over the tokens.
+    @pytest.mark.parametrize("shape", [(4, 161, 32), (7, 23, 16), (2, 5, 8),
+                                       (3, 6, 1)])
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+    def test_layer_norm_matches_out_of_place_formulas_bitwise(self, shape, scale):
+        rng = np.random.default_rng(shape[1])
+        x = rng.normal(3.0, scale, size=shape)
+        gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        out, cache = layer_norm_forward(x, gamma, beta)
+        ref_out, ref_cache = ref_layer_norm(x, gamma, beta)
+        assert np.array_equal(out, ref_out)
+        for got, want in zip(cache, ref_cache):
+            assert np.array_equal(got, want)
+        pooled_grad = rng.normal(size=(shape[0], 1, shape[2]))
+        for dy in (rng.normal(size=shape), np.broadcast_to(pooled_grad, shape)):
+            got = layer_norm_backward(cache, gamma, dy)
+            for g, want in zip(got, ref_layer_norm_backward(ref_cache, gamma, dy)):
+                assert np.array_equal(g, want)
+
     def test_block_cache_holds_no_score_tensor(self):
         cfg = small_config(embed_dim=24, num_heads=3)
         rng = np.random.default_rng(70)
@@ -543,6 +585,21 @@ class TestInPlaceHotPath:
         x = rng.normal(size=(64, 23, 112))
         _, peak = traced_peak(model.forward_batch, x)
         assert peak <= 25e6
+
+    def test_no_cache_forward_holds_only_what_its_next_step_reads(self, workers):
+        # 64 samples at the benchmark shape (161 tokens, 4 heads, D = 32) on
+        # two workers. Each block frees its attention intermediates once the
+        # context is formed and writes the GELU output over its input, so the
+        # forward peaks at 4.17-4.20 MB above the input; keeping them through
+        # the feed-forward, with the GELU output and CDF beside its input,
+        # peaked at 8.04-8.48 MB.
+        workers(2)
+        cfg = small_config(embed_dim=32, max_patches=7)
+        rng = np.random.default_rng(73)
+        model = encoder_only(cfg, init_encoder_params(cfg, rng))
+        x = rng.normal(size=(64, 23, 112))
+        _, peak = traced_peak(model.forward_batch, x)
+        assert peak <= 6e6
 
     # The no-cache forward runs chunks of 3 samples, so N = 4 makes one chunk
     # of four (a last sample joins the chunk before it) and N = 63 makes 21.
@@ -799,3 +856,60 @@ class TestInPlaceHotPath:
         grad = gelu_grad(x, cdf)
         assert np.array_equal(grad, ref_gelu_grad(x))
         assert np.array_equal(x, x_before) and np.array_equal(cdf, cdf_before)
+
+
+@st.composite
+def forward_cases(draw):
+    """A model, a batch and a chunk size: heads that divide embed_dim, 1-3
+    layers, a patch length, a token grid and an optional adapter."""
+    dim = draw(st.sampled_from([8, 12, 16, 24]))
+    heads = draw(st.sampled_from([h for h in (1, 2, 3, 4, 6, 8) if dim % h == 0]))
+    patch_len = draw(st.sampled_from([4, 8, 16]))
+    channels, patches = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    cfg = small_config(num_channels=channels, embed_dim=dim, num_heads=heads,
+                       num_layers=draw(st.integers(1, 3)), patch_len=patch_len,
+                       max_patches=patches)
+    seed = draw(st.integers(0, 2**16))
+    adapter_cfg = None
+    if draw(st.booleans()):
+        steps = patch_len * patches
+        adapter_cfg = default_adapter_config(3, steps + 36, steps,
+                                             out_channels=channels, hidden_maps=4)
+    model = build_classifier(cfg, adapter_cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    # Nonzero biases and gains other than one, so that no addition or product
+    # is exact whatever order it runs in.
+    for _, array in model.named_arrays():
+        array += rng.normal(0, 0.1, array.shape)
+    shape = ((3, adapter_cfg.in_timesteps) if adapter_cfg
+             else (channels, patch_len * patches))
+    x = rng.normal(size=(draw(st.integers(1, 13)), *shape))
+    return model, x, draw(st.integers(2, 5))
+
+
+# Derandomized, so the examples are fixed: they reach both sides of the
+# keep-probabilities rule, chunk sizes that do not divide N, and models with
+# and without an adapter (see the events with --hypothesis-show-statistics).
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(case=forward_cases())
+def test_no_cache_forward_gives_the_bytes_of_the_cached_one(case):
+    model, x, chunk = case
+    cfg = model.encoder_config
+    budget = chunk * 21 * cfg.num_channels * cfg.max_patches * cfg.embed_dim * 8
+    with mock.patch.object(model_module, "_FORWARD_CHUNK_BYTES", budget):
+        logits, pooled = model.forward_batch(x)
+        x, chunks = model._chunks(x)
+        event(f"adapter: {model.adapter is not None}")
+        event(f"chunks divide N: {len(x) % chunk == 0}")
+        for j in chunks:
+            h = x[j]
+            if model.adapter is not None:
+                h, _ = adapter_forward_batch(h, model.adapter, model.adapter_config,
+                                             keep_cache=True)
+            kept = model_module._kept_probs_shape(cfg, h.shape)
+            event(f"probabilities kept: {kept is not None}")
+            ref_logits, ref_pooled, _ = encoder_forward_batch(
+                h, model.encoder, cfg,
+                keep_cache=True if kept is None else np.empty(kept))
+            assert logits[j].tobytes() == ref_logits.tobytes()
+            assert pooled[j].tobytes() == ref_pooled.tobytes()

@@ -766,6 +766,19 @@ class TestPipeline:
         assert kept.subjects.tolist() == [s for s, k in zip(wset.subjects, keep) if k]
         assert len(wset.select("train", keep)) == 1
 
+    def test_split_of_every_row_is_the_loaded_array(self, tmp_path):
+        # extract --split all must not hold a second copy of the set.
+        manifest = montage_manifest(tmp_path, n=3, t=300)
+        wset = preprocess_manifest(manifest, FilterSettings(), 128)
+        assert np.shares_memory(wset.select("all").x, wset.data)
+        keep = np.ones(len(wset), dtype=bool)
+        assert np.shares_memory(wset.select("all", keep, wset.labels + 1).x,
+                                wset.data)
+        keep[2] = False
+        dropped = wset.select("all", keep)
+        assert not np.shares_memory(dropped.x, wset.data)
+        np.testing.assert_array_equal(dropped.x, wset.data[keep])
+
     def test_double_alignment_rejected(self, tmp_path):
         manifest = montage_manifest(tmp_path, n=3, t=300)
         wset = preprocess_manifest(manifest, FilterSettings(), 128)
