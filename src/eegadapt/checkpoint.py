@@ -88,9 +88,10 @@ def load_checkpoint(path) -> Checkpoint:
         problems = [f"missing {n}" for n in shapes if n not in arrays]
         problems += [f"unexpected {n}" for n in arrays if n not in shapes]
         problems += [
-            f"{n} has shape {arrays[n].shape}, expected {shape}"
+            f"{n} has shape {arrays[n].shape} and dtype {arrays[n].dtype}, "
+            f"expected {shape} floats"
             for n, shape in shapes.items()
-            if n in arrays and arrays[n].shape != shape
+            if n in arrays and (arrays[n].shape != shape or arrays[n].dtype.kind != "f")
         ]
         if problems:
             raise IntegrityError(f"{path}: malformed checkpoint, arrays do not "
@@ -112,7 +113,7 @@ def load_checkpoint(path) -> Checkpoint:
             or sorted(classes.values()) != list(range(model.num_classes)):
         raise IntegrityError(
             f"{path}: 'classes' must map names to the head indices "
-            f"0..{model.num_classes - 1}, got {sorted(classes.values())}"
+            f"0..{model.num_classes - 1}, got {list(classes.values())}"
         )
     return Checkpoint(model=model, classes=classes,
                       fingerprint=meta["fingerprint"], version=version)

@@ -148,10 +148,15 @@ def _patchify_batch(x: np.ndarray, params: dict[str, np.ndarray], cfg: BfmConfig
 
 
 # Attention runs one sample at a time, so that at most one sample's (H, S, S)
-# float64 scores are being built. A training forward may keep each sample's
-# probabilities for backward; otherwise backward recomputes them from q and k.
-# Each sample's work is a call of its own, whose temporaries are freed before
-# the next sample starts.
+# float64 scores are being built. Each sample's work is a call of its own,
+# whose temporaries are freed before the next sample starts. A block that
+# keeps a cache keeps its N samples' probabilities for backward when they fit
+# this budget (4 x 4 x 161² x 8 = 3.3 MB for a chunk of 4 at the benchmark
+# shape); backward recomputes them from q and k otherwise (S above ~250
+# tokens in chunks of 2-3, e.g. raw 16 x 256 input).
+_KEEP_PROBS_BYTES = 4 << 20
+
+
 def _attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
                      out: np.ndarray | None = None) -> np.ndarray:
     attn = np.matmul(q, k.swapaxes(-1, -2), out=out)
@@ -159,15 +164,17 @@ def _attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
     return softmax_last(attn)
 
 
-def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig, probs=None,
+def _block_forward(x, bp: dict[str, np.ndarray], cfg: BfmConfig,
                    keep: bool = True):
-    """(output, cache); with ``probs``, an (N, H, S, S) array, the attention
-    probabilities are written there and kept for backward. Without ``keep``
-    the cache is None and each intermediate goes once its next step has read
-    it; the GELU output then overwrites its input."""
+    """(output, cache); with ``keep`` the cache holds the attention
+    probabilities when they fit ``_KEEP_PROBS_BYTES``. Without ``keep`` the
+    cache is None and each intermediate goes once its next step has read it;
+    the GELU output then overwrites its input."""
     n, s, d = x.shape
     h, dh = cfg.num_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
+    keep_probs = keep and n * h * s * s * 8 <= _KEEP_PROBS_BYTES
+    probs = np.empty((n, h, s, s)) if keep_probs else None
 
     h1, ln1_cache = layer_norm_forward(x, bp["ln1_g"], bp["ln1_b"])
     q = (h1 @ bp["wq"] + bp["bq"]).reshape(n, s, h, dh).transpose(0, 2, 1, 3)
@@ -270,25 +277,20 @@ def _block_backward(dout, bp: dict[str, np.ndarray], cfg: BfmConfig, cache,
 
 
 def encoder_forward_batch(x: np.ndarray, params: dict[str, np.ndarray],
-                          cfg: BfmConfig, keep_cache=False):
+                          cfg: BfmConfig, keep_cache: bool = False):
     """Full forward on a batch (N, C, T); returns (logits, pooled, cache).
 
     ``keep_cache`` False keeps nothing for backward. True keeps each block's
-    activations, and backward recomputes every sample's attention
-    probabilities from them. A (layers, N, H, S, S) array keeps those
-    probabilities too: block i writes them into ``keep_cache[i]``, and
-    backward reads them there.
+    activations, with its attention probabilities when they fit the keep
+    budget; backward recomputes those it does not find.
     """
-    probs = keep_cache if isinstance(keep_cache, np.ndarray) else None
-    keep_cache = probs is not None or keep_cache
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise DimensionError(f"expected a batch (N, C, T), got shape {x.shape}")
     h, patches = _patchify_batch(x, params, cfg)
     block_caches = []
     for i in range(cfg.num_layers):
-        h, cache = _block_forward(h, _block(params, i), cfg, keep=keep_cache,
-                                  probs=None if probs is None else probs[i])
+        h, cache = _block_forward(h, _block(params, i), cfg, keep=keep_cache)
         block_caches.append(cache)
     hf, lnf_cache = layer_norm_forward(h, params["final_g"], params["final_b"])
     pooled = hf.mean(axis=1)

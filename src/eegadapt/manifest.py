@@ -291,14 +291,8 @@ def split_subject_independent(manifest: DatasetManifest, fractions,
     cursor = 0
     for split_name, count in zip(("train", "val", "test"), counts):
         for sid in shuffled[cursor : cursor + count]:
-            if sid in assignment:
-                raise ConfigurationError(
-                    f"subject {sid} assigned to two splits; partition is broken"
-                )
             assignment[sid] = split_name
         cursor += count
-    if set(assignment) != set(subjects):
-        raise ConfigurationError("subject partition did not cover every subject")
 
     entries = [replace(entry, split=assignment[entry.subject_id])
                for entry in manifest.recordings]

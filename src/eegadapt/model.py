@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 import os
 import threading
 from collections import deque
@@ -54,18 +53,6 @@ def _forward_chunk(cfg: BfmConfig) -> int:
     the most tokens the config takes: num_channels x max_patches."""
     s = cfg.num_channels * cfg.max_patches
     return max(2, _FORWARD_CHUNK_BYTES // (21 * s * cfg.embed_dim * 8))
-
-
-def _kept_probs_shape(cfg: BfmConfig, shape):
-    """(layers, m, H, S, S) for a training chunk with encoder input ``shape``
-    (m, C, T) that keeps its attention probabilities for backward: each
-    block's m (H, S, S) float64 arrays must fit the chunk budget. None when
-    they do not, and backward recomputes them."""
-    m, c, t = shape
-    s = c * (t // cfg.patch_len)
-    if m * cfg.num_heads * s * s * 8 > _FORWARD_CHUNK_BYTES:
-        return None
-    return cfg.num_layers, m, cfg.num_heads, s, s
 
 
 @functools.cache
@@ -206,25 +193,14 @@ class EegClassifier:
         n, cfg, ac = x.shape[0], self.encoder_config, self.adapter_config
         head_only = freeze_bfm and ac is None
         logits = np.empty((n, cfg.num_classes))
-        # Per thread, one buffer that its chunks, one after another, keep their
-        # probabilities in: fresh arrays per chunk would be returned to the
-        # system and page-faulted in again for every chunk.
-        buffers = {}
 
         def run_chunk(j):
             h, adapter_cache, m = x[j], None, j.stop - j.start
             if ac is not None:
                 h, adapter_cache = adapter_forward_batch(h, self.adapter, ac,
                                                          keep_cache=True)
-            keep, shape = not head_only, _kept_probs_shape(cfg, h.shape)
-            if keep and shape is not None:
-                size, thread = math.prod(shape), threading.get_ident()
-                buffer = buffers.get(thread)
-                if buffer is None or buffer.size < size:
-                    buffer = buffers[thread] = np.empty(size)
-                keep = buffer[:size].reshape(shape)
             logits[j], pooled, enc_cache = encoder_forward_batch(
-                h, self.encoder, cfg, keep_cache=keep)
+                h, self.encoder, cfg, keep_cache=not head_only)
             loss, dlogits = loss_fn(logits[j], y[j])
             if head_only:
                 enc_grads = head_grads(pooled, dlogits * (m / n))

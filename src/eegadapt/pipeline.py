@@ -242,14 +242,15 @@ def load_window_set(path) -> WindowSet:
     for name in ("data", "labels", "sample_rates"):
         if name not in arrays:
             raise IntegrityError(f"{path}: window set has no {name!r} array")
-    data = arrays["data"].astype(np.float64, copy=False)
-    rates = arrays["sample_rates"]
+    data, rates = arrays["data"], arrays["sample_rates"]
     channels = len(meta["channel_labels"])
-    if data.ndim != 3 or data.shape[1] != channels or data.shape[2] < 1:
+    if data.dtype.kind != "f" or data.ndim != 3 or data.shape[1] != channels \
+            or data.shape[2] < 1:
         raise IntegrityError(
-            f"{path}: 'data' has shape {data.shape}, expected (N, {channels}, T>=1) "
-            "with one row per entry of 'channel_labels'"
+            f"{path}: 'data' holds {data.dtype} of shape {data.shape}, expected "
+            f"floats (N, {channels}, T>=1), one row per entry of 'channel_labels'"
         )
+    data = data.astype(np.float64, copy=False)
     n = data.shape[0]
     shapes = {"labels": arrays["labels"].shape, "sample_rates": rates.shape,
               "subjects": (len(meta["subjects"]),), "splits": (len(meta["splits"]),)}
@@ -258,8 +259,10 @@ def load_window_set(path) -> WindowSet:
             raise IntegrityError(f"{path}: {name!r} has shape {shape}, expected ({n},)")
     if not np.all(np.isfinite(data)):
         raise DomainError(f"{path}: 'data' contains non-finite samples")
-    if not np.all(rates > 0):
-        raise DomainError(f"{path}: 'sample_rates' must all be positive")
+    if rates.dtype.kind != "f" or not np.all(rates > 0):
+        raise DomainError(f"{path}: 'sample_rates' must all be positive floats")
+    if not all(isinstance(c, str) for c in meta["channel_labels"]):
+        raise IntegrityError(f"{path}: 'channel_labels' must hold strings")
     if not all(isinstance(s, str) and "\0" not in s for s in meta["subjects"]):
         raise IntegrityError(
             f"{path}: 'subjects' must hold one string without NUL per window")

@@ -73,10 +73,14 @@ def workers(monkeypatch):
     """Set the model's worker count; the next parallel map makes a fresh
     pool of that size, which is shut down after the test. Threads switch
     every microsecond meanwhile, so that chunks interleave as much as they
-    can."""
+    can. Without a call the pool is the session's, and it stays up."""
+    called = False
+
     def set_count(count):
+        nonlocal called
         monkeypatch.setattr(model, "_WORKERS", count)
         monkeypatch.setattr(model, "_pool", None)
+        called = True
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -84,7 +88,7 @@ def workers(monkeypatch):
         yield set_count
     finally:
         sys.setswitchinterval(interval)
-        if model._pool is not None:
+        if called and model._pool is not None:
             model._pool.shutdown()
 
 

@@ -102,12 +102,16 @@ def gradient_check(model, x: np.ndarray, labels,
     return report
 
 
+def forward_chunk_bytes(chunk, cfg):
+    """The chunk budget under which the forward and training step of a model
+    with this encoder config run over chunks of ``chunk`` samples."""
+    return chunk * 21 * cfg.num_channels * cfg.max_patches * cfg.embed_dim * 8
+
+
 def force_forward_chunk(monkeypatch, chunk, cfg):
     """Make the forward and training step of a model with this encoder config
     run over chunks of ``chunk`` samples."""
-    seq_len = cfg.num_channels * cfg.max_patches
-    monkeypatch.setattr(model, "_FORWARD_CHUNK_BYTES",
-                        chunk * 21 * seq_len * cfg.embed_dim * 8)
+    monkeypatch.setattr(model, "_FORWARD_CHUNK_BYTES", forward_chunk_bytes(chunk, cfg))
     assert model._forward_chunk(cfg) == chunk
 
 

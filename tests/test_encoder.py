@@ -2,6 +2,9 @@
 
 import ctypes
 import os
+import shutil
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -45,7 +48,7 @@ from eegadapt.nnops import (
     softmax_last,
 )
 from eegadapt.training import cross_entropy_batch
-from helpers import force_forward_chunk, traced_peak
+from helpers import force_forward_chunk, forward_chunk_bytes, traced_peak
 
 
 def small_config(**overrides):
@@ -438,6 +441,18 @@ def ref_forward(x, params, cfg):
     return pooled @ params["head_w"] + params["head_b"], pooled
 
 
+def keeps_probabilities(cache):
+    """Whether every block of an encoder forward's cache kept its attention
+    probabilities for backward."""
+    return all(block[5] is not None for block in cache[2])
+
+
+# A keep budget for chunks of 2 and 3 samples of the adapter models below:
+# 3 heads over 6 x 4 = 24 tokens fit it, and over 16 x 17 = 272 tokens even
+# two samples (3.55 MB) are over it, though they fit the default 4 MiB.
+KEEP_BUDGET = 3 << 20
+
+
 def assert_same_grads(got, want):
     assert got.keys() == want.keys()
     for name in want:
@@ -516,10 +531,9 @@ class TestInPlaceHotPath:
             params["head_w"][:] = rng.normal(0, 0.3, params["head_w"].shape)
             x = rng.normal(size=(5, 6, 16 * patches))
             dlogits = rng.normal(size=(5, cfg.num_classes))
-            shape = model_module._kept_probs_shape(cfg, x.shape)
-            assert (shape is not None) == kept
-            logits, _, cache = encoder_forward_batch(
-                x, params, cfg, keep_cache=np.empty(shape) if kept else True)
+            logits, _, cache = encoder_forward_batch(x, params, cfg,
+                                                     keep_cache=True)
+            assert keeps_probabilities(cache) == kept
             grads, dx = encoder_backward_batch(cache, params, cfg, dlogits)
             ref_logits, ref_grads, ref_dx = ref_encoder(x, params, cfg, dlogits)
             assert np.array_equal(logits, ref_logits)
@@ -551,16 +565,21 @@ class TestInPlaceHotPath:
             for g, want in zip(got, ref_layer_norm_backward(ref_cache, gamma, dy)):
                 assert np.array_equal(g, want)
 
-    def test_block_cache_holds_no_score_tensor(self):
+    def test_block_cache_holds_no_score_tensor(self, monkeypatch):
+        # 4 samples x 3 heads x 10² tokens x 8 B = 9600 B of probabilities:
+        # kept at that budget, and over the keep rule one byte below it.
         cfg = small_config(embed_dim=24, num_heads=3)
         rng = np.random.default_rng(70)
         x = rng.normal(size=(4, 10, cfg.embed_dim))
-        _, cache = _block_forward(x, _block(init_encoder_params(cfg, rng), 0), cfg)
-        arrays = [a for item in cache
-                  for a in (item if isinstance(item, tuple) else (item,))
-                  if isinstance(a, np.ndarray)]
-        assert arrays
-        assert not any(a.shape[-3:] == (3, 10, 10) for a in arrays)
+        bp = _block(init_encoder_params(cfg, rng), 0)
+        for budget, scores in ((9600, 1), (9599, 0)):
+            monkeypatch.setattr(encoder, "_KEEP_PROBS_BYTES", budget)
+            _, cache = _block_forward(x, bp, cfg)
+            arrays = [a for item in cache
+                      for a in (item if isinstance(item, tuple) else (item,))
+                      if isinstance(a, np.ndarray)]
+            assert arrays
+            assert sum(a.shape[-3:] == (3, 10, 10) for a in arrays) == scores
 
     def test_forward_peak_below_one_score_tensor(self):
         # 23 channels x 7 patches = 161 tokens and 4 heads, as in the
@@ -654,13 +673,14 @@ class TestInPlaceHotPath:
         # summed in chunk order whichever worker finished first. The adapter
         # emits 6 x 4 = 24 tokens, which keep their probabilities for backward,
         # and then 16 x 17 = 272 tokens, which are over the keep rule.
+        monkeypatch.setattr(encoder, "_KEEP_PROBS_BYTES", KEEP_BUDGET)
         for channels, patches, kept in ((6, 4, True), (16, 17, False)):
             model, x, y = adapter_model(channels, patches, seed=94)
             cfg = model.encoder_config
             force_forward_chunk(monkeypatch, 3, cfg)
             for m in (2, 3):
-                shape = (m, channels, 16 * patches)
-                assert (model_module._kept_probs_shape(cfg, shape) is not None) == kept
+                need = m * cfg.num_heads * (channels * patches) ** 2 * 8
+                assert (need <= KEEP_BUDGET) == kept
             steps = []
             for count in (1, 2):
                 workers(count)
@@ -676,7 +696,7 @@ class TestInPlaceHotPath:
         model, x, y = adapter_model(6, 4, seed=95)
         force_forward_chunk(monkeypatch, 3, model.encoder_config)
         kept = model.loss_and_grads(x, y, cross_entropy_batch)
-        monkeypatch.setattr(model_module, "_kept_probs_shape", lambda cfg, shape: None)
+        monkeypatch.setattr(encoder, "_KEEP_PROBS_BYTES", 0)
         recomputed = model.loss_and_grads(x, y, cross_entropy_batch)
         assert kept[0] == recomputed[0]
         assert np.array_equal(kept[1], recomputed[1])
@@ -687,6 +707,7 @@ class TestInPlaceHotPath:
     def test_probabilities_are_computed_once_unless_over_the_keep_rule(
             self, monkeypatch, workers, channels, patches, per_sample_layer):
         workers(2)
+        monkeypatch.setattr(encoder, "_KEEP_PROBS_BYTES", KEEP_BUDGET)
         model, x, y = adapter_model(channels, patches, seed=96)
         force_forward_chunk(monkeypatch, 3, model.encoder_config)
         calls = []
@@ -858,6 +879,47 @@ class TestInPlaceHotPath:
         assert np.array_equal(x, x_before) and np.array_equal(cdf, cdf_before)
 
 
+# Three tests in a fresh session under this suite's conftest: a forward that
+# makes the session's pool, a test that takes ``workers`` and fails before it
+# sets a count, and a later forward, which must still find its pool up.
+POOL_SESSION = """
+import numpy as np
+from eegadapt import model
+from eegadapt.encoder import BfmConfig, init_encoder_params
+
+model._WORKERS, model._FORWARD_CHUNK_BYTES = 2, 0  # chunks of two samples
+cfg = BfmConfig(num_channels=2, num_classes=2, patch_len=4, embed_dim=4,
+                num_layers=1, num_heads=1, channel_vocab=2, max_patches=2)
+classifier = model.EegClassifier(cfg, init_encoder_params(cfg, np.random.default_rng(0)))
+
+
+def test_forward_makes_the_session_pool():
+    classifier.forward_batch(np.zeros((6, 2, 8)))
+    assert model._pool is not None
+
+
+def test_fails_before_it_sets_a_count(workers):
+    raise RuntimeError("failed before workers(count)")
+
+
+def test_later_forward_runs_on_the_session_pool():
+    classifier.forward_batch(np.zeros((6, 2, 8)))
+"""
+
+
+def test_workers_fixture_leaves_the_session_pool_up(tmp_path):
+    shutil.copy(Path(__file__).with_name("conftest.py"), tmp_path)
+    (tmp_path / "test_pool_session.py").write_text(POOL_SESSION)
+    src = str(Path(encoder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "test_pool_session.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert "1 failed, 2 passed" in proc.stdout, proc.stdout
+
+
 @st.composite
 def forward_cases(draw):
     """A model, a batch and a chunk size: heads that divide embed_dim, 1-3
@@ -890,13 +952,18 @@ def forward_cases(draw):
 # Derandomized, so the examples are fixed: they reach both sides of the
 # keep-probabilities rule, chunk sizes that do not divide N, and models with
 # and without an adapter (see the events with --hypothesis-show-statistics).
+# The cached forward keeps the probabilities of chunks of up to
+# ``kept_samples`` samples; the no-cache forward keeps none.
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(case=forward_cases())
-def test_no_cache_forward_gives_the_bytes_of_the_cached_one(case):
+@given(case=forward_cases(), kept_samples=st.integers(0, 6))
+def test_no_cache_forward_gives_the_bytes_of_the_cached_one(case, kept_samples):
     model, x, chunk = case
     cfg = model.encoder_config
-    budget = chunk * 21 * cfg.num_channels * cfg.max_patches * cfg.embed_dim * 8
-    with mock.patch.object(model_module, "_FORWARD_CHUNK_BYTES", budget):
+    s = cfg.num_channels * cfg.max_patches
+    with mock.patch.object(model_module, "_FORWARD_CHUNK_BYTES",
+                           forward_chunk_bytes(chunk, cfg)), \
+            mock.patch.object(encoder, "_KEEP_PROBS_BYTES",
+                              kept_samples * cfg.num_heads * s * s * 8):
         logits, pooled = model.forward_batch(x)
         x, chunks = model._chunks(x)
         event(f"adapter: {model.adapter is not None}")
@@ -906,10 +973,45 @@ def test_no_cache_forward_gives_the_bytes_of_the_cached_one(case):
             if model.adapter is not None:
                 h, _ = adapter_forward_batch(h, model.adapter, model.adapter_config,
                                              keep_cache=True)
-            kept = model_module._kept_probs_shape(cfg, h.shape)
-            event(f"probabilities kept: {kept is not None}")
-            ref_logits, ref_pooled, _ = encoder_forward_batch(
-                h, model.encoder, cfg,
-                keep_cache=True if kept is None else np.empty(kept))
+            ref_logits, ref_pooled, cache = encoder_forward_batch(
+                h, model.encoder, cfg, keep_cache=True)
+            event(f"probabilities kept: {keeps_probabilities(cache)}")
             assert logits[j].tobytes() == ref_logits.tobytes()
             assert pooled[j].tobytes() == ref_pooled.tobytes()
+
+
+# A training step that keeps its attention probabilities (the default keep
+# budget) and one that recomputes them all (a zero budget), at the same
+# chunking. Fewer probability computations in the first step mean that it
+# kept them; without an adapter and with ``freeze_bfm`` neither step keeps a
+# cache.
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(case=forward_cases(), freeze_bfm=st.booleans())
+def test_kept_and_recomputed_probabilities_give_the_same_training_step(
+        case, freeze_bfm):
+    model, x, chunk = case
+    cfg = model.encoder_config
+    y = np.arange(len(x)) % cfg.num_classes
+    calls = []
+    real = encoder._attention_probs
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    with mock.patch.object(model_module, "_FORWARD_CHUNK_BYTES",
+                           forward_chunk_bytes(chunk, cfg)), \
+            mock.patch.object(encoder, "_attention_probs", counted):
+        kept = model.loss_and_grads(x, y, cross_entropy_batch, freeze_bfm=freeze_bfm)
+        kept_calls = len(calls)
+        with mock.patch.object(encoder, "_KEEP_PROBS_BYTES", 0):
+            recomputed = model.loss_and_grads(x, y, cross_entropy_batch,
+                                              freeze_bfm=freeze_bfm)
+    event(f"adapter: {model.adapter is not None}, freeze_bfm: {freeze_bfm}")
+    event(f"chunks divide N: {len(x) % chunk == 0}")
+    event(f"probabilities kept: {kept_calls < len(calls) - kept_calls}")
+    assert kept[0] == recomputed[0]
+    assert kept[1].tobytes() == recomputed[1].tobytes()
+    assert kept[2].keys() == recomputed[2].keys()
+    for name, grad in kept[2].items():
+        assert grad.tobytes() == recomputed[2][name].tobytes(), name

@@ -554,6 +554,23 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError, match=r"encoder.head_w has shape \(16, 5\)"):
             load_checkpoint(path)
 
+    def test_parameter_declared_as_integers_rejected(self, tmp_path):
+        # The float64 bytes, declared int64, would load as huge weights.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+        rewrite_bundle(path, edit_arrays=lambda a: a.update(
+            {"encoder.head_w": a["encoder.head_w"].view("<i8")}))
+        with pytest.raises(IntegrityError, match="encoder.head_w .* dtype int64"):
+            load_checkpoint(path)
+
+    def test_class_index_of_another_type_rejected(self, tmp_path):
+        # The error message sorted the indices, None among ints.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+        rewrite_bundle(path, edit_meta=lambda meta: meta["classes"].update(b=None))
+        with pytest.raises(IntegrityError, match="head indices"):
+            load_checkpoint(path)
+
     def test_truncated_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, small_checkpoint())
@@ -666,6 +683,9 @@ MALFORMED_WINDOW_SETS = {
     "subject-not-str": (IntegrityError, "subjects"),
     "subject-nul": (IntegrityError, "subjects"),
     "unknown-split": (IntegrityError, "splits"),
+    "channel-label-not-str": (IntegrityError, "channel_labels"),
+    "data-not-float": (IntegrityError, "data"),
+    "rates-not-float": (DomainError, "sample_rates"),
 }
 
 
@@ -714,6 +734,12 @@ def break_window_set(src, dst, case):
         meta["subjects"][0] += "\u0000"
     elif case == "unknown-split":
         meta["splits"][0] = "bogus"
+    elif case == "channel-label-not-str":
+        meta["channel_labels"][0] = 3
+    elif case in ("data-not-float", "rates-not-float"):
+        # The float64 bytes, declared int64, would load as huge integers.
+        name = "data" if case == "data-not-float" else "sample_rates"
+        arrays[name] = arrays[name].view("<i8")
     write_bundle(dst, meta, list(arrays.items()))
 
 
