@@ -22,10 +22,11 @@ from .adapter import default_adapter_config
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .encoder import BfmConfig
 from .errors import ConfigurationError, IntegrityError, PipelineError
-from .fileio import read_embeddings_text, write_embeddings_text, write_text
+from .fileio import (check_subject_ids, read_embeddings_text,
+                     write_embeddings_text, write_text)
 from .manifest import load_manifest, split_subject_independent
 from .model import build_classifier, own_threads
-from .montage import MontageMap, load_montage
+from .montage import MontageMap, load_montage, montage_identity
 from .pipeline import (
     FilterSettings,
     WindowSet,
@@ -219,6 +220,13 @@ def cmd_train(args) -> int:
                 f"window set is aligned with mode "
                 f"{wset.fingerprint.get('alignment')!r}, not {args.mode!r}"
             )
+        elif args.target_len not in (None, wset.data.shape[2]):
+            raise ConfigurationError(f"--target-len {args.target_len} differs from "
+                                     f"the aligned set's length {wset.data.shape[2]}")
+        elif args.montage and montage_identity(load_montage(args.montage)) \
+                != wset.fingerprint.get("montage"):
+            raise ConfigurationError(f"--montage {args.montage} is not the montage "
+                                     "the window set was aligned with")
     wset.require_assigned()
 
     classes = dict(wset.classes)
@@ -391,6 +399,7 @@ def cmd_extract(args) -> int:
     del wset
     if not len(data):
         raise ConfigurationError(f"split {args.split!r} is empty")
+    check_subject_ids(data.subjects)
     embeddings = ckpt.model.embed_batch(data.x)
     write_embeddings_text(
         args.out_embeddings,

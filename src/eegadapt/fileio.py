@@ -39,6 +39,7 @@ __all__ = [
     "read_recording_text",
     "write_bundle",
     "read_bundle",
+    "check_subject_ids",
     "write_embeddings_text",
     "read_embeddings_text",
     "write_text",
@@ -244,14 +245,18 @@ def read_bundle(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     return header["meta"], arrays
 
 
+def check_subject_ids(subject_ids) -> None:
+    """Refuse subject ids that would split an embeddings table's cells or rows."""
+    if any("," in s or "\n" in s for s in map(str, subject_ids)):
+        raise ManifestError("subject ids must not contain commas or newlines")
+
+
 def write_embeddings_text(path: str | Path, embeddings: np.ndarray,
                           labels: np.ndarray, subject_ids,
                           header_lines=()) -> None:
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    subject_ids = [str(s) for s in subject_ids]
-    if any("," in s or "\n" in s for s in subject_ids):
-        raise ManifestError("subject ids must not contain commas or newlines")
+    check_subject_ids(subject_ids)
     lines = [f"# {line}" for line in header_lines]
     for row, label, sid in zip(embeddings, labels, subject_ids):
         values = ",".join(repr(float(v)) for v in row)

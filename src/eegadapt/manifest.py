@@ -76,10 +76,6 @@ class DatasetManifest:
     montage: str = "builtin-table1"
     base_dir: Path = field(default_factory=Path)
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
     def subjects(self) -> list[str]:
         return sorted({entry.subject_id for entry in self.recordings})
 

@@ -106,53 +106,47 @@ def _cosine_lr(lr: float, t: int, total_steps: int) -> float:
     return lr * 0.5 * (1.0 + np.cos(np.pi * frac))
 
 
-class AdamW:
-    """Adam (betas 0.9 and 0.999, eps 1e-8) with decoupled weight decay and
-    cosine learning-rate decay over ``total_steps``."""
-
-    def __init__(self, arrays, lr: float, weight_decay: float, total_steps: int):
-        self.arrays = list(arrays)
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self.total_steps = total_steps
-        self.t = 0
-        self.m = {name: np.zeros_like(p) for name, p in self.arrays}
-        self.v = {name: np.zeros_like(p) for name, p in self.arrays}
-
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        lr_t = _cosine_lr(self.lr, self.t, self.total_steps)
-        self.t += 1
-        b1, b2 = 0.9, 0.999
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
-        for name, p in self.arrays:
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + 1e-8)
-            p -= lr_t * (update + self.weight_decay * p)
-
-
 class Sgd:
-    """Plain gradient descent with the same decoupled decay and cosine
-    schedule."""
+    """Gradient descent with decoupled weight decay and cosine learning-rate
+    decay over ``total_steps``. ``arrays`` maps names to arrays; a step updates
+    in place exactly those its ``grads`` name, so the gradients decide what
+    trains: ``p -= lr_t * (direction + weight_decay * p)``."""
 
-    def __init__(self, arrays, lr: float, weight_decay: float, total_steps: int):
-        self.arrays = list(arrays)
+    def __init__(self, arrays: dict[str, np.ndarray], lr: float,
+                 weight_decay: float, total_steps: int):
+        self.arrays = arrays
         self.lr = lr
         self.weight_decay = weight_decay
         self.total_steps = total_steps
         self.t = 0
+        self.state: dict[str, tuple] = {}  # per array, from its first step
+
+    def _direction(self, name: str, g: np.ndarray) -> np.ndarray:
+        return g
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         lr_t = _cosine_lr(self.lr, self.t, self.total_steps)
         self.t += 1
-        for name, p in self.arrays:
-            p -= lr_t * (grads[name] + self.weight_decay * p)
+        for name, g in grads.items():
+            p = self.arrays[name]
+            p -= lr_t * (self._direction(name, g) + self.weight_decay * p)
+
+
+class AdamW(Sgd):
+    """Adam (betas 0.9 and 0.999, eps 1e-8) as the step direction; an array's
+    two moment buffers are allocated at its first step and reused after."""
+
+    def _direction(self, name: str, g: np.ndarray) -> np.ndarray:
+        if name not in self.state:
+            self.state[name] = (np.zeros_like(g), np.zeros_like(g))
+        m, v = self.state[name]
+        b1, b2 = 0.9, 0.999
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        bias1, bias2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        return (m / bias1) / (np.sqrt(v / bias2) + 1e-8)
 
 
 @dataclass(frozen=True)
@@ -173,20 +167,6 @@ class TrainResult:
     best_epoch: int
     best_val_accuracy: float
     val_predictions: np.ndarray
-
-
-def _trainable_arrays(model, freeze_bfm: bool):
-    """Every parameter, minus the encoder body when it is frozen.
-
-    The classification head always trains; freezing only pins the encoder
-    backbone for ablations.
-    """
-    arrays = []
-    for name, p in model.named_arrays():
-        if freeze_bfm and name.startswith("encoder.") and not name.startswith("encoder.head_"):
-            continue
-        arrays.append((name, p))
-    return arrays
 
 
 def predict(model, data: LabeledSet):
@@ -213,15 +193,10 @@ def train_loop(model, train_set: LabeledSet, val_set: LabeledSet,
             )
 
     rng = np.random.default_rng(cfg.seed)
-    arrays = _trainable_arrays(model, cfg.freeze_bfm)
     steps_per_epoch = -(-len(train_set) // cfg.batch_size)
-    total_steps = steps_per_epoch * cfg.epochs
-    if cfg.optimizer == "adamw":
-        opt = AdamW(arrays, lr=cfg.learning_rate, weight_decay=cfg.weight_decay,
-                    total_steps=total_steps)
-    else:
-        opt = Sgd(arrays, lr=cfg.learning_rate, weight_decay=cfg.weight_decay,
-                  total_steps=total_steps)
+    opt = (AdamW if cfg.optimizer == "adamw" else Sgd)(
+        dict(model.named_arrays()), lr=cfg.learning_rate,
+        weight_decay=cfg.weight_decay, total_steps=steps_per_epoch * cfg.epochs)
 
     stats: list[EpochStats] = []
     best_epoch = -1

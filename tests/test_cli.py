@@ -672,6 +672,60 @@ def test_auto_split_with_windows_fails_in_one_line(windows, tmp_path, capsys):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("flags,needle", [
+    (["--target-len", "64"], "--target-len 64"),
+    (["--montage", "does-not-exist.txt"], "montage map file not found"),
+    (["--montage", "builtin-table1"], "--montage builtin-table1"),
+    (["--target-len", "128", "--montage", "MAP"], None),
+], ids=["other-length", "missing-montage", "other-montage", "same-alignment"])
+def test_aligned_window_set_refuses_other_alignment_flags(
+        dataset, windows, tmp_path, capsys, flags, needle):
+    # An aligned set keeps the length and montage it was aligned with; a flag
+    # asking for others was silently dropped and training ran on the set.
+    aligned = tmp_path / "aligned.wset"
+    montage = str(dataset / "montage_map.txt")
+    assert main(["align", "--windows", str(windows), "--mode", "mix",
+                 "--montage", montage, "--target-len", "128",
+                 "--out", str(aligned)]) == 0
+    out = tmp_path / "run"
+    out.mkdir()
+    flags = [montage if f == "MAP" else f for f in flags]
+    rc = main(["train", "--windows", str(aligned), "--mode", "mix", *flags,
+               "--out-checkpoint", str(out / "m.ckpt"), *COMMON_TRAIN])
+    if needle is None:
+        assert rc == 0
+        assert (out / "m.ckpt").exists()
+    else:
+        assert rc == 2
+        assert_one_line_error(capsys, needle)
+        assert not list(out.iterdir())
+
+
+def test_extract_refuses_comma_subject_ids_before_the_forward(
+        dataset, mix_checkpoint, tmp_path, monkeypatch, capsys):
+    data = tmp_path / "d"
+    shutil.copytree(dataset, data)
+    doc = json.loads((data / "manifest.json").read_text())
+    for entry in doc["recordings"]:
+        entry["subject_id"] = entry["subject_id"] + ",x"
+    (data / "manifest.json").write_text(json.dumps(doc))
+    forwards = []
+    real_forward = EegClassifier.forward_batch
+
+    def forward(self, x):
+        forwards.append(len(x))
+        return real_forward(self, x)
+
+    monkeypatch.setattr(EegClassifier, "forward_batch", forward)
+    out = tmp_path / "emb.csv"
+    assert main(["extract", "--checkpoint", str(mix_checkpoint),
+                 "--manifest", str(data / "manifest.json"),
+                 "--out-embeddings", str(out)]) == 2
+    assert_one_line_error(capsys, "subject ids must not contain commas or newlines")
+    assert forwards == []
+    assert not out.exists()
+
+
 def test_ragged_embeddings_fail_in_one_line(tmp_path, capsys):
     emb = tmp_path / "e.csv"
     emb.write_text("0.0,1.0,0,a\n0.0,1.0,2.0,1,b\n")

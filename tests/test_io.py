@@ -316,7 +316,6 @@ class TestManifest:
             basic_entry(tmp_path, "c.raw", "first", "s02", split="test")[0],
         ]
         manifest = load_manifest(write_manifest(tmp_path, entries))
-        assert manifest.num_classes == 2
         assert len(manifest.recordings) == 3
         assert manifest.subjects() == ["s00", "s01", "s02"]
 

@@ -1,6 +1,7 @@
 """Cross entropy, the training loop, metrics, and gradient verification."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,11 +85,15 @@ class TestCrossEntropy:
                                       np.argmax(shifted, axis=1))
 
 
-def tiny_model(num_classes=3, seed=0):
+def tiny_model(num_classes=3, seed=0, adapter_timesteps=None):
+    """Encoder over 4 channels x 16 steps, behind an adapter from
+    ``adapter_timesteps`` steps when given."""
     cfg = BfmConfig(num_channels=4, num_classes=num_classes, patch_len=8,
                     embed_dim=16, num_layers=1, num_heads=2,
                     channel_vocab=4, max_patches=2)
-    return build_classifier(cfg, None, seed=seed)
+    acfg = None if adapter_timesteps is None else default_adapter_config(
+        4, adapter_timesteps, out_channels=4, out_timesteps=16, hidden_maps=8)
+    return build_classifier(cfg, acfg, seed=seed)
 
 
 def tiny_set(n, num_classes=3, seed=0, channels=4, timesteps=16):
@@ -158,15 +163,21 @@ class TestTrainLoop:
         assert len(seen) == 5
         assert all(abs(loss - np.log(4)) <= 1e-12 for loss in seen[:4])
 
-    def test_freeze_bfm_keeps_encoder_body_fixed(self):
-        model = tiny_model()
+    @pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
+    @pytest.mark.parametrize("timesteps", [None, 24], ids=["no-adapter", "adapter"])
+    def test_freeze_bfm_keeps_encoder_body_fixed(self, optimizer, timesteps):
+        # The body gets no gradients, so no step touches it: weight decay
+        # would move it if the optimizer held it.
+        model = tiny_model(adapter_timesteps=timesteps)
         before = {n: p.copy() for n, p in model.named_arrays()}
         cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2,
-                          seed=0, freeze_bfm=True)
-        train_loop(model, tiny_set(12), tiny_set(6, seed=5), cfg)
+                          optimizer=optimizer, seed=0, freeze_bfm=True)
+        t = timesteps or 16
+        train_loop(model, tiny_set(12, timesteps=t),
+                   tiny_set(6, seed=5, timesteps=t), cfg)
         for name, p in model.named_arrays():
-            if name.startswith("encoder.head_"):
-                assert not np.array_equal(p, before[name])
+            if name.startswith(("encoder.head_", "adapter.")):
+                assert not np.array_equal(p, before[name]), name
             else:
                 np.testing.assert_array_equal(p, before[name])
 
@@ -182,6 +193,52 @@ class TestTrainLoop:
             logits, _ = model.forward_batch(x[:32])
             loss, _ = cross_entropy_batch(logits, labels[:32])
             assert abs(loss - np.log(k)) <= 0.05
+
+
+class TestOptimizers:
+    """One step at t = 1, where the cosine schedule gives lr_t = lr, against
+    the closed-form update; ``c`` has no gradient and must not move."""
+
+    lr, wd = 0.05, 0.1
+
+    def arrays_and_grads(self):
+        rng = np.random.default_rng(0)
+        arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5),
+                  "c": rng.normal(size=2)}
+        grads = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
+        return arrays, {n: p.copy() for n, p in arrays.items()}, grads
+
+    def check(self, arrays, before, grads, direction):
+        for name, g in grads.items():
+            p = before[name]
+            expected = p - self.lr * (direction(g) + self.wd * p)
+            assert arrays[name].tobytes() == expected.tobytes(), name
+        assert arrays["c"].tobytes() == before["c"].tobytes()
+
+    def test_sgd_step_is_the_closed_form(self):
+        arrays, before, grads = self.arrays_and_grads()
+        training.Sgd(arrays, lr=self.lr, weight_decay=self.wd,
+                     total_steps=10).step(grads)
+        self.check(arrays, before, grads, lambda g: g)
+
+    def test_adamw_step_is_the_closed_form(self):
+        arrays, before, grads = self.arrays_and_grads()
+        opt = training.AdamW(arrays, lr=self.lr, weight_decay=self.wd,
+                             total_steps=10)
+        opt.step(grads)
+
+        def adam(g):
+            m, v = (1.0 - 0.9) * g, (1.0 - 0.999) * g * g
+            return (m / (1.0 - 0.9)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-8)
+
+        self.check(arrays, before, grads, adam)
+        # The moments live from the first step on: later steps update them
+        # in place, and an array without gradients never gets any.
+        moments = dict(opt.state)
+        opt.step(grads)
+        assert sorted(opt.state) == ["a", "b"]
+        for name, (m, v) in opt.state.items():
+            assert m is moments[name][0] and v is moments[name][1]
 
 
 def weighted_metrics_oracle(conf):
@@ -310,3 +367,21 @@ class TestGradientCheck:
         report = gradient_check(model, np.zeros((1, 1, 1)), [0])
         assert report.coordinates_checked == 0
         assert report.max_rel_error == 0.0
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's "Library use" block, on small splits of the shape it builds
+    # the model for: 16 channels x 256 steps, 4 classes.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    rng = np.random.default_rng(0)
+
+    def split(n):
+        return LabeledSet(x=rng.normal(size=(n, 16, 256)), y=np.arange(n) % 4)
+
+    exec(code, {"train_set": split(8), "val_set": split(4), "test_set": split(4)})
+    accuracy, head_shape, adapter_shape = capsys.readouterr().out.splitlines()
+    assert 0.0 <= float(accuracy) <= 1.0
+    assert head_shape == "(32, 4)"
+    assert adapter_shape.startswith("(64, 16, ")
