@@ -207,6 +207,13 @@ def cmd_train(args) -> int:
     if args.adapter_steps is not None and args.adapter_steps < 1:
         raise ConfigurationError(
             f"--adapter-steps must be >= 1, got {args.adapter_steps}")
+    aligns = args.mode in ("select", "mix")
+    for flag, value, read in (("--target-len", args.target_len, aligns),
+                              ("--montage", args.montage, aligns),
+                              ("--adapter-steps", args.adapter_steps,
+                               args.mode == "adapter")):
+        if value is not None and not read:
+            raise ConfigurationError(f"--mode {args.mode} ignores {flag}; drop it")
     wset, manifest = _train_window_set(args)
 
     if args.mode in ("select", "mix"):

@@ -5,7 +5,9 @@ was configured for; without one the input must already fit the encoder grid
 (aligned 23-channel data, or raw data within the channel vocabulary).
 
 This module alone splits a batch into chunks of samples and decides where
-they run: on a thread pool, with numpy's BLAS held at one thread.
+they run: on a thread pool, with numpy's BLAS held at one thread. Other
+modules put their own independent tasks on the same pool through
+``map_chunks``: preprocessing runs one task per recording.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .encoder import (
 )
 from .errors import ConfigurationError, DimensionError
 
-__all__ = ["EegClassifier", "build_classifier", "own_threads"]
+__all__ = ["EegClassifier", "build_classifier", "map_chunks", "own_threads"]
 
 
 # The model runs on chunks of c >= 2 samples, in training too, so that
@@ -93,9 +95,11 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _map_chunks(fn, chunks):
+def map_chunks(fn, chunks):
     """Yields ``fn(chunk)`` for each chunk in chunk order, each as soon as it
-    and the chunks before it are done; chunks write disjoint memory."""
+    and the chunks before it are done; chunks write disjoint memory. The
+    first chunk in chunk order that fails raises its error, once no chunk
+    is running."""
     global _pool
     own_threads()
     if _WORKERS < 2 or len(chunks) < 2 or getattr(_on_worker, "active", False):
@@ -174,7 +178,7 @@ class EegClassifier:
                 h, _ = adapter_forward_batch(h, self.adapter, self.adapter_config)
             logits[j], pooled[j], _ = encoder_forward_batch(h, self.encoder, cfg)
 
-        for _ in _map_chunks(run_chunk, chunks):
+        for _ in map_chunks(run_chunk, chunks):
             pass
         return logits, pooled
 
@@ -216,7 +220,7 @@ class EegClassifier:
             return loss * m, grads
 
         loss_sum, grads = 0.0, None
-        for loss, chunk_grads in _map_chunks(run_chunk, chunks):
+        for loss, chunk_grads in map_chunks(run_chunk, chunks):
             loss_sum += loss
             if grads is None:
                 grads = chunk_grads

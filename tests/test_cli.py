@@ -108,6 +108,20 @@ class TestSynthAndPreprocess:
         assert not list(tmp_path.rglob("*.tmp"))
 
 
+def one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run_fresh(argv, cwd, threads, preexec_fn=None):
+    """``python -m eegadapt *argv`` in a new process at ``threads`` BLAS
+    threads, importing this checkout's package."""
+    src = str(Path(eegadapt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-m", "eegadapt", *argv], cwd=cwd, env=env,
+                   check=True, capture_output=True, preexec_fn=preexec_fn)
+
+
 def assert_one_line_error(capsys, *needles):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
@@ -317,17 +331,10 @@ class TestTrain:
         # BLAS thread count and the number of CPUs. BLAS is held at one
         # thread; the model spreads its chunks over every CPU the process
         # may run on, and OpenBLAS would cap its own threads at those CPUs.
-        src = str(Path(eegadapt.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-
-        def one_cpu():
-            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-
         def run_chain(run, threads, preexec_fn=None):
             run_dir = tmp_path / run
             run_dir.mkdir()
             shutil.copy(subject_windows, run_dir / "w.wset")
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
             for argv in (
                 ["train", "--windows", "w.wset", "--mode", "adapter",
                  "--out-checkpoint", "m.ckpt", *COMMON_TRAIN, "--epochs", "1"],
@@ -336,9 +343,7 @@ class TestTrain:
                 ["extract", "--checkpoint", "m.ckpt", "--windows", "w.wset",
                  "--out-embeddings", "emb.csv"],
             ):
-                subprocess.run([sys.executable, "-m", "eegadapt", *argv],
-                               cwd=run_dir, env=env, check=True,
-                               capture_output=True, preexec_fn=preexec_fn)
+                run_fresh(argv, run_dir, threads, preexec_fn)
             return {
                 name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
                 for name in ("m.ckpt", "m.ckpt.log.csv", "m.ckpt.metrics.txt",
@@ -349,6 +354,24 @@ class TestTrain:
         first = run_chain("blas-1", "1")
         assert run_chain(f"blas-{threads}-fresh", threads) == first
         assert run_chain(f"blas-{threads}-one-cpu", threads, one_cpu) == first
+
+    def test_fresh_processes_preprocess_identical_bytes(self, tmp_path):
+        # Recordings of 8 x 2048 samples are large enough for the pool: free,
+        # a fresh process spreads them over every CPU it may use, and pinned
+        # to one CPU it runs them in turn. Both write the same window set.
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--channels", "8",
+                     "--timesteps", "2048", "--train", "8", "--val", "4",
+                     "--test", "4", "--train-subjects", "4", "--seed", "0"]) == 0
+        hashes = []
+        for run, preexec_fn in (("free", None), ("one-cpu", one_cpu)):
+            (tmp_path / run).mkdir()
+            run_fresh(["preprocess", "--manifest", str(data / "manifest.json"),
+                       "--window", "128", "--out", "w.wset"],
+                      tmp_path / run, "1", preexec_fn)
+            hashes.append(hashlib.sha256(
+                (tmp_path / run / "w.wset").read_bytes()).hexdigest())
+        assert hashes[0] == hashes[1]
 
     def test_mode_parity_all_four_run(self, dataset, tmp_path):
         for mode in ("adapter", "select", "mix", "raw"):
@@ -762,6 +785,25 @@ def test_bad_model_flag_fails_in_one_line(windows, tmp_path, mode, flag, value,
             "--out-checkpoint", str(tmp_path / "m.ckpt"), *COMMON_TRAIN]
     assert main([*argv, flag, value]) == 2
     assert_one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("mode,flag,value", [
+    ("raw", "--target-len", "64"),
+    ("adapter", "--target-len", "128"),
+    ("raw", "--montage", "builtin-table1"),
+    ("adapter", "--montage", "builtin-table1"),
+    ("mix", "--adapter-steps", "112"),
+    ("raw", "--adapter-steps", "112"),
+])
+def test_flag_the_mode_ignores_fails_in_one_line(windows, tmp_path, mode, flag,
+                                                  value, capsys):
+    # Only select and mix align, and only adapter has an adapter; such a
+    # flag trained on the set's own shape and exited 0 without a word.
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--windows", str(windows), "--mode", mode, flag, value,
+                 "--out-checkpoint", str(ckpt), *COMMON_TRAIN]) == 2
+    assert_one_line_error(capsys, f"--mode {mode} ignores {flag}")
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("argv", [

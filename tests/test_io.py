@@ -2,7 +2,10 @@
 
 import json
 import struct
+import threading
+import time
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -865,11 +868,23 @@ def mixed_manifest(tmp_path):
     return load_manifest(write_manifest(tmp_path, entries)), values
 
 
+@pytest.fixture
+def pool(workers, monkeypatch):
+    """``workers``, with recordings of any size sent to the pool."""
+    monkeypatch.setattr(pipeline, "_POOL_SAMPLES", 0)
+    return workers
+
+
 class TestPreprocessFill:
     """Every recording is sized before any is loaded, and the windows fill
     one array allocated once."""
 
-    def test_mixed_manifest_matches_the_per_recording_oracle(self, tmp_path):
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_mixed_manifest_matches_the_per_recording_oracle(self, tmp_path,
+                                                             pool, count):
+        # One worker runs the recordings in turn on the calling thread; two
+        # run them as tasks on the pool, in any order.
+        pool(count)
         manifest, values = mixed_manifest(tmp_path)
         cfg = FilterSettings()
         wset = preprocess_manifest(manifest, cfg, 100)
@@ -916,10 +931,101 @@ class TestPreprocessFill:
                            "preprocessed: sized as 2x250, read as 2x900"):
             preprocess_manifest(manifest, FilterSettings(), 100)
 
-    def test_binary_manifest_peaks_near_one_window_set(self, tmp_path):
+    def test_earlier_changed_recording_is_named_first(self, tmp_path, pool,
+                                                      monkeypatch):
+        # a.raw's task waits until d.raw's has failed, so the later error
+        # comes first in time; the earlier one in manifest order is raised.
+        pool(2)
+        manifest, _ = mixed_manifest(tmp_path)
+        real = pipeline.load_recording
+        later_failed = threading.Event()
+
+        def rewritten_before_load(entry, base_dir, data=None):
+            if entry.path == "a.raw":
+                assert later_failed.wait(10)
+            if entry.path in ("a.raw", "d.raw"):
+                write_recording_binary(base_dir / entry.path, np.zeros((2, 900)))
+            loaded = real(entry, base_dir, data)
+            if entry.path == "d.raw":
+                later_failed.set()
+            return loaded
+
+        monkeypatch.setattr(pipeline, "load_recording", rewritten_before_load)
+        with pytest.raises(IntegrityError, match="a.raw changed while it was "
+                           "preprocessed: sized as 2x700, read as 2x900"):
+            preprocess_manifest(manifest, FilterSettings(), 100)
+        assert later_failed.is_set()
+
+    def test_no_task_runs_after_the_error(self, tmp_path, pool, monkeypatch):
+        # a.raw fails at once while the other tasks are still loading: the
+        # error waits for them, and no task starts or finishes after it.
+        pool(2)
+        manifest, _ = mixed_manifest(tmp_path)
+        real_load, real_cut = pipeline.load_recording, pipeline.extract_windows
+        started, finished = [], []
+
+        def slow_load(entry, base_dir, data=None):
+            started.append(entry.path)
+            if entry.path == "a.raw":
+                write_recording_binary(base_dir / entry.path, np.zeros((2, 900)))
+            else:
+                time.sleep(0.05)
+            return real_load(entry, base_dir, data)
+
+        def cut(data, window_len):
+            windows = real_cut(data, window_len)
+            finished.append(data.shape[1])
+            return windows
+
+        monkeypatch.setattr(pipeline, "load_recording", slow_load)
+        monkeypatch.setattr(pipeline, "extract_windows", cut)
+        with pytest.raises(IntegrityError, match="a.raw changed"):
+            preprocess_manifest(manifest, FilterSettings(), 100)
+        at_error = (len(started), len(finished))
+        time.sleep(0.2)
+        assert (len(started), len(finished)) == at_error == (5, 4)
+
+    @pytest.mark.parametrize("short,pooled", [(1, False), (0, True)],
+                             ids=["below", "at"])
+    def test_recordings_averaging_pool_samples_go_to_the_pool(
+            self, tmp_path, workers, monkeypatch, short, pooled):
+        workers(2)
+        t = pipeline._POOL_SAMPLES // 2  # two channels
+        entries = []
+        for i, length in enumerate([t - short, t + short, t - short]):
+            write_recording_binary(tmp_path / f"r{i}.raw", np.ones((2, length)))
+            entries.append({
+                "path": f"r{i}.raw", "format": "f32-binary",
+                "channel_labels": ["a", "b"], "sample_rate_hz": 250.0,
+                "label": "first", "subject_id": "s", "split": "train",
+            })
+        manifest = load_manifest(write_manifest(tmp_path, entries))
+        threads = set()
+        real = pipeline.load_recording
+        monkeypatch.setattr(pipeline, "load_recording", lambda *a: threads.add(
+            threading.current_thread()) or real(*a))
+        preprocess_manifest(manifest, FilterSettings(), 256)
+        assert (threading.main_thread() not in threads) == pooled
+
+    def test_sample_rate_below_the_notch_fails_before_any_load(self, tmp_path,
+                                                               monkeypatch):
+        manifest, _ = mixed_manifest(tmp_path)
+        manifest.recordings[3] = replace(manifest.recordings[3], sample_rate_hz=80.0)
+        loads = []
+        real = pipeline.load_recording
+        monkeypatch.setattr(pipeline, "load_recording",
+                            lambda *a: loads.append(a[0].path) or real(*a))
+        with pytest.raises(DomainError, match="notch center 50.0 Hz must lie in "
+                           r"\(0, 40.0\) for sample rate 80.0 Hz"):
+            preprocess_manifest(manifest, FilterSettings(), 100)
+        assert loads == []
+
+    def test_binary_manifest_peaks_near_one_window_set(self, tmp_path, pool):
         # 96 recordings of 4 x 1024 make 384 windows of 4 x 256 (3.1 MB),
-        # and one recording's working set is a few 32 KB arrays. Windows
-        # kept per recording and then concatenated peaked at twice the set.
+        # and one recording's working set is a few 32 KB arrays, held by
+        # each of the two workers. Windows kept per recording and then
+        # concatenated peaked at twice the set.
+        pool(2)
         rng = np.random.default_rng(42)
         entries = []
         for i in range(96):
