@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import platform
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,20 +20,19 @@ from . import __version__
 from .adapter import default_adapter_config
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .encoder import BfmConfig
-from .errors import ConfigurationError, IntegrityError, PipelineError
+from .errors import ConfigurationError, PipelineError
 from .fileio import (check_subject_ids, read_embeddings_text,
                      write_embeddings_text, write_text)
 from .manifest import load_manifest, split_subject_independent
 from .model import build_classifier, own_threads
-from .montage import MontageMap, load_montage, montage_identity
+from .montage import BUILTIN_MONTAGE_TOKEN, load_montage
 from .pipeline import (
     FilterSettings,
     WindowSet,
     align_window_set,
-    check_fingerprint,
     load_window_set,
-    preprocess_manifest,
     save_window_set,
+    window_set_for,
 )
 from .synthetic import SynthSpec, write_synthetic_dataset
 from .training import (
@@ -65,14 +63,12 @@ def repro_header(command: str, args: argparse.Namespace) -> list[str]:
     return lines
 
 
-def _filters_from_args(args) -> FilterSettings:
-    return FilterSettings(
-        notch_hz=args.notch,
-        notch_q=args.notch_q,
-        band_low_hz=args.band_low,
-        band_high_hz=args.band_high,
-        band_order=args.order,
-    )
+def _wanted(args, alignment: str = "none", target_len: int | None = None) -> dict:
+    """The data the flags ask for, in the keys of a window set's fingerprint."""
+    return {"notch_hz": args.notch, "notch_q": args.notch_q,
+            "band_low_hz": args.band_low, "band_high_hz": args.band_high,
+            "band_order": args.order, "window_len": args.window,
+            "alignment": alignment, "target_len": target_len}
 
 
 def _parse_list(flag: str, text: str, kind=int) -> list:
@@ -83,6 +79,13 @@ def _parse_list(flag: str, text: str, kind=int) -> list:
         raise ConfigurationError(
             f"{flag} must be comma-separated {kind.__name__} values, got {text!r}"
         ) from None
+
+
+def _source(args):
+    """The data a run reads: the --windows path, or the --manifest loaded."""
+    if bool(args.windows) == bool(args.manifest):
+        raise ConfigurationError("pass exactly one of --windows or --manifest")
+    return args.windows or load_manifest(args.manifest)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -128,8 +131,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    manifest = load_manifest(args.manifest)
-    wset = preprocess_manifest(manifest, _filters_from_args(args), args.window)
+    wset = window_set_for(_wanted(args), load_manifest(args.manifest))
     header = {"repro": repro_header("preprocess", args)}
     save_window_set(args.out, wset, header=header)
     print(f"wrote {args.out}: {len(wset)} windows of shape "
@@ -138,43 +140,18 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_align(args) -> int:
+    for flag, given in (("--target-len", args.target_len is not None),
+                        ("--montage", args.montage != BUILTIN_MONTAGE_TOKEN)):
+        if args.mode == "none" and given:
+            raise ConfigurationError(f"--mode none ignores {flag}; drop it")
     wset = load_window_set(args.windows)
-    if args.mode == "none":
-        save_window_set(args.out, wset, header={"repro": repro_header("align", args)})
-        print(f"wrote {args.out} (pass-through)")
-        return 0
-    montage = load_montage(args.montage)
-    target_len = wset.data.shape[2] if args.target_len is None else args.target_len
-    aligned = align_window_set(wset, args.mode, montage, target_len)
-    save_window_set(args.out, aligned, header={"repro": repro_header("align", args)})
-    print(f"wrote {args.out}: {len(aligned)} windows of shape 23x{target_len}")
+    if args.mode != "none":
+        target_len = wset.data.shape[2] if args.target_len is None else args.target_len
+        wset = align_window_set(wset, args.mode, load_montage(args.montage), target_len)
+    save_window_set(args.out, wset, header={"repro": repro_header("align", args)})
+    print(f"wrote {args.out}: {len(wset)} windows of shape "
+          f"{wset.data.shape[1]}x{wset.data.shape[2]}")
     return 0
-
-
-def _resolve_montage(args, manifest) -> MontageMap:
-    spec = args.montage
-    if spec is None:
-        spec = manifest.montage if manifest is not None else "builtin-table1"
-        if manifest is not None and spec != "builtin-table1":
-            candidate = manifest.base_dir / spec
-            if candidate.exists():
-                spec = str(candidate)
-    return load_montage(spec)
-
-
-def _train_window_set(args) -> tuple[WindowSet, object]:
-    if bool(args.windows) == bool(args.manifest):
-        raise ConfigurationError("pass exactly one of --windows or --manifest")
-    if args.windows:
-        if args.auto_split:
-            raise ConfigurationError(
-                "--auto-split splits a --manifest; a --windows set keeps its splits")
-        return load_window_set(args.windows), None
-    manifest = load_manifest(args.manifest)
-    if args.auto_split:
-        fractions = _parse_list("--auto-split", args.auto_split, float)
-        manifest = split_subject_independent(manifest, fractions, seed=args.seed)
-    return preprocess_manifest(manifest, _filters_from_args(args), args.window), manifest
 
 
 def _head_labels(wset: WindowSet, head_classes: dict[str, int]):
@@ -214,26 +191,15 @@ def cmd_train(args) -> int:
                                args.mode == "adapter")):
         if value is not None and not read:
             raise ConfigurationError(f"--mode {args.mode} ignores {flag}; drop it")
-    wset, manifest = _train_window_set(args)
-
-    if args.mode in ("select", "mix"):
-        if wset.fingerprint.get("alignment") == "none":
-            montage = _resolve_montage(args, manifest)
-            target_len = (wset.data.shape[2] if args.target_len is None
-                          else args.target_len)
-            wset = align_window_set(wset, args.mode, montage, target_len)
-        elif wset.fingerprint.get("alignment") != args.mode:
+    source = _source(args)
+    if args.auto_split:
+        if args.windows:
             raise ConfigurationError(
-                f"window set is aligned with mode "
-                f"{wset.fingerprint.get('alignment')!r}, not {args.mode!r}"
-            )
-        elif args.target_len not in (None, wset.data.shape[2]):
-            raise ConfigurationError(f"--target-len {args.target_len} differs from "
-                                     f"the aligned set's length {wset.data.shape[2]}")
-        elif args.montage and montage_identity(load_montage(args.montage)) \
-                != wset.fingerprint.get("montage"):
-            raise ConfigurationError(f"--montage {args.montage} is not the montage "
-                                     "the window set was aligned with")
+                "--auto-split splits a --manifest; a --windows set keeps its splits")
+        fractions = _parse_list("--auto-split", args.auto_split, float)
+        source = split_subject_independent(source, fractions, seed=args.seed)
+    want = _wanted(args, args.mode if aligns else "none", args.target_len)
+    wset = window_set_for(want, source, args.montage)
     wset.require_assigned()
 
     classes = dict(wset.classes)
@@ -326,52 +292,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_window_set(args, ckpt: Checkpoint) -> WindowSet:
-    """Load or rebuild data with the checkpoint's preprocessing settings."""
-    if bool(args.windows) == bool(args.manifest):
-        raise ConfigurationError("pass exactly one of --windows or --manifest")
-    fp = dict(ckpt.fingerprint)
-    mode = fp.pop("mode", None)
-    if args.windows:
-        wset = load_window_set(args.windows)
-        if fp.get("alignment") in ("select", "mix") \
-                and wset.fingerprint.get("alignment") == "none":
-            raise ConfigurationError(
-                "checkpoint was trained on aligned data; align the window "
-                "set first or pass --manifest"
-            )
-        check_fingerprint(fp, wset.fingerprint)
-        return wset
-    manifest = load_manifest(args.manifest)
-    alignment = fp.get("alignment")
-    if alignment not in ("none", "select", "mix"):
-        raise IntegrityError(
-            f"{args.checkpoint}: fingerprint 'alignment' must be 'none', 'select' "
-            f"or 'mix', got {alignment!r}"
-        )
-
-    def number(key):
-        value = fp.get(key)
-        kind = int if key in ("band_order", "window_len", "target_len") else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise IntegrityError(
-                f"{args.checkpoint}: fingerprint {key!r} must be "
-                f"{'an integer' if kind is int else 'a number'}, got {value!r}"
-            )
-        return value
-
-    filters = FilterSettings(**{f.name: number(f.name) for f in fields(FilterSettings)})
-    wset = preprocess_manifest(manifest, filters, number("window_len"))
-    if alignment != "none":
-        montage = _resolve_montage(args, manifest)
-        wset = align_window_set(wset, alignment, montage, number("target_len"))
-    check_fingerprint(fp, wset.fingerprint)
-    return wset
-
-
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    wset = _eval_window_set(args, ckpt)
+    wset = window_set_for(ckpt.fingerprint, _source(args), args.montage,
+                          args.checkpoint)
     data = wset.select(args.split, *_head_labels(wset, ckpt.classes))
     # The split holds all the rows the forward reads: the set can go first.
     del wset
@@ -401,7 +325,8 @@ def cmd_eval(args) -> int:
 
 def cmd_extract(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    wset = _eval_window_set(args, ckpt)
+    wset = window_set_for(ckpt.fingerprint, _source(args), args.montage,
+                          args.checkpoint)
     data = wset.select(args.split)
     del wset
     if not len(data):

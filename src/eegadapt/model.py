@@ -99,7 +99,7 @@ def map_chunks(fn, chunks):
     """Yields ``fn(chunk)`` for each chunk in chunk order, each as soon as it
     and the chunks before it are done; chunks write disjoint memory. The
     first chunk in chunk order that fails raises its error, once no chunk
-    is running."""
+    is running; the chunks behind it that have not started never do."""
     global _pool
     own_threads()
     if _WORKERS < 2 or len(chunks) < 2 or getattr(_on_worker, "active", False):
@@ -114,8 +114,9 @@ def map_chunks(fn, chunks):
         while futures:
             yield futures.popleft().result()
     finally:
-        # An error leaves no chunk running behind the caller's back.
-        wait(futures)
+        # An error cancels the chunks not yet started and leaves none running
+        # behind the caller's back: cancel() fails only on a started one.
+        wait([future for future in futures if not future.cancel()])
 
 
 @dataclass

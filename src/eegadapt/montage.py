@@ -1,11 +1,11 @@
 """Map an arbitrary source montage onto the fixed 23-channel encoder montage.
 
 Alignment is one gather: every target sample is one sample of one source
-electrode, so a whole batch of windows is aligned by a single pair of index
-maps. Mix mode fills a target row with its neighboring sources, each
-length-fitted and concatenated on the time axis; select mode is mix over
-each target's first (nearest) source only. Lookups are by electrode label
-(after whitespace trimming), never by storage position.
+electrode, so a whole batch of windows is aligned by a single index map,
+built and checked once. Mix mode fills a target row with its neighboring
+sources, each length-fitted and concatenated on the time axis; select mode
+is mix over each target's first (nearest) source only. Lookups are by
+electrode label (after whitespace trimming), never by storage position.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "MontageMap",
     "BUILTIN_MONTAGE_TOKEN",
     "builtin_montage",
+    "alignment_index",
     "mix_channels",
     "parse_montage_text",
     "format_montage_text",
@@ -118,35 +119,27 @@ def builtin_montage() -> MontageMap:
     )
 
 
-def mix_channels(data: np.ndarray, channel_labels, montage: MontageMap,
-                 target_len: int) -> np.ndarray:
-    """Align (N, E, T) windows onto the 23 targets: (N, 23, target_len).
+def alignment_index(channel_labels, timesteps: int, montage: MontageMap,
+                    target_len: int) -> np.ndarray:
+    """The (23, target_len) index into a window's E x T samples, flattened,
+    that aligns it onto the 23 targets.
 
     A target with k sources contributes floor(target_len / k) samples per
     source; the first (target_len mod k) sources get one extra sample so the
     segments sum exactly to target_len. Sample i of a segment is source
     sample i mod T: a longer source keeps its head (stimulus-onset-aligned
-    data carries the early evoked response), a shorter one is tiled. The
-    whole rule is one (23, target_len) pair of channel and time index maps,
-    applied to every window at once. Missing or repeated electrodes raise
-    AlignmentError naming the label.
+    data carries the early evoked response), a shorter one is tiled. Missing
+    or repeated electrodes raise AlignmentError naming the label.
     """
-    data = np.asarray(data)
-    if data.ndim != 3 or data.shape[1] != len(channel_labels):
-        raise DimensionError(
-            f"expected (N, {len(channel_labels)}, T) windows, got shape {data.shape}"
-        )
     if target_len < 1:
         raise DomainError(f"target_len must be >= 1, got {target_len}")
-    t = data.shape[2]
-    if t < 1:
+    if timesteps < 1:
         raise DomainError("cannot fit an empty signal")
     rows = {}
     for i, label in enumerate(str(lab).strip() for lab in channel_labels):
         if rows.setdefault(label, i) != i:
             raise AlignmentError(f"electrode label {label!r} appears more than once")
-    ci = np.empty((len(montage.targets), target_len), dtype=np.intp)
-    ti = np.empty_like(ci)
+    index = np.empty((len(montage.targets), target_len), dtype=np.intp)
     for r, target in enumerate(montage.targets):
         k = len(target.sources)
         if k > target_len:
@@ -163,13 +156,24 @@ def mix_channels(data: np.ndarray, channel_labels, montage: MontageMap,
                     f"{target.target_label}"
                 )
             seg_len = base + (1 if j < extra else 0)
-            ci[r, offset : offset + seg_len] = rows[source]
-            ti[r, offset : offset + seg_len] = np.arange(seg_len) % t
+            index[r, offset : offset + seg_len] = (
+                rows[source] * timesteps + np.arange(seg_len) % timesteps)
             offset += seg_len
-    # data[:, ci, ti], taken over the flattened (E * T) axis so the result is
-    # C-contiguous and no writer has to copy it again.
-    flat = data.reshape(data.shape[0], data.shape[1] * t)
-    return flat.take(ci * t + ti, axis=1)
+    return index
+
+
+def mix_channels(data: np.ndarray, channel_labels, montage: MontageMap,
+                 target_len: int) -> np.ndarray:
+    """Align (N, E, T) windows onto the 23 targets: (N, 23, target_len), by
+    one C-contiguous ``take`` of ``alignment_index`` over the (E * T) axis."""
+    data = np.asarray(data)
+    if data.ndim != 3 or data.shape[1] != len(channel_labels):
+        raise DimensionError(
+            f"expected (N, {len(channel_labels)}, T) windows, got shape {data.shape}"
+        )
+    n, e, t = data.shape
+    return data.reshape(n, e * t).take(
+        alignment_index(channel_labels, t, montage, target_len), axis=1)
 
 
 def parse_montage_text(text: str) -> MontageMap:

@@ -2,13 +2,14 @@
 
 A WindowSet is the unit the training and evaluation commands consume. It
 records the preprocessing fingerprint (filter settings, window length,
-alignment) so a checkpoint can refuse data prepared differently.
+alignment) so a checkpoint can refuse data prepared differently, and
+``window_set_for`` turns a fingerprint back into the set it describes.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .fileio import read_bundle, write_bundle
 from .filters import apply_chain_to_rows, design_bandpass, design_notch
 from .manifest import SPLITS, DatasetManifest, load_recording, size_recording
 from .model import map_chunks
-from .montage import TARGET_ORDER, MontageMap, mix_channels, montage_identity
+from .montage import (BUILTIN_MONTAGE_TOKEN, TARGET_ORDER, MontageMap, alignment_index,
+                      load_montage, mix_channels, montage_identity)
 from .training import LabeledSet
 
 logger = logging.getLogger(__name__)
@@ -33,6 +35,7 @@ __all__ = [
     "WindowSet",
     "preprocess_manifest",
     "align_window_set",
+    "window_set_for",
     "save_window_set",
     "load_window_set",
     "check_fingerprint",
@@ -108,20 +111,32 @@ class WindowSet:
             )
 
 
+def _alignment(mode: str, montage: MontageMap, target_len: int):
+    """The map ``mode`` aligns with, and the fingerprint entries it sets (the
+    montage named by the content hash of the whole map, in select mode too)."""
+    if mode not in ("select", "mix"):
+        raise ConfigurationError(f"alignment mode must be 'select' or 'mix', got {mode!r}")
+    entries = {"alignment": mode, "montage": montage_identity(montage),
+               "target_len": target_len, "channels": 23, "timesteps": target_len}
+    return montage.first_sources() if mode == "select" else montage, entries
+
+
 def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
-                        window_len: int) -> WindowSet:
-    """Load, convert to microvolts, filter (notch then bandpass), window.
+                        window_len: int,
+                        align: tuple[str, MontageMap, int] | None = None) -> WindowSet:
+    """Load, convert to microvolts, filter (notch then bandpass), window, and
+    align when ``align`` = (mode, montage, target_len) is given.
 
     Every recording in a manifest must share one channel layout. Every
     recording is sized before any is loaded (a binary file from its header;
-    a text file is parsed, and the array is kept until its task takes it),
-    and then the filters are designed once per distinct sample rate, both
-    in manifest order. The windows fill one array allocated once: one task
-    per recording loads, filters and cuts it into its own rows, on the
-    model's pool (``model.map_chunks``) when the recordings average at least
-    ``_POOL_SAMPLES`` samples and in turn otherwise. Logs and the first
-    error come in manifest order, and the peak is one window set plus one
-    recording's working set per worker.
+    a text file is parsed, and the array is kept until its task takes it);
+    then the filters are designed once per distinct sample rate, in manifest
+    order, and the alignment's index map is built once. The windows fill one
+    array allocated once: one task per recording loads, filters, cuts and
+    aligns it into its own rows, on the model's pool (``model.map_chunks``)
+    when the recordings average at least ``_POOL_SAMPLES`` samples and in
+    turn otherwise. Logs and the first error come in manifest order, and the
+    peak is the set plus one recording's working set per worker.
     """
     recordings = manifest.recordings
     channel_labels = recordings[0].channel_labels if recordings else []
@@ -142,8 +157,16 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
                              filters.band_order, fs))
         for fs in dict.fromkeys(e.sample_rate_hz for e in recordings)
     }
+    fingerprint = {**asdict(filters), "window_len": window_len, "alignment": "none",
+                   "montage": None, "target_len": None,
+                   "channels": len(channel_labels), "timesteps": window_len}
+    index, width = None, len(channel_labels) * window_len
+    if align is not None:
+        montage, entries = _alignment(*align)
+        index = alignment_index(channel_labels, window_len, montage, align[2])
+        fingerprint.update(entries)
     rows = np.cumsum([0, *counts])
-    windows = np.empty((rows[-1], len(channel_labels), window_len))
+    windows = np.empty((rows[-1], fingerprint["channels"], fingerprint["timesteps"]))
 
     def fill(idx: int) -> None:
         entry, (shape, parsed) = recordings[idx], sized[idx]
@@ -156,7 +179,9 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
             )
         notch, band = chains[entry.sample_rate_hz]
         filtered = apply_chain_to_rows(band, apply_chain_to_rows(notch, data))
-        windows[rows[idx]:rows[idx + 1]] = extract_windows(filtered, window_len)
+        cut = extract_windows(filtered, window_len)
+        windows[rows[idx]:rows[idx + 1]] = cut if index is None else \
+            cut.reshape(len(cut), width).take(index, axis=1)
 
     samples = sum(e * t for (e, t), _ in sized)
     run = map_chunks if samples >= _POOL_SAMPLES * len(sized) else map
@@ -172,22 +197,13 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
     def per_window(values, dtype) -> np.ndarray:
         return np.repeat(np.array(values, dtype=dtype), counts)
 
-    fingerprint = asdict(filters)
-    fingerprint.update({
-        "window_len": window_len,
-        "alignment": "none",
-        "montage": None,
-        "target_len": None,
-        "channels": len(channel_labels),
-        "timesteps": window_len,
-    })
     return WindowSet(
         data=windows,
         labels=per_window([manifest.classes[e.label] for e in recordings], np.int64),
         subjects=per_window([e.subject_id for e in recordings], str),
         splits=per_window([e.split for e in recordings], str),
         sample_rates=per_window([e.sample_rate_hz for e in recordings], np.float64),
-        channel_labels=channel_labels,
+        channel_labels=channel_labels if index is None else list(TARGET_ORDER),
         classes=dict(manifest.classes),
         fingerprint=fingerprint,
     )
@@ -195,29 +211,83 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
 
 def align_window_set(wset: WindowSet, mode: str, montage: MontageMap,
                      target_len: int) -> WindowSet:
-    """Apply select or mix alignment to every window in one gather.
-
-    The fingerprint names the montage by the content hash of the whole map,
-    in select mode too.
-    """
-    if mode not in ("select", "mix"):
-        raise ConfigurationError(f"alignment mode must be 'select' or 'mix', got {mode!r}")
+    """Apply select or mix alignment to every window in one gather."""
+    montage, entries = _alignment(mode, montage, target_len)
     if wset.fingerprint.get("alignment") != "none":
         raise ConfigurationError("window set is already aligned")
-    montage_name = montage_identity(montage)
-    if mode == "select":
-        montage = montage.first_sources()
     aligned = mix_channels(wset.data, wset.channel_labels, montage, target_len)
-    fingerprint = dict(wset.fingerprint)
-    fingerprint.update({
-        "alignment": mode,
-        "montage": montage_name,
-        "target_len": target_len,
-        "channels": 23,
-        "timesteps": target_len,
-    })
     return replace(wset, data=aligned, channel_labels=list(TARGET_ORDER),
-                   fingerprint=fingerprint)
+                   fingerprint={**wset.fingerprint, **entries})
+
+
+def _montage_for(spec: str | None, manifest: DatasetManifest | None) -> MontageMap:
+    """The --montage flag's map, or else the manifest's (a path relative to
+    the manifest's directory first), or else the builtin one."""
+    if spec is None and manifest is not None:
+        spec = manifest.montage
+        if (manifest.base_dir / spec).exists() and spec != BUILTIN_MONTAGE_TOKEN:
+            spec = str(manifest.base_dir / spec)
+    return load_montage(BUILTIN_MONTAGE_TOKEN if spec is None else spec)
+
+
+def window_set_for(want: dict, source, montage: str | None = None,
+                   checkpoint=None) -> WindowSet:
+    """The window set a run reads, from a saved set's path or a manifest.
+
+    ``want`` is the fingerprint of the file ``checkpoint`` (its model 'mode'
+    aside) or, with ``checkpoint`` None, a command's flags in the same keys,
+    a 'target_len' of None meaning the data's own window length. ``montage``
+    is the --montage flag. A manifest is preprocessed and aligned in one
+    pass; a saved set is taken as it is, except that flags align an
+    unaligned one, and a given --montage must be the one it was aligned
+    with. A checkpoint's whole fingerprint must match the data.
+    """
+    want = {k: v for k, v in want.items() if k != "mode"}
+    mode = want.get("alignment")
+    if mode not in ("none", "select", "mix"):
+        raise IntegrityError(f"{checkpoint}: fingerprint 'alignment' must be "
+                             f"'none', 'select' or 'mix', got {mode!r}")
+
+    def number(key):
+        value = want.get(key)
+        kind = int if key in ("band_order", "window_len", "target_len") else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise IntegrityError(f"{checkpoint}: fingerprint {key!r} must be "
+                                 f"{'an integer' if kind is int else 'a number'}, "
+                                 f"got {value!r}")
+        return value
+
+    filters = FilterSettings(**{f.name: number(f.name) for f in fields(FilterSettings)})
+    window_len = number("window_len")
+    target_len = (number("target_len") if checkpoint is not None and mode != "none"
+                  else want.get("target_len"))
+    if isinstance(source, DatasetManifest):
+        align = None if mode == "none" else (
+            mode, _montage_for(montage, source),
+            window_len if target_len is None else target_len)
+        wset = preprocess_manifest(source, filters, window_len, align)
+    else:
+        wset = load_window_set(source)
+        have, length = wset.fingerprint, wset.data.shape[2]
+        if mode != "none" and have.get("alignment") == "none":
+            if checkpoint is not None:
+                raise ConfigurationError("checkpoint was trained on aligned data; "
+                                         "align the window set first or pass --manifest")
+            return align_window_set(wset, mode, _montage_for(montage, None),
+                                    length if target_len is None else target_len)
+        if montage is not None \
+                and montage_identity(load_montage(montage)) != have.get("montage"):
+            raise ConfigurationError(f"--montage {montage} is not the montage "
+                                     "the window set was aligned with")
+        if checkpoint is None and mode not in ("none", have.get("alignment")):
+            raise ConfigurationError(f"window set is aligned with mode "
+                                     f"{have.get('alignment')!r}, not {mode!r}")
+        if checkpoint is None and target_len not in (None, length):
+            raise ConfigurationError(f"--target-len {target_len} differs from "
+                                     f"the aligned set's length {length}")
+    if checkpoint is not None:
+        check_fingerprint(want, wset.fingerprint)
+    return wset
 
 
 def save_window_set(path, wset: WindowSet, header: dict | None = None) -> None:

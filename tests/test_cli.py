@@ -24,6 +24,7 @@ from eegadapt.fileio import (
 )
 from eegadapt.model import EegClassifier
 from eegadapt.pipeline import load_window_set
+from helpers import traced_peak
 from test_io import (
     MALFORMED_HEADERS,
     MALFORMED_MANIFESTS,
@@ -172,6 +173,17 @@ class TestAlign:
         assert rc == 0
         np.testing.assert_array_equal(load_window_set(out).data,
                                       load_window_set(wpath).data)
+
+    @pytest.mark.parametrize("flag,value", [("--montage", "nope.txt"),
+                                            ("--target-len", "5")])
+    def test_pass_through_refuses_alignment_flags(self, windows, tmp_path, capsys,
+                                                  flag, value):
+        # --mode none copies the set; both flags were dropped without a word.
+        out = tmp_path / "copy.wset"
+        assert main(["align", "--windows", str(windows), "--mode", "none",
+                     flag, value, "--out", str(out)]) == 2
+        assert_one_line_error(capsys, f"--mode none ignores {flag}")
+        assert not out.exists()
 
     def test_mix_with_more_sources_than_samples_fails(self, dataset, tmp_path,
                                                       capsys):
@@ -650,7 +662,7 @@ def test_loaded_window_set_is_dropped_before_the_forward(
     # The loaded set must not stay alive beside the split while the model
     # runs; a split of every row holds only its arrays.
     loaded, alive = [], []
-    real_window_set = cli._eval_window_set
+    real_window_set = cli.window_set_for
     real_forward = EegClassifier.forward_batch
 
     def window_set(*args):
@@ -662,12 +674,67 @@ def test_loaded_window_set_is_dropped_before_the_forward(
         alive.append(loaded[0]() is not None)
         return real_forward(self, x)
 
-    monkeypatch.setattr(cli, "_eval_window_set", window_set)
+    monkeypatch.setattr(cli, "window_set_for", window_set)
     monkeypatch.setattr(EegClassifier, "forward_batch", forward)
     monkeypatch.chdir(tmp_path)
     assert main([command, "--checkpoint", str(mix_checkpoint),
                  "--manifest", str(dataset / "manifest.json"), *flags]) == 0
     assert alive == [False]
+
+
+def test_manifest_eval_peaks_near_the_aligned_set(tmp_path, workers, monkeypatch):
+    # 64 recordings of 16 x 2048 make 512 windows, 10.5 MB once aligned to
+    # 23 x 112. eval --manifest aligns each recording's windows in its own
+    # task, so it holds about what eval --windows holds on the aligned set;
+    # preprocessing the whole set before aligning a copy peaked at 1.8x.
+    workers(2)
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["synth", "--out", "d", "--channels", "16", "--timesteps", "2048",
+         "--train", "48", "--val", "8", "--test", "8", "--seed", "1"],
+        ["preprocess", "--manifest", "d/manifest.json", "--window", "256",
+         "--out", "w.wset"],
+        ["align", "--windows", "w.wset", "--mode", "mix", "--montage",
+         "d/montage_map.txt", "--target-len", "112", "--out", "a.wset"],
+        ["train", "--windows", "a.wset", "--mode", "mix", "--out-checkpoint",
+         "m.ckpt", *COMMON_TRAIN, "--epochs", "1", "--batch", "64",
+         "--window", "256"],
+    ):
+        assert main(argv) == 0, argv[0]
+    peaks = {}
+    for flag, source in (("--windows", "a.wset"), ("--manifest", "d/manifest.json")):
+        rc, peaks[flag] = traced_peak(main, ["eval", "--checkpoint", "m.ckpt", flag,
+                                             source, "--split", "all"])
+        assert rc == 0
+    assert peaks["--manifest"] <= 1.1 * peaks["--windows"]
+
+
+@pytest.mark.parametrize("montage,needle", [
+    ("nope.txt", "montage map file not found: nope.txt"),
+    ("builtin-table1", "--montage builtin-table1 is not the montage"),
+    ("MAP", None),
+], ids=["missing", "other", "same"])
+@pytest.mark.parametrize("command,out_flag", [("eval", "--out"),
+                                              ("extract", "--out-embeddings")])
+def test_windows_refuse_a_montage_they_were_not_aligned_with(
+        dataset, windows, mix_checkpoint, tmp_path, capsys, command, out_flag,
+        montage, needle):
+    # Only the --manifest path read --montage; with --windows it was dropped.
+    aligned = tmp_path / "aligned.wset"
+    montage_map = str(dataset / "montage_map.txt")
+    assert main(["align", "--windows", str(windows), "--mode", "mix",
+                 "--montage", montage_map, "--target-len", "128",
+                 "--out", str(aligned)]) == 0
+    out = tmp_path / "out.txt"
+    rc = main([command, "--checkpoint", str(mix_checkpoint), "--windows",
+               str(aligned), "--montage", montage_map if montage == "MAP" else montage,
+               out_flag, str(out)])
+    if needle is None:
+        assert rc == 0 and out.exists()
+    else:
+        assert rc == 2
+        assert_one_line_error(capsys, needle)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -18,6 +18,7 @@ from eegadapt.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from eegadapt.core import extract_windows
 from eegadapt.encoder import BfmConfig
 from eegadapt.errors import (
+    AlignmentError,
     ConfigurationError,
     DomainError,
     FingerprintMismatchError,
@@ -41,7 +42,7 @@ from eegadapt.manifest import (
     split_subject_independent,
 )
 from eegadapt.model import build_classifier
-from eegadapt.montage import TARGET_ORDER, builtin_montage
+from eegadapt.montage import TARGET_ORDER, MontageMap, MontageTarget, builtin_montage
 from eegadapt.pipeline import (
     FilterSettings,
     align_window_set,
@@ -868,6 +869,12 @@ def mixed_manifest(tmp_path):
     return load_manifest(write_manifest(tmp_path, entries)), values
 
 
+# Every target mixes both electrodes of ``mixed_manifest``, in turn first.
+TWO_ELECTRODE_MONTAGE = MontageMap(tuple(
+    MontageTarget(label, ("e0", "e1")[::1 - 2 * (i % 2)])
+    for i, label in enumerate(TARGET_ORDER)))
+
+
 @pytest.fixture
 def pool(workers, monkeypatch):
     """``workers``, with recordings of any size sent to the pool."""
@@ -957,8 +964,9 @@ class TestPreprocessFill:
         assert later_failed.is_set()
 
     def test_no_task_runs_after_the_error(self, tmp_path, pool, monkeypatch):
-        # a.raw fails at once while the other tasks are still loading: the
-        # error waits for them, and no task starts or finishes after it.
+        # a.raw fails at once while b.csv is still loading: the error waits
+        # for the tasks running, the ones queued behind them never start,
+        # and no task starts or finishes after it.
         pool(2)
         manifest, _ = mixed_manifest(tmp_path)
         real_load, real_cut = pipeline.load_recording, pipeline.extract_windows
@@ -969,7 +977,7 @@ class TestPreprocessFill:
             if entry.path == "a.raw":
                 write_recording_binary(base_dir / entry.path, np.zeros((2, 900)))
             else:
-                time.sleep(0.05)
+                time.sleep(0.2)
             return real_load(entry, base_dir, data)
 
         def cut(data, window_len):
@@ -982,8 +990,10 @@ class TestPreprocessFill:
         with pytest.raises(IntegrityError, match="a.raw changed"):
             preprocess_manifest(manifest, FilterSettings(), 100)
         at_error = (len(started), len(finished))
-        time.sleep(0.2)
-        assert (len(started), len(finished)) == at_error == (5, 4)
+        time.sleep(0.5)
+        assert (len(started), len(finished)) == at_error
+        # c.raw may take the failed task's worker before the error is seen.
+        assert set(started[:2]) == {"a.raw", "b.csv"} and "e.csv" not in started
 
     @pytest.mark.parametrize("short,pooled", [(1, False), (0, True)],
                              ids=["below", "at"])
@@ -1018,6 +1028,51 @@ class TestPreprocessFill:
         with pytest.raises(DomainError, match="notch center 50.0 Hz must lie in "
                            r"\(0, 40.0\) for sample rate 80.0 Hz"):
             preprocess_manifest(manifest, FilterSettings(), 100)
+        assert loads == []
+
+    @pytest.mark.parametrize("target_len", [64, 250], ids=["shorter", "tiled"])
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("mode", ["select", "mix"])
+    def test_aligned_preprocess_matches_aligning_the_set(self, tmp_path, pool,
+                                                         mode, count, target_len):
+        # Each recording's task aligns its own windows: the same bytes as
+        # aligning the whole set afterwards, in turn and on the pool, with a
+        # target shorter than the 100-sample window and one that tiles it.
+        pool(count)
+        manifest, _ = mixed_manifest(tmp_path)
+        align = (mode, TWO_ELECTRODE_MONTAGE, target_len)
+        got = preprocess_manifest(manifest, FilterSettings(), 100, align)
+        expected = align_window_set(
+            preprocess_manifest(manifest, FilterSettings(), 100), *align)
+        assert got.data.shape == (16, 23, target_len)
+        assert got.data.tobytes() == expected.data.tobytes()
+        assert got.fingerprint == expected.fingerprint
+        assert got.channel_labels == expected.channel_labels == list(TARGET_ORDER)
+
+    @pytest.mark.parametrize("case,error,needle", [
+        ("missing", AlignmentError, "no electrode 'e2' needed for target FP1"),
+        ("repeated", AlignmentError, "'e0' appears more than once"),
+        ("too-many-sources", DomainError, "has 2 sources but target_len is only 1"),
+    ])
+    def test_bad_alignment_fails_before_any_load(self, tmp_path, monkeypatch,
+                                                 case, error, needle):
+        manifest, _ = mixed_manifest(tmp_path)
+        montage, target_len = TWO_ELECTRODE_MONTAGE, 64
+        if case == "missing":
+            montage = MontageMap(tuple(
+                MontageTarget(t.target_label, ("e2",)) for t in montage.targets))
+        elif case == "repeated":
+            manifest.recordings[:] = [replace(e, channel_labels=["e0", " e0"])
+                                      for e in manifest.recordings]
+        else:
+            target_len = 1
+        loads = []
+        real = pipeline.load_recording
+        monkeypatch.setattr(pipeline, "load_recording",
+                            lambda *a: loads.append(a[0].path) or real(*a))
+        with pytest.raises(error, match=needle):
+            preprocess_manifest(manifest, FilterSettings(), 100,
+                                ("mix", montage, target_len))
         assert loads == []
 
     def test_binary_manifest_peaks_near_one_window_set(self, tmp_path, pool):

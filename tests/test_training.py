@@ -11,6 +11,7 @@ from eegadapt.adapter import default_adapter_config
 from eegadapt.encoder import BfmConfig
 from eegadapt.errors import ConfigurationError, DomainError
 from eegadapt.model import build_classifier
+from eegadapt.synthetic import SynthSpec, write_synthetic_dataset
 from eegadapt import training
 from eegadapt.training import (
     LabeledSet,
@@ -369,19 +370,18 @@ class TestGradientCheck:
         assert report.max_rel_error == 0.0
 
 
-def test_readme_library_example_runs(capsys):
-    # The README's "Library use" block, on small splits of the shape it builds
-    # the model for: 16 channels x 256 steps, 4 classes.
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # The README's "Library use" block, on a synthetic manifest of the shape
+    # it builds the model for: 16 channels x 256 steps, 4 classes, and 8/4/4
+    # recordings of one window each.
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Library use", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    rng = np.random.default_rng(0)
-
-    def split(n):
-        return LabeledSet(x=rng.normal(size=(n, 16, 256)), y=np.arange(n) % 4)
-
-    exec(code, {"train_set": split(8), "val_set": split(4), "test_set": split(4)})
-    accuracy, head_shape, adapter_shape = capsys.readouterr().out.splitlines()
+    write_synthetic_dataset(tmp_path / "data", SynthSpec(counts=(8, 4, 4)))
+    monkeypatch.chdir(tmp_path)
+    exec(code, {})
+    shape, accuracy, head_shape, adapter_shape = capsys.readouterr().out.splitlines()
+    assert shape == "(16, 23, 112)"
     assert 0.0 <= float(accuracy) <= 1.0
     assert head_shape == "(32, 4)"
     assert adapter_shape.startswith("(64, 16, ")
