@@ -14,7 +14,7 @@ import numpy as np
 
 from .adapter import AdapterConfig, ConvLayerSpec, adapter_param_shapes
 from .encoder import BfmConfig, encoder_param_shapes
-from .errors import IntegrityError
+from .errors import IntegrityError, require_class_table
 from .fileio import read_bundle, write_bundle
 from .model import EegClassifier
 
@@ -74,7 +74,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path} has checkpoint version {version!r}; this build reads "
             f"version {CHECKPOINT_VERSION}"
         )
-    for key in ("encoder_config", "classes", "fingerprint"):
+    for key in ("encoder_config", "fingerprint"):
         if not isinstance(meta.get(key), dict):
             raise IntegrityError(f"{path}: checkpoint meta has no {key!r} table")
     try:
@@ -108,12 +108,7 @@ def load_checkpoint(path) -> Checkpoint:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IntegrityError(f"{path}: malformed checkpoint meta: {exc!r}") from exc
-    classes = meta["classes"]
-    if not all(type(v) is int for v in classes.values()) \
-            or sorted(classes.values()) != list(range(model.num_classes)):
-        raise IntegrityError(
-            f"{path}: 'classes' must map names to the head indices "
-            f"0..{model.num_classes - 1}, got {list(classes.values())}"
-        )
+    classes = require_class_table(meta.get("classes"), IntegrityError,
+                                  f"{path}: 'classes'", model.num_classes)
     return Checkpoint(model=model, classes=classes,
                       fingerprint=meta["fingerprint"], version=version)

@@ -28,7 +28,6 @@ from .model import build_classifier, own_threads
 from .montage import BUILTIN_MONTAGE_TOKEN, load_montage
 from .pipeline import (
     FilterSettings,
-    WindowSet,
     align_window_set,
     load_window_set,
     save_window_set,
@@ -154,16 +153,6 @@ def cmd_align(args) -> int:
     return 0
 
 
-def _head_labels(wset: WindowSet, head_classes: dict[str, int]):
-    """One int lookup from data class index to head index, applied to every
-    window: (mask of windows whose class the head has, head labels, -1 for
-    the rest). Data class indices are dense, so they index the lookup."""
-    names = sorted(wset.classes, key=wset.classes.get)
-    lookup = np.array([head_classes.get(n, -1) for n in names], dtype=np.int64)
-    labels = lookup[wset.labels]
-    return labels >= 0, labels
-
-
 def _choose_adapter_steps(in_timesteps: int, patch_len: int) -> int:
     cand = ((in_timesteps - 16) // patch_len) * patch_len
     while cand >= patch_len:
@@ -210,7 +199,6 @@ def cmd_train(args) -> int:
         if unknown:
             raise ConfigurationError(f"--train-classes indices {unknown} not in manifest")
         classes = {name_of[old]: new for new, old in enumerate(keep)}
-    mask, labels = _head_labels(wset, classes)
     num_classes = len(classes)
     n, channels, timesteps = wset.data.shape
 
@@ -248,8 +236,8 @@ def cmd_train(args) -> int:
     )
     model = build_classifier(encoder_cfg, adapter_cfg, seed=args.seed)
 
-    train_set = wset.select("train", mask, labels)
-    val_set = wset.select("val", mask, labels)
+    train_set = wset.select("train", classes)
+    val_set = wset.select("val", classes)
     fingerprint = dict(wset.fingerprint)
     fingerprint["mode"] = args.mode
     # The splits hold all the rows training reads: the set can go first.
@@ -296,7 +284,7 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     wset = window_set_for(ckpt.fingerprint, _source(args), args.montage,
                           args.checkpoint)
-    data = wset.select(args.split, *_head_labels(wset, ckpt.classes))
+    data = wset.select(args.split, ckpt.classes)
     # The split holds all the rows the forward reads: the set can go first.
     del wset
     if not len(data):
@@ -376,20 +364,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset + manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--channels", type=int, default=16)
-    p.add_argument("--timesteps", type=int, default=256)
-    p.add_argument("--fs", type=float, default=200.0)
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--train", type=int, default=800)
-    p.add_argument("--val", type=int, default=200)
-    p.add_argument("--test", type=int, default=200)
-    p.add_argument("--train-subjects", type=int, default=8)
-    p.add_argument("--val-subjects", type=int, default=2)
-    p.add_argument("--test-subjects", type=int, default=2)
+    p.add_argument("--classes", type=int, default=SynthSpec.num_classes)
+    p.add_argument("--channels", type=int, default=SynthSpec.channels)
+    p.add_argument("--timesteps", type=int, default=SynthSpec.timesteps)
+    p.add_argument("--fs", type=float, default=SynthSpec.sample_rate_hz)
+    p.add_argument("--noise", type=float, default=SynthSpec.noise)
+    p.add_argument("--train", type=int, default=SynthSpec.counts[0])
+    p.add_argument("--val", type=int, default=SynthSpec.counts[1])
+    p.add_argument("--test", type=int, default=SynthSpec.counts[2])
+    p.add_argument("--train-subjects", type=int, default=SynthSpec.subjects[0])
+    p.add_argument("--val-subjects", type=int, default=SynthSpec.subjects[1])
+    p.add_argument("--test-subjects", type=int, default=SynthSpec.subjects[2])
     p.add_argument("--labels", choices=("per-recording", "per-subject"),
-                   default="per-recording")
-    p.add_argument("--seed", type=int, default=0)
+                   default=SynthSpec.label_mode)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="filter and window a manifest")
@@ -415,20 +403,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-len", type=int, default=None)
     p.add_argument("--adapter-steps", type=int, default=None)
     p.add_argument("--hidden-maps", type=int, default=64)
-    p.add_argument("--embed-dim", type=int, default=32)
-    p.add_argument("--encoder-layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--patch-len", type=int, default=16)
+    p.add_argument("--embed-dim", type=int, default=BfmConfig.embed_dim)
+    p.add_argument("--encoder-layers", type=int, default=BfmConfig.num_layers)
+    p.add_argument("--heads", type=int, default=BfmConfig.num_heads)
+    p.add_argument("--patch-len", type=int, default=BfmConfig.patch_len)
     p.add_argument("--train-classes", default=None,
                    help="comma-separated class indices to train on")
     p.add_argument("--auto-split", default=None,
                    help="subject-independent fractions, e.g. 0.6,0.2,0.2")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=0.01)
-    p.add_argument("--optimizer", choices=("adamw", "sgd"), default="adamw")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--optimizer", choices=("adamw", "sgd"), default=TrainConfig.optimizer)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--freeze-bfm", action="store_true")
     p.add_argument("--out-checkpoint", required=True)
     p.set_defaults(func=cmd_train)
@@ -458,9 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--held-out-classes", required=True,
                    help="comma-separated class indices")
-    p.add_argument("--fit-fraction", type=float, default=0.5)
+    p.add_argument("--fit-fraction", type=float, default=ZeroShotProtocol.fit_fraction)
     p.add_argument("--knn-k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ZeroShotProtocol.seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_zeroshot)
 
@@ -473,7 +461,9 @@ def main(argv=None) -> int:
     own_threads()
     try:
         return args.func(args)
-    except (PipelineError, OSError) as exc:
+    except (PipelineError, OSError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # numpy's names the size; others may be empty
+            exc = ": ".join(filter(None, ["the run ran out of memory", str(exc)]))
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,3 +54,20 @@ def require_positive_ints(config) -> None:
                 or value < 1):
             raise ConfigurationError(
                 f"{field.name} must be an integer >= 1, got {value!r}")
+
+
+def require_class_table(classes, error: type[PipelineError], where: str,
+                        size: int | None = None) -> dict[str, int]:
+    """Return ``classes`` if it is a non-empty dict of names to plain ints
+    (no bools) holding each of 0..K-1 exactly once, else raise ``error``
+    naming ``where`` and the table. K is ``size`` (a head's class count) or
+    else the table's own size."""
+    indices = list(classes.values()) if isinstance(classes, dict) else []
+    if not indices:
+        raise error(f"{where} must be a non-empty table of class names to "
+                    f"indices, got {classes!r}")
+    k = len(indices) if size is None else size
+    if any(type(i) is not int for i in indices) or sorted(indices) != list(range(k)):
+        raise error(f"{where} must map class names to the int indices "
+                    f"0..{k - 1}, each once, got {classes!r}")
+    return classes

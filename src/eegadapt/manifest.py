@@ -34,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DomainError, ManifestError
+from .errors import (ConfigurationError, DimensionError, DomainError, ManifestError,
+                     require_class_table)
 from .fileio import (
     read_recording_binary,
     read_recording_header,
@@ -78,26 +79,6 @@ class DatasetManifest:
 
     def subjects(self) -> list[str]:
         return sorted({entry.subject_id for entry in self.recordings})
-
-
-def _validate_classes(classes: dict) -> dict[str, int]:
-    if not isinstance(classes, dict):
-        raise ManifestError(f"manifest classes must be an object, got {classes!r}")
-    if not classes:
-        raise ManifestError("manifest defines no classes")
-    table = {}
-    for name, idx in classes.items():
-        if isinstance(idx, bool) or not isinstance(idx, int):
-            raise ManifestError(f"class {name!r} has non-integer index {idx!r}")
-        table[str(name)] = idx
-    indices = sorted(table.values())
-    if len(set(indices)) != len(indices):
-        raise ManifestError("duplicate class indices in manifest")
-    if indices != list(range(len(indices))):
-        raise ManifestError(
-            f"class indices must be dense 0..{len(indices) - 1}, got {indices}"
-        )
-    return table
 
 
 def _number(where: str, key: str, value) -> float:
@@ -181,7 +162,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"{path} must contain a JSON object")
-    classes = _validate_classes(doc.get("classes", {}))
+    classes = require_class_table(doc.get("classes"), ManifestError, f"{path}: 'classes'")
     base_dir = path.parent
     raw_entries = doc.get("recordings", [])
     if not isinstance(raw_entries, list):

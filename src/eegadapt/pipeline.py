@@ -19,6 +19,7 @@ from .errors import (
     DomainError,
     FingerprintMismatchError,
     IntegrityError,
+    require_class_table,
 )
 from .fileio import read_bundle, write_bundle
 from .filters import apply_chain_to_rows, design_bandpass, design_notch
@@ -83,25 +84,23 @@ class WindowSet:
             return np.ones(len(self), dtype=bool)
         return self.splits == split
 
-    def select(self, split: str, keep: np.ndarray | None = None,
-               labels: np.ndarray | None = None) -> LabeledSet:
+    def select(self, split: str, classes: dict[str, int] | None = None) -> LabeledSet:
         """One split ('train', 'val', 'test', or 'all') as a ``LabeledSet``.
 
-        ``keep`` is an optional row mask ANDed with the split's; ``labels``
-        optionally replaces ``self.labels`` (e.g. remapped class indices).
-        A split that keeps every row holds this set's arrays, not copies.
+        ``classes`` is a head's class table (name -> head index): the split
+        keeps the rows of the classes it names, labelled with head indices.
+        None keeps the data's labels. A split that keeps every row holds
+        this set's arrays, not copies.
         """
-        mask = self.mask(split)
-        if keep is not None:
-            mask &= keep
-        y = self.labels if labels is None else labels
+        mask, y = self.mask(split), self.labels
+        if classes is not None:
+            # Data class indices are dense, so they index the lookup.
+            names = sorted(self.classes, key=self.classes.get)
+            y = np.array([classes.get(n, -1) for n in names], dtype=np.int64)[y]
+            mask &= y >= 0
         if mask.all():
             return LabeledSet(x=self.data, y=y, subjects=self.subjects)
-        return LabeledSet(
-            x=self.data[mask],
-            y=y[mask],
-            subjects=self.subjects[mask],
-        )
+        return LabeledSet(x=self.data[mask], y=y[mask], subjects=self.subjects[mask])
 
     def require_assigned(self) -> None:
         if np.any(self.splits == "unassigned"):
@@ -135,8 +134,9 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
     array allocated once: one task per recording loads, filters, cuts and
     aligns it into its own rows, on the model's pool (``model.map_chunks``)
     when the recordings average at least ``_POOL_SAMPLES`` samples and in
-    turn otherwise. Logs and the first error come in manifest order, and the
-    peak is the set plus one recording's working set per worker.
+    turn otherwise. Logs and the first error come in manifest order. The peak
+    is the set plus one recording's working set per worker, and for a text
+    manifest also every parsed array whose task has not yet run.
     """
     recordings = manifest.recordings
     channel_labels = recordings[0].channel_labels if recordings else []
@@ -309,7 +309,7 @@ def save_window_set(path, wset: WindowSet, header: dict | None = None) -> None:
 
 
 _META_TYPES = (("subjects", list), ("splits", list), ("channel_labels", list),
-               ("classes", dict), ("fingerprint", dict))
+               ("fingerprint", dict))
 
 
 def load_window_set(path) -> WindowSet:
@@ -351,12 +351,8 @@ def load_window_set(path) -> WindowSet:
             f"{path}: 'subjects' must hold one string without NUL per window")
     if not all(s in SPLITS for s in meta["splits"]):
         raise IntegrityError(f"{path}: 'splits' must hold one of {SPLITS} per window")
-    classes = meta["classes"]
-    if not all(type(v) is int for v in classes.values()) \
-            or sorted(classes.values()) != list(range(len(classes))):
-        raise IntegrityError(
-            f"{path}: 'classes' must map names to the dense int indices "
-            f"0..{len(classes) - 1}")
+    classes = require_class_table(meta.get("classes"), IntegrityError,
+                                  f"{path}: 'classes'")
     labels = arrays["labels"]
     if not np.all(np.isfinite(labels) & (labels == np.round(labels))):
         raise IntegrityError(f"{path}: 'labels' must hold finite whole numbers")

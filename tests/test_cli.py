@@ -15,6 +15,7 @@ import pytest
 
 import eegadapt
 from eegadapt import cli
+from eegadapt.checkpoint import load_checkpoint
 from eegadapt.cli import main
 from eegadapt.fileio import (
     read_bundle,
@@ -22,7 +23,7 @@ from eegadapt.fileio import (
     write_bundle,
     write_recording_binary,
 )
-from eegadapt.model import EegClassifier
+from eegadapt.model import EegClassifier, build_classifier
 from eegadapt.pipeline import load_window_set
 from helpers import traced_peak
 from test_io import (
@@ -962,3 +963,92 @@ class TestAutoSplit:
         ])
         assert rc == 0
         assert ckpt.exists()
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 171. GiB for an array"])
+def test_allocation_failure_fails_in_one_line(dataset, windows, tmp_path, monkeypatch,
+                                              capsys, message):
+    # numpy raises MemoryError with the size it asked for; a bare one says
+    # nothing, and the line must still say what happened.
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "align_window_set", exhausted)
+    out = tmp_path / "a.wset"
+    assert main(["align", "--windows", str(windows), "--mode", "mix",
+                 "--montage", str(dataset / "montage_map.txt"),
+                 "--out", str(out)]) == 2
+    assert_one_line_error(capsys, "error: the run ran out of memory", message)
+    assert not out.exists()
+
+
+# ------------------------------------------- flags that reach the library
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--notch", "60", "notch_hz"), ("--notch-q", "10", "notch_q"),
+    ("--band-low", "1", "band_low_hz"), ("--band-high", "40", "band_high_hz"),
+    ("--order", "2", "band_order")])
+def test_filter_flag_reaches_the_filters(dataset, windows, tmp_path, flag, value, key):
+    out = tmp_path / "w.wset"
+    assert main(["preprocess", "--manifest", str(dataset / "manifest.json"),
+                 "--window", "128", flag, value, "--out", str(out)]) == 0
+    wset, default = load_window_set(out), load_window_set(windows)
+    kind = type(default.fingerprint[key])
+    assert wset.fingerprint == {**default.fingerprint, key: kind(value)}
+    assert wset.data.tobytes() != default.data.tobytes()
+
+
+def test_hidden_maps_sets_the_adapter_width(windows, tmp_path):
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--mode", "adapter", "--windows", str(windows),
+                 "--hidden-maps", "8", "--out-checkpoint", str(ckpt),
+                 *COMMON_TRAIN, "--epochs", "1"]) == 0
+    assert read_bundle(ckpt)[1]["adapter.layers.0.w"].shape[0] == 8
+
+
+def test_sgd_optimizer_trains_another_model(windows, tmp_path):
+    arrays = {}
+    for optimizer in ("adamw", "sgd"):
+        ckpt = tmp_path / f"{optimizer}.ckpt"
+        assert main(["train", "--mode", "raw", "--windows", str(windows),
+                     "--optimizer", optimizer, "--out-checkpoint", str(ckpt),
+                     *COMMON_TRAIN]) == 0
+        arrays[optimizer] = read_bundle(ckpt)[1]
+    assert any(a.tobytes() != arrays["sgd"][n].tobytes()
+               for n, a in arrays["adamw"].items())
+    rows = [line.split(",") for line in
+            (tmp_path / "sgd.ckpt.log.csv").read_text().splitlines()
+            if not line.startswith(("#", "epoch"))]
+    assert len(rows) == 2 and np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+def test_freeze_bfm_trains_only_the_adapter_and_head(windows, tmp_path):
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--mode", "adapter", "--windows", str(windows),
+                 "--freeze-bfm", "--out-checkpoint", str(ckpt), *COMMON_TRAIN]) == 0
+    trained = load_checkpoint(ckpt).model
+    initial = dict(build_classifier(trained.encoder_config, trained.adapter_config,
+                                    seed=0).named_arrays())
+    for name, array in trained.named_arrays():
+        frozen = name.startswith("encoder.") and name not in ("encoder.head_w",
+                                                              "encoder.head_b")
+        assert (array.tobytes() == initial[name].tobytes()) == frozen, name
+
+
+def test_module_entry_point_prints_the_version():
+    src = str(Path(eegadapt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "eegadapt", "--version"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "0.1.0\n")
+
+
+@pytest.mark.parametrize("command", ["synth", "preprocess", "align", "train",
+                                     "eval", "extract", "zeroshot"])
+def test_every_subcommand_prints_its_help(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: eegadapt {command}")

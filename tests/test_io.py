@@ -1,6 +1,7 @@
 """File formats, manifests, subject splitting, checkpoints, and window sets."""
 
 import json
+import re
 import struct
 import threading
 import time
@@ -45,6 +46,7 @@ from eegadapt.model import build_classifier
 from eegadapt.montage import TARGET_ORDER, MontageMap, MontageTarget, builtin_montage
 from eegadapt.pipeline import (
     FilterSettings,
+    WindowSet,
     align_window_set,
     check_fingerprint,
     load_window_set,
@@ -332,13 +334,15 @@ class TestManifest:
     def test_duplicate_class_indices_rejected(self, tmp_path):
         entry, _ = basic_entry(tmp_path, "a.raw")
         path = write_manifest(tmp_path, [entry], classes={"x": 0, "y": 0})
-        with pytest.raises(ManifestError, match="duplicate"):
+        with pytest.raises(ManifestError, match=re.escape(
+                "int indices 0..1, each once, got {'x': 0, 'y': 0}")):
             load_manifest(path)
 
     def test_sparse_class_indices_rejected(self, tmp_path):
         entry, _ = basic_entry(tmp_path, "a.raw", label="x")
         path = write_manifest(tmp_path, [entry], classes={"x": 0, "y": 2})
-        with pytest.raises(ManifestError, match="dense"):
+        with pytest.raises(ManifestError, match=re.escape(
+                "int indices 0..1, each once, got {'x': 0, 'y': 2}")):
             load_manifest(path)
 
     def test_missing_file_rejected(self, tmp_path):
@@ -351,7 +355,8 @@ class TestManifest:
         # JSON true/false are Python bools, which isinstance treats as ints.
         entry, _ = basic_entry(tmp_path, "a.raw", label="b")
         path = write_manifest(tmp_path, [entry], classes={"a": False, "b": True})
-        with pytest.raises(ManifestError, match="non-integer"):
+        with pytest.raises(ManifestError, match=re.escape(
+                "int indices 0..1, each once, got {'a': False, 'b': True}")):
             load_manifest(path)
 
     def test_unknown_format_rejected(self, tmp_path):
@@ -571,7 +576,8 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, small_checkpoint())
         rewrite_bundle(path, edit_meta=lambda meta: meta["classes"].update(b=None))
-        with pytest.raises(IntegrityError, match="head indices"):
+        with pytest.raises(IntegrityError, match=re.escape(
+                "int indices 0..2, each once, got {'a': 0, 'b': None, 'c': 2}")):
             load_checkpoint(path)
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
@@ -639,6 +645,64 @@ class TestCheckpoint:
         with pytest.raises(FingerprintMismatchError, match="channels"):
             check_fingerprint(a, b)
         check_fingerprint(a, dict(a))
+
+
+# Malformed class tables, fed alike to the three readers of one. Each has
+# 3 entries; a checkpoint's head has 3 classes, and a manifest's or window
+# set's table is sized by itself. A checkpoint also refuses a well-formed
+# table one class longer or shorter than its head.
+BAD_CLASS_TABLES = {
+    "empty": {},
+    "bool-index": {"a": 0, "b": True, "c": 2},
+    "repeated-index": {"a": 0, "b": 1, "c": 1},
+    "gap": {"a": 0, "b": 1, "c": 3},
+    "float-index": {"a": 0, "b": 1.0, "c": 2},
+}
+HEAD_SIZED_TABLES = {"longer": {"a": 0, "b": 1, "c": 2, "d": 3},
+                     "shorter": {"a": 0, "b": 1}}
+
+
+def write_with_classes(tmp_path, reader, classes):
+    """A file that ``reader`` reads, valid but for its class table ``classes``;
+    with the function that reads it and the error it raises."""
+    if reader == "manifest":
+        entry, _ = basic_entry(tmp_path, "a.raw", label="a")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"classes": classes, "recordings": [entry]}))
+        return path, load_manifest, ManifestError
+    if reader == "checkpoint":
+        path, load = tmp_path / "m.ckpt", load_checkpoint
+        save_checkpoint(path, small_checkpoint())
+    else:
+        path, load = tmp_path / "w.wset", load_window_set
+        save_window_set(path, WindowSet(
+            data=np.zeros((3, 2, 8)), labels=np.arange(3), subjects=np.array(["s0"] * 3),
+            splits=np.array(["test"] * 3), sample_rates=np.full(3, 250.0),
+            channel_labels=["e0", "e1"], classes={"a": 0, "b": 1, "c": 2},
+            fingerprint={}))
+    rewrite_bundle(path, edit_meta=lambda meta: meta.update(classes=classes))
+    return path, load, IntegrityError
+
+
+@pytest.mark.parametrize("reader, case", [
+    *((reader, case) for reader in ("manifest", "window-set", "checkpoint")
+      for case in BAD_CLASS_TABLES),
+    *(("checkpoint", case) for case in HEAD_SIZED_TABLES)])
+def test_every_reader_refuses_a_bad_class_table_alike(tmp_path, reader, case):
+    classes = {**BAD_CLASS_TABLES, **HEAD_SIZED_TABLES}[case]
+    path, load, error = write_with_classes(tmp_path, reader, classes)
+    rule = ("must be a non-empty table of class names to indices" if not classes
+            else "must map class names to the int indices 0..2, each once")
+    with pytest.raises(error, match=re.escape(f"{path}: 'classes' {rule}, "
+                                              f"got {classes!r}")):
+        load(path)
+
+
+@pytest.mark.parametrize("reader", ["manifest", "window-set"])
+def test_a_table_outside_a_checkpoint_is_sized_by_itself(tmp_path, reader):
+    classes = HEAD_SIZED_TABLES["longer"]
+    path, load, _ = write_with_classes(tmp_path, reader, classes)
+    assert load(path).classes == classes
 
 
 def montage_manifest(tmp_path, n=3, t=300, fs=250.0):
@@ -785,28 +849,32 @@ class TestPipeline:
         train = wset.select("train")
         assert len(train) == 2
         assert set(train.subjects) == {"s00"}
+        # No table keeps every row and the data's labels.
         everything = wset.select("all")
         assert len(everything) == 6
-        keep = np.array([True, False, True, True, False, True])
-        remapped = wset.labels + 10
-        kept = wset.select("all", keep, remapped)
+        np.testing.assert_array_equal(everything.y, wset.labels)
+        # A head of 'second' alone: the rows of 'first' go and the rest take
+        # the head's index; a head class the data lacks changes nothing.
+        kept = wset.select("all", {"unseen": 0, "second": 1})
+        keep = wset.labels == wset.classes["second"]
+        assert 0 < keep.sum() < len(wset)
         np.testing.assert_array_equal(kept.x, wset.data[keep])
-        np.testing.assert_array_equal(kept.y, remapped[keep])
-        assert kept.subjects.tolist() == [s for s, k in zip(wset.subjects, keep) if k]
-        assert len(wset.select("train", keep)) == 1
+        np.testing.assert_array_equal(kept.y, np.ones(keep.sum()))
+        assert kept.subjects.tolist() == wset.subjects[keep].tolist()
+        assert len(wset.select("train", {"second": 0})) == 0
+        assert wset.select("val", {"second": 0}).y.tolist() == [0, 0]
 
     def test_split_of_every_row_is_the_loaded_array(self, tmp_path):
         # extract --split all must not hold a second copy of the set.
         manifest = montage_manifest(tmp_path, n=3, t=300)
         wset = preprocess_manifest(manifest, FilterSettings(), 128)
         assert np.shares_memory(wset.select("all").x, wset.data)
-        keep = np.ones(len(wset), dtype=bool)
-        assert np.shares_memory(wset.select("all", keep, wset.labels + 1).x,
-                                wset.data)
-        keep[2] = False
-        dropped = wset.select("all", keep)
+        swapped = wset.select("all", {"second": 0, "first": 1})
+        assert np.shares_memory(swapped.x, wset.data)
+        np.testing.assert_array_equal(swapped.y, 1 - wset.labels)
+        dropped = wset.select("all", {"first": 0})
         assert not np.shares_memory(dropped.x, wset.data)
-        np.testing.assert_array_equal(dropped.x, wset.data[keep])
+        np.testing.assert_array_equal(dropped.x, wset.data[wset.labels == 0])
 
     def test_double_alignment_rejected(self, tmp_path):
         manifest = montage_manifest(tmp_path, n=3, t=300)
