@@ -15,7 +15,7 @@ import numpy as np
 from .adapter import AdapterConfig, ConvLayerSpec, adapter_param_shapes
 from .encoder import BfmConfig, encoder_param_shapes
 from .errors import IntegrityError, require_class_table
-from .fileio import read_bundle, write_bundle
+from .fileio import read_document, write_bundle
 from .model import EegClassifier
 
 CHECKPOINT_VERSION = 1
@@ -28,7 +28,6 @@ class Checkpoint:
     model: EegClassifier
     classes: dict[str, int]
     fingerprint: dict
-    version: int = CHECKPOINT_VERSION
 
 
 def _adapter_config_from_meta(meta) -> AdapterConfig | None:
@@ -49,7 +48,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     model, adapter = ckpt.model, ckpt.model.adapter_config
     meta = {
         "kind": "checkpoint",
-        "version": ckpt.version,
+        "version": CHECKPOINT_VERSION,
         "adapter_config": None if adapter is None else asdict(adapter),
         "encoder_config": asdict(model.encoder_config),
         "classes": ckpt.classes,
@@ -65,18 +64,8 @@ def load_checkpoint(path) -> Checkpoint:
     present with exactly its shape, and no other array may be present. The
     model holds the arrays as read, cast to float64 where stored narrower.
     """
-    meta, arrays = read_bundle(path)
-    if meta.get("kind") != "checkpoint":
-        raise IntegrityError(f"{path} is not a checkpoint bundle")
-    version = meta.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise IntegrityError(
-            f"{path} has checkpoint version {version!r}; this build reads "
-            f"version {CHECKPOINT_VERSION}"
-        )
-    for key in ("encoder_config", "fingerprint"):
-        if not isinstance(meta.get(key), dict):
-            raise IntegrityError(f"{path}: checkpoint meta has no {key!r} table")
+    meta, arrays = read_document(path, "checkpoint", CHECKPOINT_VERSION,
+                                 (("encoder_config", dict), ("fingerprint", dict)))
     try:
         encoder_config = BfmConfig(**meta["encoder_config"])
         adapter_config = _adapter_config_from_meta(meta.get("adapter_config"))
@@ -111,4 +100,4 @@ def load_checkpoint(path) -> Checkpoint:
     classes = require_class_table(meta.get("classes"), IntegrityError,
                                   f"{path}: 'classes'", model.num_classes)
     return Checkpoint(model=model, classes=classes,
-                      fingerprint=meta["fingerprint"], version=version)
+                      fingerprint=meta["fingerprint"])

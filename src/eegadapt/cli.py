@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import platform
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -145,8 +146,8 @@ def cmd_align(args) -> int:
             raise ConfigurationError(f"--mode none ignores {flag}; drop it")
     wset = load_window_set(args.windows)
     if args.mode != "none":
-        target_len = wset.data.shape[2] if args.target_len is None else args.target_len
-        wset = align_window_set(wset, args.mode, load_montage(args.montage), target_len)
+        wset = align_window_set(wset, args.mode, load_montage(args.montage),
+                                args.target_len)
     save_window_set(args.out, wset, header={"repro": repro_header("align", args)})
     print(f"wrote {args.out}: {len(wset)} windows of shape "
           f"{wset.data.shape[1]}x{wset.data.shape[2]}")
@@ -355,12 +356,14 @@ def cmd_zeroshot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Flags are read by their full names only, never by a prefix.
     parser = argparse.ArgumentParser(
-        prog="eegadapt",
+        prog="eegadapt", allow_abbrev=False,
         description="Montage-agnostic EEG classification pipeline.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("synth", help="generate a synthetic dataset + manifest")
     p.add_argument("--out", required=True)

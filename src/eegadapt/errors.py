@@ -56,6 +56,15 @@ def require_positive_ints(config) -> None:
                 f"{field.name} must be an integer >= 1, got {value!r}")
 
 
+def require_number(value, error: type[PipelineError], where: str, integer=False):
+    """Return ``value`` if it is an int, or unless ``integer`` is set a float
+    (never a bool or a string), else raise ``error`` naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise error(f"{where} must be {'an integer' if integer else 'a number'}, "
+                    f"got {value!r}")
+    return value
+
+
 def require_class_table(classes, error: type[PipelineError], where: str,
                         size: int | None = None) -> dict[str, int]:
     """Return ``classes`` if it is a non-empty dict of names to plain ints

@@ -6,7 +6,7 @@ Binary recording (.raw):
     bytes 12..15  uint32 little-endian sample count T
     bytes 16..    E*T float32 little-endian values, row-major (channel, time)
 
-Array bundle (window sets and checkpoints):
+Array bundle (window sets and checkpoints, whose meta names a kind and version):
     bytes 0..7    magic ``EEGBNDL1``
     bytes 8..15   uint64 little-endian header length H
     next H bytes  UTF-8 JSON: {"meta": ..., "arrays": [{name, dtype, shape}]}
@@ -39,6 +39,7 @@ __all__ = [
     "read_recording_text",
     "write_bundle",
     "read_bundle",
+    "read_document",
     "check_subject_ids",
     "write_embeddings_text",
     "read_embeddings_text",
@@ -243,6 +244,21 @@ def read_bundle(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         if crc != struct.unpack("<I", fh.read(4))[0]:
             raise IntegrityError(f"{path} failed its checksum; file is corrupt")
     return header["meta"], arrays
+
+
+def read_document(path: str | Path, kind: str, version: int,
+                  tables) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a bundle whose meta names document ``kind`` at ``version`` and
+    holds each (key, type) of ``tables``, else raise IntegrityError."""
+    meta, arrays = read_bundle(path)
+    found = meta.get("kind"), meta.get("version")
+    if found != (kind, version) or type(found[1]) is not int:
+        raise IntegrityError(f"{path} is not a version-{version} {kind}; its meta "
+                             f"names {found[0]!r} version {found[1]!r}")
+    for key, type_ in tables:
+        if not isinstance(meta.get(key), type_):
+            raise IntegrityError(f"{path}: {kind} meta {key!r} must be a {type_.__name__}")
+    return meta, arrays
 
 
 def check_subject_ids(subject_ids) -> None:

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigurationError, DimensionError, DomainError, ManifestError,
-                     require_class_table)
+                     require_class_table, require_number)
 from .fileio import (
     read_recording_binary,
     read_recording_header,
@@ -81,15 +81,6 @@ class DatasetManifest:
         return sorted({entry.subject_id for entry in self.recordings})
 
 
-def _number(where: str, key: str, value) -> float:
-    if isinstance(value, bool):
-        raise ManifestError(f"{where}: {key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ManifestError(f"{where}: {key} must be a number, got {value!r}") from None
-
-
 def _validate_entry(i: int, raw, classes: dict[str, int],
                     base_dir: Path) -> ManifestEntry:
     where = f"recording entry {i}"
@@ -110,7 +101,8 @@ def _validate_entry(i: int, raw, classes: dict[str, int],
     label = str(need("label"))
     if label not in classes:
         raise ManifestError(f"{where}: label {label!r} is not in the class table")
-    rate = _number(where, "sample_rate_hz", need("sample_rate_hz"))
+    rate = float(require_number(need("sample_rate_hz"), ManifestError,
+                                f"{where}: sample_rate_hz"))
     if not (rate > 0 and math.isfinite(rate)):
         raise ManifestError(f"{where}: sample_rate_hz must be positive and finite")
     labels = need("channel_labels")
@@ -130,7 +122,8 @@ def _validate_entry(i: int, raw, classes: dict[str, int],
     if resolution is not None:
         if not isinstance(resolution, list):
             raise ManifestError(f"{where}: resolution must be a list, got {resolution!r}")
-        resolution = [_number(where, "resolution", v) for v in resolution]
+        resolution = [float(require_number(v, ManifestError, f"{where}: resolution"))
+                      for v in resolution]
         if len(resolution) != len(labels):
             raise ManifestError(
                 f"{where}: resolution has {len(resolution)} entries for "

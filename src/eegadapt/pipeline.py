@@ -20,8 +20,9 @@ from .errors import (
     FingerprintMismatchError,
     IntegrityError,
     require_class_table,
+    require_number,
 )
-from .fileio import read_bundle, write_bundle
+from .fileio import read_document, write_bundle
 from .filters import apply_chain_to_rows, design_bandpass, design_notch
 from .manifest import SPLITS, DatasetManifest, load_recording, size_recording
 from .model import map_chunks
@@ -110,11 +111,13 @@ class WindowSet:
             )
 
 
-def _alignment(mode: str, montage: MontageMap, target_len: int):
+def _alignment(mode: str, montage: MontageMap, target_len: int | None, window_len: int):
     """The map ``mode`` aligns with, and the fingerprint entries it sets (the
-    montage named by the content hash of the whole map, in select mode too)."""
+    montage named by the content hash of the whole map, in select mode too).
+    A ``target_len`` of None is the windows' own ``window_len``."""
     if mode not in ("select", "mix"):
         raise ConfigurationError(f"alignment mode must be 'select' or 'mix', got {mode!r}")
+    target_len = window_len if target_len is None else target_len
     entries = {"alignment": mode, "montage": montage_identity(montage),
                "target_len": target_len, "channels": 23, "timesteps": target_len}
     return montage.first_sources() if mode == "select" else montage, entries
@@ -122,19 +125,19 @@ def _alignment(mode: str, montage: MontageMap, target_len: int):
 
 def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
                         window_len: int,
-                        align: tuple[str, MontageMap, int] | None = None) -> WindowSet:
+                        align: tuple | None = None) -> WindowSet:
     """Load, convert to microvolts, filter (notch then bandpass), window, and
-    align when ``align`` = (mode, montage, target_len) is given.
+    align when ``align`` = (mode, montage, target_len or None) is given.
 
     Every recording in a manifest must share one channel layout. Every
     recording is sized before any is loaded (a binary file from its header;
     a text file is parsed, and the array is kept until its task takes it);
     then the filters are designed once per distinct sample rate, in manifest
-    order, and the alignment's index map is built once. The windows fill one
-    array allocated once: one task per recording loads, filters, cuts and
-    aligns it into its own rows, on the model's pool (``model.map_chunks``)
-    when the recordings average at least ``_POOL_SAMPLES`` samples and in
-    turn otherwise. Logs and the first error come in manifest order. The peak
+    order, and the alignment's index map is built once. Unless no window fits,
+    the windows fill one array allocated once: one task per recording loads,
+    filters, cuts and aligns it into its own rows, on the model's pool
+    (``model.map_chunks``) when the recordings average at least
+    ``_POOL_SAMPLES`` samples and in turn otherwise. Logs and the first error come in manifest order. The peak
     is the set plus one recording's working set per worker, and for a text
     manifest also every parsed array whose task has not yet run.
     """
@@ -162,10 +165,13 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
                    "channels": len(channel_labels), "timesteps": window_len}
     index, width = None, len(channel_labels) * window_len
     if align is not None:
-        montage, entries = _alignment(*align)
-        index = alignment_index(channel_labels, window_len, montage, align[2])
+        montage, entries = _alignment(*align, window_len)
+        index = alignment_index(channel_labels, window_len, montage,
+                                entries["target_len"])
         fingerprint.update(entries)
     rows = np.cumsum([0, *counts])
+    if not rows[-1]:
+        raise ConfigurationError(f"no windows of length {window_len} could be extracted")
     windows = np.empty((rows[-1], fingerprint["channels"], fingerprint["timesteps"]))
 
     def fill(idx: int) -> None:
@@ -189,11 +195,6 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
         logger.debug("recording %d (%s): %d windows", idx, recordings[idx].path,
                      counts[idx])
 
-    if not rows[-1]:
-        raise ConfigurationError(
-            f"no windows of length {window_len} could be extracted"
-        )
-
     def per_window(values, dtype) -> np.ndarray:
         return np.repeat(np.array(values, dtype=dtype), counts)
 
@@ -210,12 +211,13 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
 
 
 def align_window_set(wset: WindowSet, mode: str, montage: MontageMap,
-                     target_len: int) -> WindowSet:
+                     target_len: int | None) -> WindowSet:
     """Apply select or mix alignment to every window in one gather."""
-    montage, entries = _alignment(mode, montage, target_len)
+    montage, entries = _alignment(mode, montage, target_len, wset.data.shape[2])
     if wset.fingerprint.get("alignment") != "none":
         raise ConfigurationError("window set is already aligned")
-    aligned = mix_channels(wset.data, wset.channel_labels, montage, target_len)
+    aligned = mix_channels(wset.data, wset.channel_labels, montage,
+                           entries["target_len"])
     return replace(wset, data=aligned, channel_labels=list(TARGET_ORDER),
                    fingerprint={**wset.fingerprint, **entries})
 
@@ -249,22 +251,17 @@ def window_set_for(want: dict, source, montage: str | None = None,
                              f"'none', 'select' or 'mix', got {mode!r}")
 
     def number(key):
-        value = want.get(key)
-        kind = int if key in ("band_order", "window_len", "target_len") else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise IntegrityError(f"{checkpoint}: fingerprint {key!r} must be "
-                                 f"{'an integer' if kind is int else 'a number'}, "
-                                 f"got {value!r}")
-        return value
+        return require_number(want.get(key), IntegrityError,
+                              f"{checkpoint}: fingerprint {key!r}",
+                              key in ("band_order", "window_len", "target_len"))
 
     filters = FilterSettings(**{f.name: number(f.name) for f in fields(FilterSettings)})
     window_len = number("window_len")
     target_len = (number("target_len") if checkpoint is not None and mode != "none"
                   else want.get("target_len"))
     if isinstance(source, DatasetManifest):
-        align = None if mode == "none" else (
-            mode, _montage_for(montage, source),
-            window_len if target_len is None else target_len)
+        align = None if mode == "none" else (mode, _montage_for(montage, source),
+                                             target_len)
         wset = preprocess_manifest(source, filters, window_len, align)
     else:
         wset = load_window_set(source)
@@ -274,7 +271,7 @@ def window_set_for(want: dict, source, montage: str | None = None,
                 raise ConfigurationError("checkpoint was trained on aligned data; "
                                          "align the window set first or pass --manifest")
             return align_window_set(wset, mode, _montage_for(montage, None),
-                                    length if target_len is None else target_len)
+                                    target_len)
         if montage is not None \
                 and montage_identity(load_montage(montage)) != have.get("montage"):
             raise ConfigurationError(f"--montage {montage} is not the montage "
@@ -308,20 +305,11 @@ def save_window_set(path, wset: WindowSet, header: dict | None = None) -> None:
     ])
 
 
-_META_TYPES = (("subjects", list), ("splits", list), ("channel_labels", list),
-               ("fingerprint", dict))
-
-
 def load_window_set(path) -> WindowSet:
     """Read a window set, checking its schema, shapes and values once."""
-    meta, arrays = read_bundle(path)
-    if meta.get("kind") != "window-set" or meta.get("version") != 1:
-        raise ConfigurationError(f"{path} is not a version-1 window set")
-    for key, kind in _META_TYPES:
-        if not isinstance(meta.get(key), kind):
-            raise IntegrityError(
-                f"{path}: window-set meta {key!r} must be a {kind.__name__}"
-            )
+    meta, arrays = read_document(path, "window-set", 1, (
+        ("subjects", list), ("splits", list), ("channel_labels", list),
+        ("fingerprint", dict)))
     for name in ("data", "labels", "sample_rates"):
         if name not in arrays:
             raise IntegrityError(f"{path}: window set has no {name!r} array")
@@ -342,8 +330,8 @@ def load_window_set(path) -> WindowSet:
             raise IntegrityError(f"{path}: {name!r} has shape {shape}, expected ({n},)")
     if not np.all(np.isfinite(data)):
         raise DomainError(f"{path}: 'data' contains non-finite samples")
-    if rates.dtype.kind != "f" or not np.all(rates > 0):
-        raise DomainError(f"{path}: 'sample_rates' must all be positive floats")
+    if rates.dtype.kind != "f" or not np.all((rates > 0) & np.isfinite(rates)):
+        raise DomainError(f"{path}: 'sample_rates' must all be positive finite floats")
     if not all(isinstance(c, str) for c in meta["channel_labels"]):
         raise IntegrityError(f"{path}: 'channel_labels' must hold strings")
     if not all(isinstance(s, str) and "\0" not in s for s in meta["subjects"]):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import resource
+import shlex
 import shutil
 import subprocess
 import sys
@@ -258,7 +259,8 @@ def subject_windows(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("case", ["zero-rate", "missing-channel-label",
+@pytest.mark.parametrize("case", ["zero-rate", "infinite-rate",
+                                  "missing-channel-label",
                                   "no-subjects", "short-splits", "nonfinite-data",
                                   "unknown-label", "fractional-label",
                                   "nonfinite-label", "negative-class-index",
@@ -279,6 +281,27 @@ def test_malformed_window_set_fails_in_one_line(dataset, windows, mix_checkpoint
         assert main(argv) == 2, argv[0]
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("case", ["checkpoint-as-windows", "windows-as-checkpoint",
+                                  "windows-version-2"])
+def test_wrong_document_fails_in_one_line(windows, mix_checkpoint, tmp_path, case,
+                                          capsys):
+    """A bundle of another kind or version is refused as a bundle, by name."""
+    train = ["train", "--mode", "adapter", "--out-checkpoint",
+             str(tmp_path / "m.ckpt"), *COMMON_TRAIN, "--windows"]
+    if case == "checkpoint-as-windows":
+        argv, wanted = [*train, str(mix_checkpoint)], "window-set"
+    elif case == "windows-as-checkpoint":
+        argv = ["eval", "--checkpoint", str(windows), "--windows", str(windows)]
+        wanted = "checkpoint"
+    else:
+        meta, arrays = read_bundle(windows)
+        write_bundle(tmp_path / "v2.wset", {**meta, "version": 2},
+                     list(arrays.items()))
+        argv, wanted = [*train, str(tmp_path / "v2.wset")], "window-set"
+    assert main(argv) == 2
+    assert_one_line_error(capsys, f"is not a version-1 {wanted}")
 
 
 class TestTrain:
@@ -1052,3 +1075,32 @@ def test_every_subcommand_prints_its_help(command, capsys):
         main([command, "--help"])
     assert exit_.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: eegadapt {command}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--windows", "w.wset", "--mode", "adapter", "--hidden", "8",
+     "--out-checkpoint", "m.ckpt"],
+    ["zeroshot", "--embed", "e.csv", "--held-out-classes", "1"],
+], ids=["train-hidden", "zeroshot-embed"])
+def test_flag_prefix_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def walkthrough_commands() -> list[list[str]]:
+    """The argv of each ``eegadapt`` line in README's command-line walkthrough."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command-line walkthrough", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("eegadapt ")]
+
+
+def test_readme_walkthrough_matches_the_parser():
+    commands = walkthrough_commands()
+    assert [argv[0] for argv in commands] == ["synth", "preprocess", "align", "train",
+                                             "eval", "extract", "zeroshot"]
+    for argv in commands:
+        cli.build_parser().parse_args(argv)

@@ -290,6 +290,11 @@ MALFORMED_MANIFESTS = {
     "rate-bool": (_set_entry("sample_rate_hz", True), "entry 0"),
     "rate-infinite": (_set_entry("sample_rate_hz", float("inf")), "entry 0"),
     "rate-nan": (_set_entry("sample_rate_hz", float("nan")), "entry 0"),
+    # Numbers must be JSON numbers: a string is not read as the number it spells.
+    "rate-string": (_set_entry("sample_rate_hz", "250"),
+                    "entry 0: sample_rate_hz must be a number, got '250'"),
+    "resolution-string": (_set_entry("resolution", [0.5, "0.5"]),
+                          "entry 0: resolution must be a number, got '0.5'"),
     "labels-not-list": (_set_entry("channel_labels", "e0"), "entry 0"),
     "resolution-not-number": (_set_entry("resolution", ["a", "b"]), "entry 0"),
     "resolution-not-list": (_set_entry("resolution", 0.5), "entry 0"),
@@ -632,10 +637,10 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        ckpt = small_checkpoint()
-        ckpt.version = 99
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, ckpt)
+        save_checkpoint(path, small_checkpoint())
+        meta, arrays = read_bundle(path)
+        write_bundle(path, {**meta, "version": 99}, list(arrays.items()))
         with pytest.raises(IntegrityError, match="version"):
             load_checkpoint(path)
 
@@ -670,6 +675,13 @@ def write_with_classes(tmp_path, reader, classes):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"classes": classes, "recordings": [entry]}))
         return path, load_manifest, ManifestError
+    path, load = write_document(tmp_path, reader)
+    rewrite_bundle(path, edit_meta=lambda meta: meta.update(classes=classes))
+    return path, load, IntegrityError
+
+
+def write_document(tmp_path, reader):
+    """A small valid checkpoint or window set, and the function that reads it."""
     if reader == "checkpoint":
         path, load = tmp_path / "m.ckpt", load_checkpoint
         save_checkpoint(path, small_checkpoint())
@@ -680,8 +692,7 @@ def write_with_classes(tmp_path, reader, classes):
             splits=np.array(["test"] * 3), sample_rates=np.full(3, 250.0),
             channel_labels=["e0", "e1"], classes={"a": 0, "b": 1, "c": 2},
             fingerprint={}))
-    rewrite_bundle(path, edit_meta=lambda meta: meta.update(classes=classes))
-    return path, load, IntegrityError
+    return path, load
 
 
 @pytest.mark.parametrize("reader, case", [
@@ -695,6 +706,28 @@ def test_every_reader_refuses_a_bad_class_table_alike(tmp_path, reader, case):
             else "must map class names to the int indices 0..2, each once")
     with pytest.raises(error, match=re.escape(f"{path}: 'classes' {rule}, "
                                               f"got {classes!r}")):
+        load(path)
+
+
+# A bundle each reader must refuse by its meta's kind or version alone: the
+# document written, the meta edit, and the reader that expects another.
+WRONG_DOCUMENTS = {
+    "checkpoint-as-window-set": ("checkpoint", {}, "window-set"),
+    "window-set-as-checkpoint": ("window-set", {}, "checkpoint"),
+    "window-set-version-2": ("window-set", {"version": 2}, "window-set"),
+    "checkpoint-version-true": ("checkpoint", {"version": True}, "checkpoint"),
+    "no-kind": ("window-set", {"kind": None}, "window-set"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_DOCUMENTS)
+def test_every_bundle_reader_refuses_another_document_alike(tmp_path, case):
+    written, edit, wanted = WRONG_DOCUMENTS[case]
+    path, _ = write_document(tmp_path, written)
+    rewrite_bundle(path, edit_meta=lambda meta: meta.update(edit))
+    load = load_checkpoint if wanted == "checkpoint" else load_window_set
+    with pytest.raises(IntegrityError,
+                       match=re.escape(f"{path} is not a version-1 {wanted}")):
         load(path)
 
 
@@ -753,6 +786,7 @@ MALFORMED_WINDOW_SETS = {
     "channel-label-not-str": (IntegrityError, "channel_labels"),
     "data-not-float": (IntegrityError, "data"),
     "rates-not-float": (DomainError, "sample_rates"),
+    "infinite-rate": (DomainError, "sample_rates"),
 }
 
 
@@ -761,6 +795,8 @@ def break_window_set(src, dst, case):
     meta, arrays = read_bundle(src)
     if case == "zero-rate":
         arrays["sample_rates"][2] = 0.0
+    elif case == "infinite-rate":
+        arrays["sample_rates"][0] = np.inf
     elif case == "missing-channel-label":
         meta["channel_labels"].pop()
     elif case == "no-subjects":
@@ -882,6 +918,21 @@ class TestPipeline:
         aligned = align_window_set(wset, "select", builtin_montage(), 128)
         with pytest.raises(ConfigurationError):
             align_window_set(aligned, "mix", builtin_montage(), 64)
+
+    def test_no_whole_window_fails_before_any_recording_loads(self, tmp_path,
+                                                             monkeypatch):
+        entries = [basic_entry(tmp_path, f"r{i}.raw", subject=f"s{i:02d}",
+                               channels=16, t=100)[0] for i in range(8)]
+        manifest = load_manifest(write_manifest(tmp_path, entries))
+        loaded = []
+        real = pipeline.load_recording
+        monkeypatch.setattr(pipeline, "load_recording",
+                            lambda entry, *args: loaded.append(entry.path)
+                            or real(entry, *args))
+        with pytest.raises(ConfigurationError,
+                           match="no windows of length 128 could be extracted"):
+            preprocess_manifest(manifest, FilterSettings(), 128)
+        assert loaded == []
 
     def test_unassigned_windows_block_training(self, tmp_path):
         entry, _ = basic_entry(tmp_path, "u.raw", split="unassigned", t=128)
