@@ -206,7 +206,7 @@ def read_bundle(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         head = fh.read(min(header_len, size - 16))
         try:
             header = json.loads(head.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # bad UTF-8 or JSON, or an int of too many digits
             raise corrupt(f"{path} has a corrupt header: {exc}") from exc
         if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
                 and isinstance(header.get("arrays"), list)):

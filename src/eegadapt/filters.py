@@ -108,5 +108,6 @@ def apply_chain_to_rows(sos: np.ndarray, data: np.ndarray) -> np.ndarray:
                           data,
                           2 * data[:, -1:] - data[:, -2:-(padlen + 2):-1]), axis=1)
     y = _sig.sosfilt(sos, ext, axis=1, zi=zi * ext[:, :1])[0]
+    del ext  # the padded copy goes before the backward pass copies y
     y = _sig.sosfilt(sos, y[:, ::-1], axis=1, zi=zi * y[:, -1:])[0]
     return y[:, ::-1][:, padlen:-padlen]

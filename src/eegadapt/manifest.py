@@ -81,6 +81,14 @@ class DatasetManifest:
         return sorted({entry.subject_id for entry in self.recordings})
 
 
+def _float(value, where: str) -> float:
+    """A JSON number as a float; an int too large for one is refused."""
+    try:
+        return float(require_number(value, ManifestError, where))
+    except OverflowError:
+        raise ManifestError(f"{where} must fit in a float, got a huge int") from None
+
+
 def _validate_entry(i: int, raw, classes: dict[str, int],
                     base_dir: Path) -> ManifestEntry:
     where = f"recording entry {i}"
@@ -101,8 +109,7 @@ def _validate_entry(i: int, raw, classes: dict[str, int],
     label = str(need("label"))
     if label not in classes:
         raise ManifestError(f"{where}: label {label!r} is not in the class table")
-    rate = float(require_number(need("sample_rate_hz"), ManifestError,
-                                f"{where}: sample_rate_hz"))
+    rate = _float(need("sample_rate_hz"), f"{where}: sample_rate_hz")
     if not (rate > 0 and math.isfinite(rate)):
         raise ManifestError(f"{where}: sample_rate_hz must be positive and finite")
     labels = need("channel_labels")
@@ -122,8 +129,7 @@ def _validate_entry(i: int, raw, classes: dict[str, int],
     if resolution is not None:
         if not isinstance(resolution, list):
             raise ManifestError(f"{where}: resolution must be a list, got {resolution!r}")
-        resolution = [float(require_number(v, ManifestError, f"{where}: resolution"))
-                      for v in resolution]
+        resolution = [_float(v, f"{where}: resolution") for v in resolution]
         if len(resolution) != len(labels):
             raise ManifestError(
                 f"{where}: resolution has {len(resolution)} entries for "
@@ -151,7 +157,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise ManifestError(f"manifest not found: {path}")
     try:
         doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"{path} must contain a JSON object")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -43,13 +44,9 @@ __all__ = [
     "check_fingerprint",
 ]
 
-# Recordings go to the pool when they average at least this many samples
-# (channels x time). scipy's sosfilt holds the GIL, so a second worker gains
-# only by overlapping one recording's reads and copies with another's
-# filtering, and each recording's fixed Python work holds the GIL too: two
-# workers ran 16 x 256 recordings at 0.87x the speed of one, 16 x 512 at
-# about 1x and 16 x 2048 at 1.37x.
-_POOL_SAMPLES = 1 << 13
+# A group's samples take at most 1/_GROUP_SHARE of the window array's bytes;
+# one chain call per group spreads sosfilt's fixed cost, which holds the GIL.
+_GROUP_SHARE = 32
 
 
 @dataclass(frozen=True)
@@ -124,22 +121,22 @@ def _alignment(mode: str, montage: MontageMap, target_len: int | None, window_le
 
 
 def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
-                        window_len: int,
-                        align: tuple | None = None) -> WindowSet:
+                        window_len: int, align: tuple | None = None) -> WindowSet:
     """Load, convert to microvolts, filter (notch then bandpass), window, and
     align when ``align`` = (mode, montage, target_len or None) is given.
 
-    Every recording in a manifest must share one channel layout. Every
-    recording is sized before any is loaded (a binary file from its header;
-    a text file is parsed, and the array is kept until its task takes it);
-    then the filters are designed once per distinct sample rate, in manifest
-    order, and the alignment's index map is built once. Unless no window fits,
-    the windows fill one array allocated once: one task per recording loads,
-    filters, cuts and aligns it into its own rows, on the model's pool
-    (``model.map_chunks``) when the recordings average at least
-    ``_POOL_SAMPLES`` samples and in turn otherwise. Logs and the first error come in manifest order. The peak
-    is the set plus one recording's working set per worker, and for a text
-    manifest also every parsed array whose task has not yet run.
+    The recordings must share one channel layout. Each is sized before any
+    is loaded (a binary file from its header; a text file is parsed, and the
+    array is kept until its task takes it); the filters are designed once
+    per sample rate, in manifest order, and the alignment's index map once.
+    The windows fill one array allocated once. Consecutive recordings that
+    share a rate and shape form groups of at most 1/``_GROUP_SHARE`` of its
+    bytes, one recording at least. One task per group, on the model's pool
+    (``model.map_chunks``), loads them into one buffer, filters it with one
+    call per filter, and cuts and aligns each recording's windows into its
+    rows. Checks, logs and the first error come per recording in manifest
+    order. The peak is the set plus ~3x one group's samples per worker, and
+    for a text manifest every parsed array whose task has not yet run.
     """
     recordings = manifest.recordings
     channel_labels = recordings[0].channel_labels if recordings else []
@@ -174,24 +171,35 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
         raise ConfigurationError(f"no windows of length {window_len} could be extracted")
     windows = np.empty((rows[-1], fingerprint["channels"], fingerprint["timesteps"]))
 
-    def fill(idx: int) -> None:
-        entry, (shape, parsed) = recordings[idx], sized[idx]
-        sized[idx] = None  # a parsed text recording goes with its task
-        data = load_recording(entry, manifest.base_dir, parsed)
-        if data.shape != shape:
-            raise IntegrityError(
-                f"{entry.path} changed while it was preprocessed: sized as "
-                f"{shape[0]}x{shape[1]}, read as {data.shape[0]}x{data.shape[1]}"
-            )
-        notch, band = chains[entry.sample_rate_hz]
-        filtered = apply_chain_to_rows(band, apply_chain_to_rows(notch, data))
-        cut = extract_windows(filtered, window_len)
-        windows[rows[idx]:rows[idx + 1]] = cut if index is None else \
-            cut.reshape(len(cut), width).take(index, axis=1)
+    budget, groups = windows.nbytes // _GROUP_SHARE, []
+    for (_, (e, t)), run in groupby(range(len(recordings)), lambda i: (
+            recordings[i].sample_rate_hz, sized[i][0])):
+        run, k = list(run), max(1, budget // (windows.itemsize * e * t))
+        groups += [run[i:i + k] for i in range(0, len(run), k)]
 
-    samples = sum(e * t for (e, t), _ in sized)
-    run = map_chunks if samples >= _POOL_SAMPLES * len(sized) else map
-    for idx, _ in enumerate(run(fill, range(len(recordings)))):
+    def fill(group: list[int]) -> list[int]:
+        (e, t), _ = sized[group[0]]
+        samples = np.empty((len(group) * e, t))
+        for j, idx in enumerate(group):
+            entry, (shape, parsed) = recordings[idx], sized[idx]
+            sized[idx] = None  # a parsed text recording goes with its task
+            data = load_recording(entry, manifest.base_dir, parsed)
+            if data.shape != shape:
+                raise IntegrityError(f"{entry.path} changed while it was preprocessed: "
+                                     f"sized as {shape[0]}x{shape[1]}, read as "
+                                     f"{data.shape[0]}x{data.shape[1]}")
+            samples[j * e:(j + 1) * e] = data
+        del data  # the last recording's own array goes before filtering
+        # One name holds the samples, so each filter's input goes once it has run.
+        for sos in chains[recordings[group[0]].sample_rate_hz]:
+            samples = apply_chain_to_rows(sos, samples)
+        for j, idx in enumerate(group):
+            cut = extract_windows(samples[j * e:(j + 1) * e], window_len)
+            windows[rows[idx]:rows[idx + 1]] = cut if index is None else \
+                cut.reshape(len(cut), width).take(index, axis=1)
+        return group
+
+    for idx in chain.from_iterable(map_chunks(fill, groups)):
         logger.debug("recording %d (%s): %d windows", idx, recordings[idx].path,
                      counts[idx])
 

@@ -32,6 +32,7 @@ from test_io import (
     MALFORMED_MANIFESTS,
     basic_entry,
     break_window_set,
+    write_digit_limit_manifest,
     write_malformed_manifest,
     write_manifest,
     write_raw_bundle,
@@ -138,6 +139,13 @@ def test_malformed_manifest_fails_in_one_line(tmp_path, case, capsys):
     assert main(["preprocess", "--manifest", str(path),
                  "--out", str(tmp_path / "w.wset")]) == 2
     assert_one_line_error(capsys, MALFORMED_MANIFESTS[case][1])
+
+
+def test_manifest_int_beyond_the_digit_limit_fails_in_one_line(tmp_path, capsys):
+    path = write_digit_limit_manifest(tmp_path)
+    assert main(["preprocess", "--manifest", str(path),
+                 "--out", str(tmp_path / "w.wset")]) == 2
+    assert_one_line_error(capsys, "is not valid JSON")
 
 
 def test_quantized_nan_fails_in_one_line(tmp_path, capsys):
@@ -391,14 +399,16 @@ class TestTrain:
         assert run_chain(f"blas-{threads}-fresh", threads) == first
         assert run_chain(f"blas-{threads}-one-cpu", threads, one_cpu) == first
 
-    def test_fresh_processes_preprocess_identical_bytes(self, tmp_path):
-        # Recordings of 8 x 2048 samples are large enough for the pool: free,
-        # a fresh process spreads them over every CPU it may use, and pinned
-        # to one CPU it runs them in turn. Both write the same window set.
+    @staticmethod
+    def preprocess_free_and_pinned(tmp_path, timesteps, counts):
+        """SHA-256 of the window set that ``preprocess`` writes in a fresh
+        process, free and pinned to one CPU, from synthetic 8-channel
+        recordings of ``timesteps`` samples, (train, val, test) ``counts``."""
         data = tmp_path / "data"
         assert main(["synth", "--out", str(data), "--channels", "8",
-                     "--timesteps", "2048", "--train", "8", "--val", "4",
-                     "--test", "4", "--train-subjects", "4", "--seed", "0"]) == 0
+                     "--timesteps", str(timesteps), "--train", str(counts[0]),
+                     "--val", str(counts[1]), "--test", str(counts[2]),
+                     "--train-subjects", "4", "--seed", "0"]) == 0
         hashes = []
         for run, preexec_fn in (("free", None), ("one-cpu", one_cpu)):
             (tmp_path / run).mkdir()
@@ -407,7 +417,20 @@ class TestTrain:
                       tmp_path / run, "1", preexec_fn)
             hashes.append(hashlib.sha256(
                 (tmp_path / run / "w.wset").read_bytes()).hexdigest())
-        assert hashes[0] == hashes[1]
+        return hashes
+
+    def test_fresh_processes_preprocess_identical_bytes(self, tmp_path):
+        # 16 recordings of 8 x 2048 samples, one per task: free, a fresh
+        # process spreads them over every CPU it may use, and pinned to one
+        # CPU it runs them in turn. Both write the same window set.
+        free, pinned = self.preprocess_free_and_pinned(tmp_path, 2048, (8, 4, 4))
+        assert free == pinned
+
+    def test_fresh_processes_preprocess_groups_identical_bytes(self, tmp_path):
+        # 100 recordings of 8 x 256 samples: each task filters a group of 3
+        # (the last one alone), the same bytes free and pinned to one CPU.
+        free, pinned = self.preprocess_free_and_pinned(tmp_path, 256, (50, 25, 25))
+        assert free == pinned
 
     def test_mode_parity_all_four_run(self, dataset, tmp_path):
         for mode in ("adapter", "select", "mix", "raw"):

@@ -181,6 +181,31 @@ class TestMatchesScipy:
         assert np.array_equal(apply_chain_to_rows(sos, x), expected)
 
 
+@st.composite
+def stacked_blocks(draw):
+    """The notch or the bandpass at one of two rates, and 1-6 blocks of 1-8
+    rows that share one length longer than the padding."""
+    fs = draw(st.sampled_from([200.0, 250.0]))
+    sos = design_notch(50.0, fs, 30.0) if draw(st.booleans()) else \
+        design_bandpass(0.1, 75.0, 4, fs)
+    t = draw(st.integers(6 * len(sos) + 1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return sos, [rng.normal(scale=50.0, size=(draw(st.integers(1, 8)), t))
+                 for _ in range(draw(st.integers(1, 6)))]
+
+
+class TestStackedRows:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(stacked_blocks())
+    def test_stacked_blocks_filter_as_each_block_alone(self, case):
+        # Rows are independent channels, so preprocessing may filter the
+        # recordings of one group in a single call.
+        sos, blocks = case
+        stacked = apply_chain_to_rows(sos, np.vstack(blocks))
+        alone = np.vstack([apply_chain_to_rows(sos, block) for block in blocks])
+        assert stacked.tobytes() == alone.tobytes()
+
+
 def test_steady_state_solved_once_per_design(tmp_path, monkeypatch):
     """Recordings at 200 and 250 Hz each get their own rate's chain, and
     tripling the recordings solves no further steady state."""

@@ -87,8 +87,9 @@ class TestRecordingFiles:
 
 
 def write_raw_bundle(path, header, payload=b""):
-    """A bundle with a valid checksum around an arbitrary JSON header."""
-    head = json.dumps(header).encode("utf-8")
+    """A bundle with a valid checksum around an arbitrary JSON header (an
+    object to encode, or the header's text)."""
+    head = (header if isinstance(header, str) else json.dumps(header)).encode("utf-8")
     body = BUNDLE_MAGIC + struct.pack("<Q", len(head)) + head + payload
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 
@@ -109,6 +110,8 @@ MALFORMED_HEADERS = {
     "unhashable-dtype": _spec(dtype=["<f8"]),
     "non-str-name": _spec(name=3),
     "shape-not-list": _spec(shape="8"),
+    # Python parses no int of more than 4,300 digits: a plain ValueError.
+    "int-beyond-digit-limit": '{"meta": {"n": 1' + "0" * 5000 + '}, "arrays": []}',
 }
 
 
@@ -307,6 +310,11 @@ MALFORMED_MANIFESTS = {
     "subject-null": (_set_entry("subject_id", None), "entry 0: subject_id"),
     "subject-int": (_set_entry("subject_id", 7), "entry 0: subject_id"),
     "subject-nul": (_set_entry("subject_id", "s00\u0000"), "entry 0: subject_id"),
+    # A JSON int may be too large for a float, which float() refuses.
+    "rate-huge-int": (_set_entry("sample_rate_hz", 10 ** 400),
+                      "entry 0: sample_rate_hz must fit in a float"),
+    "resolution-huge-int": (_set_entry("resolution", [0.5, 10 ** 400]),
+                            "entry 0: resolution must fit in a float"),
 }
 
 
@@ -316,6 +324,14 @@ def write_malformed_manifest(tmp_path, case):
     doc = json.loads(path.read_text())
     MALFORMED_MANIFESTS[case][0](doc)
     path.write_text(json.dumps(doc))
+    return path
+
+
+def write_digit_limit_manifest(tmp_path):
+    """A manifest whose sample rate is an int of 5,001 digits."""
+    entry, _ = basic_entry(tmp_path, "a.raw")
+    path = write_manifest(tmp_path, [entry])
+    path.write_text(path.read_text().replace("250.0", "1" + "0" * 5000))
     return path
 
 
@@ -385,6 +401,12 @@ class TestManifest:
     def test_malformed_schema_rejected(self, tmp_path, case):
         path = write_malformed_manifest(tmp_path, case)
         with pytest.raises(ManifestError, match=MALFORMED_MANIFESTS[case][1]):
+            load_manifest(path)
+
+    def test_int_beyond_the_digit_limit_rejected(self, tmp_path):
+        # json raises a plain ValueError for an int of more than 4,300 digits.
+        path = write_digit_limit_manifest(tmp_path)
+        with pytest.raises(ManifestError, match="is not valid JSON: Exceeds the limit"):
             load_manifest(path)
 
 
@@ -988,17 +1010,58 @@ def mixed_manifest(tmp_path):
     return load_manifest(write_manifest(tmp_path, entries)), values
 
 
+def group_manifest(tmp_path):
+    """96 two-channel recordings, one window of 100 each: 40 at 250 Hz x 100
+    samples, 20 at 200 Hz (a rate change), 20 at 200 Hz x 150 (a length
+    change) and 16 at 250 Hz x 100. The 1/32 share of the window array is
+    96 x 1,600 / 32 = 4,800 bytes: groups of 3 recordings of 100 samples and
+    of 2 of 150, so every run but the third ends in a shorter group. r1 is
+    delimited text and r4 is quantized. Returns the manifest, each file's
+    values as float64, and the groups' sizes in manifest order."""
+    specs = [(250.0, 100)] * 40 + [(200.0, 100)] * 20 + [(200.0, 150)] * 20 \
+        + [(250.0, 100)] * 16
+    rng = np.random.default_rng(43)
+    entries, values = [], []
+    for i, (fs, t) in enumerate(specs):
+        entry = {"path": f"r{i}.raw", "format": "f32-binary",
+                 "channel_labels": ["e0", "e1"], "sample_rate_hz": fs,
+                 "label": ("first", "second")[i % 2], "subject_id": f"s{i % 4}",
+                 "split": "train"}
+        data = rng.normal(scale=20.0, size=(2, t))
+        if i == 1:
+            entry.update(path="r1.csv", format="delimited-text")
+            write_recording_text(tmp_path / "r1.csv", data)
+        else:
+            if i == 4:
+                data = rng.integers(-200, 200, size=(2, t)).astype(np.float64)
+                entry["resolution"] = [0.5, 0.25]
+            write_recording_binary(tmp_path / entry["path"], data)
+            data = data.astype(np.float32).astype(np.float64)
+        entries.append(entry)
+        values.append(data)
+    sizes = [3] * 13 + [1] + [3] * 6 + [2] + [2] * 10 + [3] * 5 + [1]
+    return load_manifest(write_manifest(tmp_path, entries)), values, sizes
+
+
+def per_recording_oracle(manifest, values, cfg, window_len):
+    """Each recording filtered on its own by scipy and cut, concatenated."""
+    expected = []
+    for entry, x in zip(manifest.recordings, values):
+        if entry.resolution is not None:
+            x = np.array(entry.resolution)[:, None] * np.rint(x)
+        fs = entry.sample_rate_hz
+        for sos in (design_notch(cfg.notch_hz, fs, cfg.notch_q),
+                    design_bandpass(cfg.band_low_hz, cfg.band_high_hz,
+                                    cfg.band_order, fs)):
+            x = sosfiltfilt(sos, x, axis=1, padlen=6 * len(sos))
+        expected.append(extract_windows(x, window_len))
+    return np.concatenate(expected)
+
+
 # Every target mixes both electrodes of ``mixed_manifest``, in turn first.
 TWO_ELECTRODE_MONTAGE = MontageMap(tuple(
     MontageTarget(label, ("e0", "e1")[::1 - 2 * (i % 2)])
     for i, label in enumerate(TARGET_ORDER)))
-
-
-@pytest.fixture
-def pool(workers, monkeypatch):
-    """``workers``, with recordings of any size sent to the pool."""
-    monkeypatch.setattr(pipeline, "_POOL_SAMPLES", 0)
-    return workers
 
 
 class TestPreprocessFill:
@@ -1007,24 +1070,13 @@ class TestPreprocessFill:
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_mixed_manifest_matches_the_per_recording_oracle(self, tmp_path,
-                                                             pool, count):
+                                                             workers, count):
         # One worker runs the recordings in turn on the calling thread; two
         # run them as tasks on the pool, in any order.
-        pool(count)
+        workers(count)
         manifest, values = mixed_manifest(tmp_path)
-        cfg = FilterSettings()
-        wset = preprocess_manifest(manifest, cfg, 100)
-        expected = []
-        for entry, x in zip(manifest.recordings, values):
-            if entry.resolution is not None:
-                x = np.array(entry.resolution)[:, None] * np.rint(x)
-            fs = entry.sample_rate_hz
-            for sos in (design_notch(cfg.notch_hz, fs, cfg.notch_q),
-                        design_bandpass(cfg.band_low_hz, cfg.band_high_hz,
-                                        cfg.band_order, fs)):
-                x = sosfiltfilt(sos, x, axis=1, padlen=6 * len(sos))
-            expected.append(extract_windows(x, 100))
-        expected = np.concatenate(expected)
+        wset = preprocess_manifest(manifest, FilterSettings(), 100)
+        expected = per_recording_oracle(manifest, values, FilterSettings(), 100)
         assert wset.data.shape == expected.shape == (16, 2, 100)
         assert wset.data.tobytes() == expected.tobytes()
         counts = [7, 4, 0, 2, 3]
@@ -1057,11 +1109,11 @@ class TestPreprocessFill:
                            "preprocessed: sized as 2x250, read as 2x900"):
             preprocess_manifest(manifest, FilterSettings(), 100)
 
-    def test_earlier_changed_recording_is_named_first(self, tmp_path, pool,
+    def test_earlier_changed_recording_is_named_first(self, tmp_path, workers,
                                                       monkeypatch):
         # a.raw's task waits until d.raw's has failed, so the later error
         # comes first in time; the earlier one in manifest order is raised.
-        pool(2)
+        workers(2)
         manifest, _ = mixed_manifest(tmp_path)
         real = pipeline.load_recording
         later_failed = threading.Event()
@@ -1082,11 +1134,11 @@ class TestPreprocessFill:
             preprocess_manifest(manifest, FilterSettings(), 100)
         assert later_failed.is_set()
 
-    def test_no_task_runs_after_the_error(self, tmp_path, pool, monkeypatch):
+    def test_no_task_runs_after_the_error(self, tmp_path, workers, monkeypatch):
         # a.raw fails at once while b.csv is still loading: the error waits
         # for the tasks running, the ones queued behind them never start,
         # and no task starts or finishes after it.
-        pool(2)
+        workers(2)
         manifest, _ = mixed_manifest(tmp_path)
         real_load, real_cut = pipeline.load_recording, pipeline.extract_windows
         started, finished = [], []
@@ -1114,27 +1166,59 @@ class TestPreprocessFill:
         # c.raw may take the failed task's worker before the error is seen.
         assert set(started[:2]) == {"a.raw", "b.csv"} and "e.csv" not in started
 
-    @pytest.mark.parametrize("short,pooled", [(1, False), (0, True)],
-                             ids=["below", "at"])
-    def test_recordings_averaging_pool_samples_go_to_the_pool(
-            self, tmp_path, workers, monkeypatch, short, pooled):
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_groups_match_the_per_recording_oracle(self, tmp_path, workers, count):
+        workers(count)
+        manifest, values, _ = group_manifest(tmp_path)
+        wset = preprocess_manifest(manifest, FilterSettings(), 100)
+        expected = per_recording_oracle(manifest, values, FilterSettings(), 100)
+        assert wset.data.shape == expected.shape == (96, 2, 100)
+        assert wset.data.tobytes() == expected.tobytes()
+        assert wset.subjects.tolist() == [f"s{i % 4}" for i in range(96)]
+        assert wset.sample_rates.tolist() == [250.0] * 40 + [200.0] * 40 + [250.0] * 16
+
+    def test_each_group_is_filtered_in_one_call_per_filter(self, tmp_path,
+                                                          workers, monkeypatch):
+        # In turn, the calls come in manifest order: the notch and then the
+        # bandpass over each group's stacked rows.
+        workers(1)
+        manifest, _, sizes = group_manifest(tmp_path)
+        shapes = []
+        real = pipeline.apply_chain_to_rows
+        monkeypatch.setattr(pipeline, "apply_chain_to_rows",
+                            lambda sos, data: shapes.append(data.shape) or real(sos, data))
+        preprocess_manifest(manifest, FilterSettings(), 100)
+        lengths = [100] * 21 + [150] * 10 + [100] * 6
+        assert len(sizes) == len(lengths) == 37 and sum(sizes) == 96
+        assert shapes == [(2 * k, t) for k, t in zip(sizes, lengths) for _ in "nb"]
+
+    def test_changed_second_recording_of_a_group_is_named(self, tmp_path, workers,
+                                                          monkeypatch):
+        # r3, r4 and r5 form one group; r4 changes after r3 is loaded into it.
         workers(2)
-        t = pipeline._POOL_SAMPLES // 2  # two channels
-        entries = []
-        for i, length in enumerate([t - short, t + short, t - short]):
-            write_recording_binary(tmp_path / f"r{i}.raw", np.ones((2, length)))
-            entries.append({
-                "path": f"r{i}.raw", "format": "f32-binary",
-                "channel_labels": ["a", "b"], "sample_rate_hz": 250.0,
-                "label": "first", "subject_id": "s", "split": "train",
-            })
-        manifest = load_manifest(write_manifest(tmp_path, entries))
+        manifest, _, _ = group_manifest(tmp_path)
+        real = pipeline.load_recording
+
+        def rewritten_before_load(entry, base_dir, data=None):
+            if entry.path == "r4.raw":
+                write_recording_binary(base_dir / entry.path, np.zeros((2, 900)))
+            return real(entry, base_dir, data)
+
+        monkeypatch.setattr(pipeline, "load_recording", rewritten_before_load)
+        with pytest.raises(IntegrityError, match="r4.raw changed while it was "
+                           "preprocessed: sized as 2x100, read as 2x900"):
+            preprocess_manifest(manifest, FilterSettings(), 100)
+
+    def test_groups_run_on_the_pool(self, tmp_path, workers, monkeypatch):
+        # Two or more groups go to the pool's threads, whatever their size.
+        workers(2)
+        manifest, _, _ = group_manifest(tmp_path)
         threads = set()
         real = pipeline.load_recording
         monkeypatch.setattr(pipeline, "load_recording", lambda *a: threads.add(
             threading.current_thread()) or real(*a))
-        preprocess_manifest(manifest, FilterSettings(), 256)
-        assert (threading.main_thread() not in threads) == pooled
+        preprocess_manifest(manifest, FilterSettings(), 100)
+        assert threads and threading.main_thread() not in threads
 
     def test_sample_rate_below_the_notch_fails_before_any_load(self, tmp_path,
                                                                monkeypatch):
@@ -1152,12 +1236,12 @@ class TestPreprocessFill:
     @pytest.mark.parametrize("target_len", [64, 250], ids=["shorter", "tiled"])
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("mode", ["select", "mix"])
-    def test_aligned_preprocess_matches_aligning_the_set(self, tmp_path, pool,
+    def test_aligned_preprocess_matches_aligning_the_set(self, tmp_path, workers,
                                                          mode, count, target_len):
         # Each recording's task aligns its own windows: the same bytes as
         # aligning the whole set afterwards, in turn and on the pool, with a
         # target shorter than the 100-sample window and one that tiles it.
-        pool(count)
+        workers(count)
         manifest, _ = mixed_manifest(tmp_path)
         align = (mode, TWO_ELECTRODE_MONTAGE, target_len)
         got = preprocess_manifest(manifest, FilterSettings(), 100, align)
@@ -1194,12 +1278,12 @@ class TestPreprocessFill:
                                 ("mix", montage, target_len))
         assert loads == []
 
-    def test_binary_manifest_peaks_near_one_window_set(self, tmp_path, pool):
+    def test_binary_manifest_peaks_near_one_window_set(self, tmp_path, workers):
         # 96 recordings of 4 x 1024 make 384 windows of 4 x 256 (3.1 MB),
         # and one recording's working set is a few 32 KB arrays, held by
         # each of the two workers. Windows kept per recording and then
         # concatenated peaked at twice the set.
-        pool(2)
+        workers(2)
         rng = np.random.default_rng(42)
         entries = []
         for i in range(96):
