@@ -15,7 +15,7 @@ import numpy as np
 from .adapter import AdapterConfig, ConvLayerSpec, adapter_param_shapes
 from .encoder import BfmConfig, encoder_param_shapes
 from .errors import IntegrityError, require_class_table
-from .fileio import read_document, write_bundle
+from .fileio import checksummed, open_document, write_bundle
 from .model import EegClassifier
 
 CHECKPOINT_VERSION = 1
@@ -64,8 +64,10 @@ def load_checkpoint(path) -> Checkpoint:
     present with exactly its shape, and no other array may be present. The
     model holds the arrays as read, cast to float64 where stored narrower.
     """
-    meta, arrays = read_document(path, "checkpoint", CHECKPOINT_VERSION,
-                                 (("encoder_config", dict), ("fingerprint", dict)))
+    with checksummed(path):  # a corrupt file is reported as such first
+        reader = open_document(path, "checkpoint", CHECKPOINT_VERSION,
+                               (("encoder_config", dict), ("fingerprint", dict)))
+    meta, arrays = reader.meta, reader.whole()
     try:
         encoder_config = BfmConfig(**meta["encoder_config"])
         adapter_config = _adapter_config_from_meta(meta.get("adapter_config"))

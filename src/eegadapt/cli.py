@@ -22,7 +22,7 @@ from .adapter import default_adapter_config
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .encoder import BfmConfig
 from .errors import ConfigurationError, PipelineError
-from .fileio import (check_subject_ids, read_embeddings_text,
+from .fileio import (check_subject_ids, checksummed, read_embeddings_text,
                      write_embeddings_text, write_text)
 from .manifest import load_manifest, split_subject_independent
 from .model import build_classifier, own_threads
@@ -30,7 +30,7 @@ from .montage import BUILTIN_MONTAGE_TOKEN, load_montage
 from .pipeline import (
     FilterSettings,
     align_window_set,
-    load_window_set,
+    open_window_set,
     save_window_set,
     window_set_for,
 )
@@ -144,11 +144,12 @@ def cmd_align(args) -> int:
                         ("--montage", args.montage != BUILTIN_MONTAGE_TOKEN)):
         if args.mode == "none" and given:
             raise ConfigurationError(f"--mode none ignores {flag}; drop it")
-    wset = load_window_set(args.windows)
+    wset = open_window_set(args.windows)
     if args.mode != "none":
         wset = align_window_set(wset, args.mode, load_montage(args.montage),
                                 args.target_len)
-    save_window_set(args.out, wset, header={"repro": repro_header("align", args)})
+    save_window_set(args.out, wset.in_memory(),
+                    header={"repro": repro_header("align", args)})
     print(f"wrote {args.out}: {len(wset)} windows of shape "
           f"{wset.data.shape[1]}x{wset.data.shape[2]}")
     return 0
@@ -189,7 +190,7 @@ def cmd_train(args) -> int:
         fractions = _parse_list("--auto-split", args.auto_split, float)
         source = split_subject_independent(source, fractions, seed=args.seed)
     want = _wanted(args, args.mode if aligns else "none", args.target_len)
-    wset = window_set_for(want, source, args.montage)
+    wset = window_set_for(want, source, args.montage).in_memory()
     wset.require_assigned()
 
     classes = dict(wset.classes)
@@ -463,7 +464,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     own_threads()
     try:
-        return args.func(args)
+        # A fault found while a --windows set streams reports a corrupt set as such.
+        with checksummed(getattr(args, "windows", None)):
+            return args.func(args)
     except (PipelineError, OSError, MemoryError) as exc:
         if isinstance(exc, MemoryError):  # numpy's names the size; others may be empty
             exc = ": ".join(filter(None, ["the run ran out of memory", str(exc)]))

@@ -40,6 +40,10 @@ class IntegrityError(PipelineError):
     """A serialized file is corrupt, truncated, or of an unknown version."""
 
 
+class ChecksumError(IntegrityError):
+    """A serialized file's stored checksum does not match its bytes."""
+
+
 class FingerprintMismatchError(ConfigurationError):
     """Checkpoint preprocessing fingerprint disagrees with the data."""
 
@@ -58,10 +62,16 @@ def require_positive_ints(config) -> None:
 
 def require_number(value, error: type[PipelineError], where: str, integer=False):
     """Return ``value`` if it is an int, or unless ``integer`` is set a float
-    (never a bool or a string), else raise ``error`` naming ``where``."""
+    or an int that fits in one (never a bool or a string), else raise
+    ``error`` naming ``where``."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise error(f"{where} must be {'an integer' if integer else 'a number'}, "
                     f"got {value!r}")
+    if not integer:
+        try:
+            float(value)
+        except OverflowError:
+            raise error(f"{where} must fit in a float, got a huge int") from None
     return value
 
 

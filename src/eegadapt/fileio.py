@@ -30,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IntegrityError, ManifestError, NumericError
+from .errors import (ChecksumError, IntegrityError, ManifestError, NumericError,
+                     PipelineError)
 
 __all__ = [
     "write_recording_binary",
@@ -38,8 +39,10 @@ __all__ = [
     "read_recording_binary",
     "read_recording_text",
     "write_bundle",
+    "BundleReader",
+    "checksummed",
     "read_bundle",
-    "read_document",
+    "open_document",
     "check_subject_ids",
     "write_embeddings_text",
     "read_embeddings_text",
@@ -167,50 +170,67 @@ def write_bundle(path: str | Path, meta: dict,
         fh.write(struct.pack("<I", crc))
 
 
-def _file_crc_matches(fh, size: int) -> bool:
-    """Whether the stored CRC matches everything before it, read in blocks."""
-    fh.seek(0)
-    crc, left = 0, size - 4
-    while left:
-        block = fh.read(min(left, 1 << 20))
-        if not block:
-            return False
-        crc = zlib.crc32(block, crc)
-        left -= len(block)
-    return crc == struct.unpack("<I", fh.read(4))[0]
+def _fails_checksum(path: Path) -> bool:
+    """Whether ``path`` is an array bundle whose stored CRC does not match
+    everything before it, read in blocks."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size < 20 or fh.read(8) != BUNDLE_MAGIC:
+                return False
+            fh.seek(0)
+            crc, left = 0, size - 4
+            while left and (block := fh.read(min(left, 1 << 20))):
+                crc, left = zlib.crc32(block, crc), left - len(block)
+            return left > 0 or struct.pack("<I", crc) != fh.read(4)
+    except OSError:
+        return False
 
 
-def read_bundle(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a bundle into one fresh array per entry, with no second copy.
+@contextmanager
+def checksummed(path):
+    """Report a PipelineError from the body as the checksum failure of the
+    bundle at ``path`` (None: no file) when its CRC does not match: a
+    corrupt file is reported as corrupt ahead of any fault found in it
+    before its CRC was checked. Each public reader wraps itself once."""
+    try:
+        yield
+    except PipelineError as exc:
+        if isinstance(exc, ChecksumError) or path is None \
+                or not _fails_checksum(Path(path)):
+            raise
+        raise ChecksumError(f"{path} failed its checksum; file is corrupt") from exc
 
-    The header and every array spec are checked against the file size
-    before any array is allocated; the CRC is folded in as the arrays are
-    read. A file that fails its checksum is reported as corrupt ahead of any
-    structural fault.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise IntegrityError(f"file not found: {path}")
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        lead = fh.read(16)
-        if size < 20 or lead[:8] != BUNDLE_MAGIC:
-            raise IntegrityError(f"{path} is not an array bundle (bad magic)")
 
-        def corrupt(message: str) -> IntegrityError:
-            if not _file_crc_matches(fh, size):
-                message = f"{path} failed its checksum; file is corrupt"
-            return IntegrityError(message)
+_BLOCK_BYTES = 1 << 16  # an array streams in blocks of this size, one row at least
 
-        header_len = struct.unpack("<Q", lead[8:])[0]
-        head = fh.read(min(header_len, size - 16))
+
+class BundleReader:
+    """A bundle whose header, array specs and size are checked against each
+    other before any array is read. ``array`` reads one array by its offset;
+    ``blocks`` makes one pass in file order, folding the CRC over the bytes
+    it reads and the arrays already read, and checks it at the end. A fault
+    is raised as found: ``checksummed`` reports a corrupt file first."""
+
+    def __init__(self, path: str | Path):
+        path = self.path = Path(path)
+        if not path.exists():
+            raise IntegrityError(f"file not found: {path}")
+        with open(path, "rb") as fh:
+            size = self.size = os.fstat(fh.fileno()).st_size
+            lead = fh.read(16)
+            if size < 20 or lead[:8] != BUNDLE_MAGIC:
+                raise IntegrityError(f"{path} is not an array bundle (bad magic)")
+            header_len = struct.unpack("<Q", lead[8:])[0]
+            head = fh.read(min(header_len, size - 16))
+        self._head_crc = zlib.crc32(head, zlib.crc32(lead))
         try:
             header = json.loads(head.decode("utf-8"))
         except ValueError as exc:  # bad UTF-8 or JSON, or an int of too many digits
-            raise corrupt(f"{path} has a corrupt header: {exc}") from exc
+            raise IntegrityError(f"{path} has a corrupt header: {exc}") from exc
         if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
                 and isinstance(header.get("arrays"), list)):
-            raise corrupt(
+            raise IntegrityError(
                 f"{path} header must be an object with a 'meta' object and an "
                 "'arrays' list"
             )
@@ -221,36 +241,86 @@ def read_bundle(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
                     and spec["dtype"] in _ALLOWED_DTYPES
                     and isinstance(spec.get("shape"), list)
                     and all(type(d) is int and d >= 0 for d in spec["shape"])):
-                raise corrupt(
+                raise IntegrityError(
                     f"{path} has a malformed array spec {spec!r}; expected a str "
                     f"name, a dtype in {sorted(_ALLOWED_DTYPES)} and a list of "
                     "non-negative int dims"
                 )
+            spec["offset"] = offset
             offset += np.dtype(spec["dtype"]).itemsize * math.prod(spec["shape"])
             if offset > size - 4:
-                raise corrupt(f"{path} is truncated inside array {spec['name']}")
+                raise IntegrityError(f"{path} is truncated inside array {spec['name']}")
         if offset != size - 4:
-            raise corrupt(f"{path} carries {size - 4 - offset} unexpected bytes")
+            raise IntegrityError(f"{path} carries {size - 4 - offset} unexpected bytes")
+        self.meta, self.specs = header["meta"], header["arrays"]
+        # A name given twice names its last array.
+        self.names = {spec["name"]: i for i, spec in enumerate(self.specs)}
+        self._held: dict[int, np.ndarray] = {}
 
-        crc = zlib.crc32(head, zlib.crc32(lead))
-        arrays: dict[str, np.ndarray] = {}
-        for spec in header["arrays"]:
-            arr = np.empty(spec["shape"], dtype=spec["dtype"])
-            buf = memoryview(arr.reshape(-1)).cast("B")
-            if fh.readinto(buf) != len(buf):
-                raise corrupt(f"{path} is truncated inside array {spec['name']}")
-            crc = zlib.crc32(buf, crc)
-            arrays[spec["name"]] = arr
-        if crc != struct.unpack("<I", fh.read(4))[0]:
-            raise IntegrityError(f"{path} failed its checksum; file is corrupt")
-    return header["meta"], arrays
+    def _fill(self, fh, spec, arr: np.ndarray) -> memoryview:
+        buf = memoryview(arr.reshape(-1)).cast("B")
+        if fh.readinto(buf) != len(buf):
+            raise IntegrityError(f"{self.path} is truncated inside array {spec['name']}")
+        return buf
+
+    def _read(self, fh, i: int) -> np.ndarray:
+        """Array ``i`` read whole into a fresh array, held for the CRC."""
+        spec = self.specs[i]
+        arr = self._held[i] = np.empty(spec["shape"], dtype=spec["dtype"])
+        fh.seek(spec["offset"])
+        self._fill(fh, spec, arr)
+        return arr
+
+    def array(self, name: str) -> np.ndarray:
+        """Array ``name`` read whole into a fresh array."""
+        with open(self.path, "rb") as fh:
+            return self._read(fh, self.names[name])
+
+    def blocks(self, name: str | None = None):
+        """(first row, rows) of array ``name`` (None: no array), a block at a
+        time in one reused buffer; then the file's CRC is checked."""
+        crc, stream = self._head_crc, self.names.get(name)
+        with open(self.path, "rb") as fh:
+            for i, spec in enumerate(self.specs):
+                if i in self._held:
+                    crc = zlib.crc32(memoryview(self._held[i].reshape(-1)).cast("B"), crc)
+                    continue
+                fh.seek(spec["offset"])
+                n, *row = spec["shape"] or [1]
+                k = max(1, _BLOCK_BYTES // max(1, np.dtype(spec["dtype"]).itemsize
+                                           * math.prod(row)))
+                buf = np.empty((min(k, n), *row), dtype=spec["dtype"])
+                for first in range(0, n, k):
+                    rows = buf[:min(k, n - first)]
+                    crc = zlib.crc32(self._fill(fh, spec, rows), crc)
+                    if i == stream:
+                        yield first, rows
+            fh.seek(self.size - 4)
+            if struct.pack("<I", crc) != fh.read(4):
+                raise ChecksumError(f"{self.path} failed its checksum; file is corrupt")
+
+    def whole(self) -> dict[str, np.ndarray]:
+        """Every array read whole in one pass in file order, once the file's
+        CRC has matched."""
+        with open(self.path, "rb") as fh:
+            arrays = {spec["name"]: self._read(fh, i) for i, spec in enumerate(self.specs)}
+        for _ in self.blocks():  # every array is held: the CRC is folded from memory
+            pass
+        return arrays
 
 
-def read_document(path: str | Path, kind: str, version: int,
-                  tables) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a bundle whose meta names document ``kind`` at ``version`` and
-    holds each (key, type) of ``tables``, else raise IntegrityError."""
-    meta, arrays = read_bundle(path)
+def read_bundle(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """A bundle's meta and one fresh array per entry, with no second copy."""
+    with checksummed(path):
+        reader = BundleReader(path)
+    return reader.meta, reader.whole()
+
+
+def open_document(path: str | Path, kind: str, version: int, tables) -> BundleReader:
+    """A reader of a bundle whose meta names document ``kind`` at ``version``
+    and holds each (key, type) of ``tables``, else raise IntegrityError."""
+    reader = BundleReader(path)
+    meta = reader.meta
     found = meta.get("kind"), meta.get("version")
     if found != (kind, version) or type(found[1]) is not int:
         raise IntegrityError(f"{path} is not a version-{version} {kind}; its meta "
@@ -258,7 +328,7 @@ def read_document(path: str | Path, kind: str, version: int,
     for key, type_ in tables:
         if not isinstance(meta.get(key), type_):
             raise IntegrityError(f"{path}: {kind} meta {key!r} must be a {type_.__name__}")
-    return meta, arrays
+    return reader
 
 
 def check_subject_ids(subject_ids) -> None:

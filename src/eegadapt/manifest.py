@@ -81,14 +81,6 @@ class DatasetManifest:
         return sorted({entry.subject_id for entry in self.recordings})
 
 
-def _float(value, where: str) -> float:
-    """A JSON number as a float; an int too large for one is refused."""
-    try:
-        return float(require_number(value, ManifestError, where))
-    except OverflowError:
-        raise ManifestError(f"{where} must fit in a float, got a huge int") from None
-
-
 def _validate_entry(i: int, raw, classes: dict[str, int],
                     base_dir: Path) -> ManifestEntry:
     where = f"recording entry {i}"
@@ -109,7 +101,8 @@ def _validate_entry(i: int, raw, classes: dict[str, int],
     label = str(need("label"))
     if label not in classes:
         raise ManifestError(f"{where}: label {label!r} is not in the class table")
-    rate = _float(need("sample_rate_hz"), f"{where}: sample_rate_hz")
+    rate = float(require_number(need("sample_rate_hz"), ManifestError,
+                                f"{where}: sample_rate_hz"))
     if not (rate > 0 and math.isfinite(rate)):
         raise ManifestError(f"{where}: sample_rate_hz must be positive and finite")
     labels = need("channel_labels")
@@ -129,7 +122,8 @@ def _validate_entry(i: int, raw, classes: dict[str, int],
     if resolution is not None:
         if not isinstance(resolution, list):
             raise ManifestError(f"{where}: resolution must be a list, got {resolution!r}")
-        resolution = [_float(v, f"{where}: resolution") for v in resolution]
+        resolution = [float(require_number(v, ManifestError, f"{where}: resolution"))
+                      for v in resolution]
         if len(resolution) != len(labels):
             raise ManifestError(
                 f"{where}: resolution has {len(resolution)} entries for "

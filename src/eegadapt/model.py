@@ -7,7 +7,7 @@ was configured for; without one the input must already fit the encoder grid
 This module alone splits a batch into chunks of samples and decides where
 they run: on a thread pool, with numpy's BLAS held at one thread. Other
 modules put their own independent tasks on the same pool through
-``map_chunks``: preprocessing runs one task per recording.
+``map_chunks``: preprocessing runs one task per group of recordings.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import Optional
 
@@ -96,21 +97,32 @@ if hasattr(os, "register_at_fork"):
 
 
 def map_chunks(fn, chunks):
-    """Yields ``fn(chunk)`` for each chunk in chunk order, each as soon as it
-    and the chunks before it are done; chunks write disjoint memory. The
-    first chunk in chunk order that fails raises its error, once no chunk
-    is running; the chunks behind it that have not started never do."""
+    """Yields ``fn(chunk)`` for each chunk of an iterable in order, each as
+    soon as it and the chunks before it are done; chunks write disjoint
+    memory. At most ``_WORKERS`` + 1 are taken ahead of the results, so the
+    next is made while the workers run. The first chunk in order that fails
+    raises its error, once none is running; none is taken after a failure
+    is known, and those taken that have not started never do."""
     global _pool
     own_threads()
-    if _WORKERS < 2 or len(chunks) < 2 or getattr(_on_worker, "active", False):
+    chunks = iter(chunks)
+    head = list(islice(chunks, 2))
+    chunks = chain(head, chunks)
+    if _WORKERS < 2 or len(head) < 2 or getattr(_on_worker, "active", False):
         yield from map(fn, chunks)
         return
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(_WORKERS, initializer=setattr,
                                        initargs=(_on_worker, "active", True))
-    futures = deque(_pool.submit(fn, chunk) for chunk in chunks)
+    futures = deque()
     try:
+        for chunk in chunks:
+            futures.append(_pool.submit(fn, chunk))
+            if len(futures) > _WORKERS:
+                yield futures.popleft().result()
+            if any(f.done() and f.exception() is not None for f in futures):
+                break
         while futures:
             yield futures.popleft().result()
     finally:
@@ -155,26 +167,33 @@ class EegClassifier:
         out.extend((f"encoder.{n}", a) for n, a in self.encoder.items())
         return out
 
-    def _chunks(self, x: np.ndarray):
-        """``x`` as float64 and its slices of ``_forward_chunk`` samples; a last
-        sample joins the chunk before it, as a one-sample chunk's head product
-        (vector times matrix) would round differently."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3:
+    def _chunks(self, x):
+        """``x`` as float64 (a source of rows as it is) and its slices of
+        ``_forward_chunk`` samples; a last sample joins the chunk before it, as
+        a one-sample chunk's head product (vector times matrix) would round
+        differently."""
+        if not hasattr(x, "chunks"):
+            x = np.asarray(x, dtype=np.float64)
+        if len(x.shape) != 3:
             raise DimensionError(f"expected a batch (N, C, T), got shape {x.shape}")
         n, c = x.shape[0], _forward_chunk(self.encoder_config)
         starts = range(0, n - 1, c) if n > 1 else range(n)
         return x, [slice(i, n if i + c >= n - 1 else i + c) for i in starts]
 
-    def forward_batch(self, x: np.ndarray):
-        """(N, C, T) -> (logits (N, K), pooled (N, D)). Chunks of samples run
-        the whole model on the pool, each into its rows."""
-        x, chunks = self._chunks(x)
+    def forward_batch(self, x):
+        """(N, C, T) -> (logits (N, K), pooled (N, D)) on the pool, each chunk
+        into its rows. ``x`` is an array or a source of rows: it has a shape,
+        and ``chunks(slices)`` yields each slice's rows, raising past the last
+        if the rows were bad."""
+        x, slices = self._chunks(x)
         n, cfg = x.shape[0], self.encoder_config
         logits, pooled = np.empty((n, cfg.num_classes)), np.empty((n, cfg.embed_dim))
+        # The samples come first, so that zip runs a source to its end.
+        chunks = zip((x[j] for j in slices) if isinstance(x, np.ndarray)
+                     else x.chunks(slices), slices)
 
-        def run_chunk(j):
-            h = x[j]
+        def run_chunk(chunk):
+            h, j = chunk
             if self.adapter is not None:
                 h, _ = adapter_forward_batch(h, self.adapter, self.adapter_config)
             logits[j], pooled[j], _ = encoder_forward_batch(h, self.encoder, cfg)

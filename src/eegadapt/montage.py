@@ -162,18 +162,27 @@ def alignment_index(channel_labels, timesteps: int, montage: MontageMap,
     return index
 
 
-def mix_channels(data: np.ndarray, channel_labels, montage: MontageMap,
+def mix_channels(data, channel_labels, montage: MontageMap,
                  target_len: int) -> np.ndarray:
     """Align (N, E, T) windows onto the 23 targets: (N, 23, target_len), by
-    one C-contiguous ``take`` of ``alignment_index`` over the (E * T) axis."""
-    data = np.asarray(data)
-    if data.ndim != 3 or data.shape[1] != len(channel_labels):
+    one C-contiguous ``take`` of ``alignment_index`` over the (E * T) axis
+    into the output. ``data`` is an array or a source of rows with a shape,
+    a dtype and ``blocks()`` yielding (first row, rows) in order, gathered a
+    block at a time."""
+    if not hasattr(data, "blocks"):
+        data = np.asarray(data)
+    if len(data.shape) != 3 or data.shape[1] != len(channel_labels):
         raise DimensionError(
             f"expected (N, {len(channel_labels)}, T) windows, got shape {data.shape}"
         )
     n, e, t = data.shape
-    return data.reshape(n, e * t).take(
-        alignment_index(channel_labels, t, montage, target_len), axis=1)
+    index = alignment_index(channel_labels, t, montage, target_len)
+    out = np.empty((n, *index.shape), dtype=data.dtype)
+    for first, rows in data.blocks() if hasattr(data, "blocks") else [(0, data)]:
+        # The indices are in range: "clip" gathers straight into ``out``, unbuffered.
+        rows.reshape(len(rows), e * t).take(index, axis=1, mode="clip",
+                                            out=out[first:first + len(rows)])
+    return out
 
 
 def parse_montage_text(text: str) -> MontageMap:

@@ -23,7 +23,7 @@ from .errors import (
     require_class_table,
     require_number,
 )
-from .fileio import read_document, write_bundle
+from .fileio import BundleReader, checksummed, open_document, write_bundle
 from .filters import apply_chain_to_rows, design_bandpass, design_notch
 from .manifest import SPLITS, DatasetManifest, load_recording, size_recording
 from .model import map_chunks
@@ -36,10 +36,12 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "FilterSettings",
     "WindowSet",
+    "StoredRows",
     "preprocess_manifest",
     "align_window_set",
     "window_set_for",
     "save_window_set",
+    "open_window_set",
     "load_window_set",
     "check_fingerprint",
 ]
@@ -60,11 +62,58 @@ class FilterSettings:
     band_order: int = 4
 
 
+class StoredRows:
+    """The rows of a stored set's 'data' a run keeps (under a boolean mask),
+    read as they are used: a source of rows for ``forward_batch`` and
+    ``mix_channels``. Each block read is checked finite; a read of the file
+    ends by checking its CRC."""
+
+    dtype = np.dtype(np.float64)  # of the rows read
+
+    def __init__(self, reader: BundleReader, mask: np.ndarray | None = None):
+        self.reader, self.mask = reader, mask
+        n, *row = reader.specs[reader.names["data"]]["shape"]
+        self.shape = (n if mask is None else int(mask.sum()), *row)
+
+    def __getitem__(self, mask: np.ndarray) -> StoredRows:
+        """The rows under a boolean mask over these rows."""
+        if self.mask is not None:
+            mask, kept = self.mask.copy(), mask
+            mask[self.mask] = kept
+        return StoredRows(self.reader, mask)
+
+    def blocks(self):
+        """(first kept row, kept rows as float64) for each block read."""
+        kept = 0
+        for first, rows in self.reader.blocks("data"):
+            if not np.all(np.isfinite(rows)):
+                raise DomainError(f"{self.reader.path}: 'data' contains non-finite samples")
+            if self.mask is not None:
+                rows = rows[self.mask[first:first + len(rows)]]
+            yield kept, rows.astype(np.float64, copy=False)
+            kept += len(rows)
+
+    def chunks(self, slices):
+        """A fresh array of each slice's rows, copied a block's run at a time;
+        the slices cover the rows in order."""
+        blocks, rows = self.blocks(), np.empty((0, *self.shape[1:]))
+        for j in slices:
+            chunk, k = np.empty((j.stop - j.start, *self.shape[1:])), 0
+            while k < len(chunk):
+                if not len(rows):
+                    _, rows = next(blocks)
+                m = min(len(rows), len(chunk) - k)
+                chunk[k:k + m], rows, k = rows[:m], rows[m:], k + m
+            yield chunk
+        for _ in blocks:  # the rest of the file, up to its CRC
+            pass
+
+
 @dataclass
 class WindowSet:
     """Fixed-shape samples plus everything needed to reproduce them."""
 
-    data: np.ndarray              # (N, C, T) float64
+    data: np.ndarray | StoredRows  # (N, C, T) float64, or still in its file
     labels: np.ndarray            # (N,) int64
     subjects: np.ndarray          # (N,) str
     splits: np.ndarray            # (N,) str, each one of manifest.SPLITS
@@ -106,6 +155,13 @@ class WindowSet:
                 "window set contains unassigned samples; configure a split "
                 "strategy (subject-independent splitting) first"
             )
+
+    def in_memory(self) -> WindowSet:
+        """This set with rows still in its file read into one array."""
+        if isinstance(self.data, StoredRows):
+            (data,) = self.data.chunks([slice(0, len(self))])
+            return replace(self, data=data)
+        return self
 
 
 def _alignment(mode: str, montage: MontageMap, target_len: int | None, window_len: int):
@@ -220,7 +276,8 @@ def preprocess_manifest(manifest: DatasetManifest, filters: FilterSettings,
 
 def align_window_set(wset: WindowSet, mode: str, montage: MontageMap,
                      target_len: int | None) -> WindowSet:
-    """Apply select or mix alignment to every window in one gather."""
+    """Apply select or mix alignment to every window in one gather, block by
+    block for rows still in their file."""
     montage, entries = _alignment(mode, montage, target_len, wset.data.shape[2])
     if wset.fingerprint.get("alignment") != "none":
         raise ConfigurationError("window set is already aligned")
@@ -248,9 +305,10 @@ def window_set_for(want: dict, source, montage: str | None = None,
     aside) or, with ``checkpoint`` None, a command's flags in the same keys,
     a 'target_len' of None meaning the data's own window length. ``montage``
     is the --montage flag. A manifest is preprocessed and aligned in one
-    pass; a saved set is taken as it is, except that flags align an
-    unaligned one, and a given --montage must be the one it was aligned
-    with. A checkpoint's whole fingerprint must match the data.
+    pass; a saved set is taken as it is, its rows left in the file
+    (``StoredRows``), except that flags align an unaligned one, and a given
+    --montage must be the one it was aligned with. A checkpoint's whole
+    fingerprint must match the data.
     """
     want = {k: v for k, v in want.items() if k != "mode"}
     mode = want.get("alignment")
@@ -272,7 +330,7 @@ def window_set_for(want: dict, source, montage: str | None = None,
                                              target_len)
         wset = preprocess_manifest(source, filters, window_len, align)
     else:
-        wset = load_window_set(source)
+        wset = open_window_set(source)
         have, length = wset.fingerprint, wset.data.shape[2]
         if mode != "none" and have.get("alignment") == "none":
             if checkpoint is not None:
@@ -313,31 +371,31 @@ def save_window_set(path, wset: WindowSet, header: dict | None = None) -> None:
     ])
 
 
-def load_window_set(path) -> WindowSet:
-    """Read a window set, checking its schema, shapes and values once."""
-    meta, arrays = read_document(path, "window-set", 1, (
+def open_window_set(path) -> WindowSet:
+    """A stored window set, all but its 'data' rows read and checked; those
+    stay in the file as ``StoredRows``."""
+    reader = open_document(path, "window-set", 1, (
         ("subjects", list), ("splits", list), ("channel_labels", list),
         ("fingerprint", dict)))
+    meta = reader.meta
     for name in ("data", "labels", "sample_rates"):
-        if name not in arrays:
+        if name not in reader.names:
             raise IntegrityError(f"{path}: window set has no {name!r} array")
-    data, rates = arrays["data"], arrays["sample_rates"]
+    spec = reader.specs[reader.names["data"]]
+    dtype, shape = np.dtype(spec["dtype"]), tuple(spec["shape"])
     channels = len(meta["channel_labels"])
-    if data.dtype.kind != "f" or data.ndim != 3 or data.shape[1] != channels \
-            or data.shape[2] < 1:
+    if dtype.kind != "f" or len(shape) != 3 or shape[1] != channels or shape[2] < 1:
         raise IntegrityError(
-            f"{path}: 'data' holds {data.dtype} of shape {data.shape}, expected "
+            f"{path}: 'data' holds {dtype} of shape {shape}, expected "
             f"floats (N, {channels}, T>=1), one row per entry of 'channel_labels'"
         )
-    data = data.astype(np.float64, copy=False)
-    n = data.shape[0]
-    shapes = {"labels": arrays["labels"].shape, "sample_rates": rates.shape,
+    labels, rates = reader.array("labels"), reader.array("sample_rates")
+    n = shape[0]
+    shapes = {"labels": labels.shape, "sample_rates": rates.shape,
               "subjects": (len(meta["subjects"]),), "splits": (len(meta["splits"]),)}
-    for name, shape in shapes.items():
-        if shape != (n,):
-            raise IntegrityError(f"{path}: {name!r} has shape {shape}, expected ({n},)")
-    if not np.all(np.isfinite(data)):
-        raise DomainError(f"{path}: 'data' contains non-finite samples")
+    for name, found in shapes.items():
+        if found != (n,):
+            raise IntegrityError(f"{path}: {name!r} has shape {found}, expected ({n},)")
     if rates.dtype.kind != "f" or not np.all((rates > 0) & np.isfinite(rates)):
         raise DomainError(f"{path}: 'sample_rates' must all be positive finite floats")
     if not all(isinstance(c, str) for c in meta["channel_labels"]):
@@ -349,13 +407,12 @@ def load_window_set(path) -> WindowSet:
         raise IntegrityError(f"{path}: 'splits' must hold one of {SPLITS} per window")
     classes = require_class_table(meta.get("classes"), IntegrityError,
                                   f"{path}: 'classes'")
-    labels = arrays["labels"]
     if not np.all(np.isfinite(labels) & (labels == np.round(labels))):
         raise IntegrityError(f"{path}: 'labels' must hold finite whole numbers")
     if not np.all(np.isin(labels, list(classes.values()))):
         raise DomainError(f"{path}: 'labels' holds indices missing from 'classes'")
     return WindowSet(
-        data=data,
+        data=StoredRows(reader),
         labels=labels.astype(np.int64),
         subjects=np.array(meta["subjects"], dtype=str),
         splits=np.array(meta["splits"], dtype=str),
@@ -364,6 +421,13 @@ def load_window_set(path) -> WindowSet:
         classes=dict(classes),
         fingerprint=meta["fingerprint"],
     )
+
+
+def load_window_set(path) -> WindowSet:
+    """Read a window set whole, checking its schema, shapes and values once;
+    a corrupt file is reported as corrupt ahead of any fault found in it."""
+    with checksummed(path):
+        return open_window_set(path).in_memory()
 
 
 def check_fingerprint(expected: dict, actual: dict) -> None:

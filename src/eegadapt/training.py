@@ -58,14 +58,16 @@ class TrainConfig:
 
 @dataclass
 class LabeledSet:
-    """A split as dense arrays: x (N, C, T), y (N,), one subject per row."""
+    """A split: x (N, C, T) as an array or a model's source of rows, y
+    (N,), one subject per row."""
 
     x: np.ndarray
     y: np.ndarray
     subjects: np.ndarray | None = None  # (N,) str; all "" when not given
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
+        if not hasattr(self.x, "chunks"):  # a model's source of rows stays one
+            self.x = np.asarray(self.x, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.int64).reshape(-1)
         if self.x.shape[0] != self.y.shape[0]:
             raise ConfigurationError(

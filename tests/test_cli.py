@@ -729,31 +729,59 @@ def test_loaded_window_set_is_dropped_before_the_forward(
     assert alive == [False]
 
 
-def test_manifest_eval_peaks_near_the_aligned_set(tmp_path, workers, monkeypatch):
-    # 64 recordings of 16 x 2048 make 512 windows, 10.5 MB once aligned to
-    # 23 x 112. eval --manifest aligns each recording's windows in its own
-    # task, so it holds about what eval --windows holds on the aligned set;
-    # preprocessing the whole set before aligning a copy peaked at 1.8x.
-    workers(2)
-    monkeypatch.chdir(tmp_path)
+@pytest.fixture(scope="module")
+def prep_mix(tmp_path_factory):
+    """64 recordings of 16 x 2048 cut into 512 windows of 256 (16.8 MB),
+    the set mix-aligned to 23 x 112 (10.06 MiB) and a checkpoint for it."""
+    root = tmp_path_factory.mktemp("prep-mix")
     for argv in (
-        ["synth", "--out", "d", "--channels", "16", "--timesteps", "2048",
+        ["synth", "--out", root / "d", "--channels", "16", "--timesteps", "2048",
          "--train", "48", "--val", "8", "--test", "8", "--seed", "1"],
-        ["preprocess", "--manifest", "d/manifest.json", "--window", "256",
-         "--out", "w.wset"],
-        ["align", "--windows", "w.wset", "--mode", "mix", "--montage",
-         "d/montage_map.txt", "--target-len", "112", "--out", "a.wset"],
-        ["train", "--windows", "a.wset", "--mode", "mix", "--out-checkpoint",
-         "m.ckpt", *COMMON_TRAIN, "--epochs", "1", "--batch", "64",
+        ["preprocess", "--manifest", root / "d" / "manifest.json", "--window", "256",
+         "--out", root / "w.wset"],
+        ["align", "--windows", root / "w.wset", "--mode", "mix", "--montage",
+         root / "d" / "montage_map.txt", "--target-len", "112", "--out",
+         root / "a.wset"],
+        ["train", "--windows", root / "a.wset", "--mode", "mix", "--out-checkpoint",
+         root / "m.ckpt", *COMMON_TRAIN, "--epochs", "1", "--batch", "64",
          "--window", "256"],
     ):
-        assert main(argv) == 0, argv[0]
+        assert main([str(a) for a in argv]) == 0, argv[0]
+    return root
+
+
+PREP_MIX_ALIGNED = 512 * 23 * 112 * 8
+
+
+def test_manifest_eval_peaks_near_the_aligned_set(prep_mix, workers):
+    # eval --manifest aligns each recording's windows in its own task and
+    # holds the aligned set: it peaked at 14.85 MiB. Its ceiling stays 1.1x
+    # the 14.74 MiB that eval --windows peaked at while it read the whole
+    # set, 1.61x the set. eval --windows streams the rows: a few chunks, the
+    # forward's working set and the outputs.
+    workers(2)
     peaks = {}
     for flag, source in (("--windows", "a.wset"), ("--manifest", "d/manifest.json")):
-        rc, peaks[flag] = traced_peak(main, ["eval", "--checkpoint", "m.ckpt", flag,
-                                             source, "--split", "all"])
+        rc, peaks[flag] = traced_peak(main, ["eval", "--checkpoint",
+                                             str(prep_mix / "m.ckpt"), flag,
+                                             str(prep_mix / source), "--split", "all"])
         assert rc == 0
-    assert peaks["--manifest"] <= 1.1 * peaks["--windows"]
+    assert peaks["--manifest"] <= 1.61 * PREP_MIX_ALIGNED
+    assert peaks["--windows"] <= 0.75 * PREP_MIX_ALIGNED
+
+
+def test_align_peaks_near_the_aligned_set(prep_mix, tmp_path):
+    # The input is read a block at a time into the aligned array; holding
+    # the loaded input beside it peaked at 2.6x.
+    rc, peak = traced_peak(main, [
+        "align", "--windows", str(prep_mix / "w.wset"), "--mode", "mix",
+        "--montage", str(prep_mix / "d" / "montage_map.txt"), "--target-len", "112",
+        "--out", str(tmp_path / "a.wset")])
+    assert rc == 0
+    assert peak <= 1.15 * PREP_MIX_ALIGNED
+    streamed, loaded = (read_bundle(path)[1] for path in (tmp_path / "a.wset",
+                                                          prep_mix / "a.wset"))
+    assert all(streamed[k].tobytes() == loaded[k].tobytes() for k in loaded)
 
 
 @pytest.mark.parametrize("montage,needle", [
@@ -978,6 +1006,22 @@ def test_huge_checkpoint_meta_value_fails_in_one_line(dataset, mix_checkpoint,
     assert main(["eval", "--checkpoint", str(bad),
                  "--manifest", str(dataset / "manifest.json")]) == 2
     assert_one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("flag", ["--manifest", "--windows"])
+def test_huge_int_in_a_checkpoint_fingerprint_fails_in_one_line(
+        dataset, windows, mix_checkpoint, tmp_path, capsys, flag):
+    # An int too large for a float once escaped the filter design as an
+    # OverflowError traceback.
+    meta, arrays = read_bundle(mix_checkpoint)
+    meta["fingerprint"]["notch_q"] = 10 ** 400
+    bad, out = tmp_path / "bad.ckpt", tmp_path / "eval.txt"
+    write_bundle(bad, meta, list(arrays.items()))
+    source = str(dataset / "manifest.json") if flag == "--manifest" else str(windows)
+    assert main(["eval", "--checkpoint", str(bad), flag, source,
+                 "--out", str(out)]) == 2
+    assert_one_line_error(capsys, "fingerprint 'notch_q' must fit in a float")
+    assert not out.exists()
 
 
 class TestAutoSplit:

@@ -1111,8 +1111,9 @@ class TestPreprocessFill:
 
     def test_earlier_changed_recording_is_named_first(self, tmp_path, workers,
                                                       monkeypatch):
-        # a.raw's task waits until d.raw's has failed, so the later error
+        # a.raw's task waits until c.raw's has failed, so the later error
         # comes first in time; the earlier one in manifest order is raised.
+        # c.raw is the third task: at most _WORKERS + 1 are in flight.
         workers(2)
         manifest, _ = mixed_manifest(tmp_path)
         real = pipeline.load_recording
@@ -1121,10 +1122,10 @@ class TestPreprocessFill:
         def rewritten_before_load(entry, base_dir, data=None):
             if entry.path == "a.raw":
                 assert later_failed.wait(10)
-            if entry.path in ("a.raw", "d.raw"):
+            if entry.path in ("a.raw", "c.raw"):
                 write_recording_binary(base_dir / entry.path, np.zeros((2, 900)))
             loaded = real(entry, base_dir, data)
-            if entry.path == "d.raw":
+            if entry.path == "c.raw":
                 later_failed.set()
             return loaded
 
