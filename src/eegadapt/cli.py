@@ -95,19 +95,35 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _add_filter_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--notch", type=float, default=FilterSettings.notch_hz,
-                   help="notch center frequency in Hz")
-    p.add_argument("--notch-q", type=float, default=FilterSettings.notch_q,
-                   help="notch quality factor")
-    p.add_argument("--band-low", type=float, default=FilterSettings.band_low_hz,
-                   help="bandpass low cutoff in Hz")
-    p.add_argument("--band-high", type=float, default=FilterSettings.band_high_hz,
-                   help="bandpass high cutoff in Hz")
-    p.add_argument("--order", type=int, default=FilterSettings.band_order,
-                   help="Butterworth bandpass order")
-    p.add_argument("--window", type=int, default=128,
-                   help="non-overlapping window length in samples")
+# The flags that say how a manifest is filtered and windowed, with their
+# defaults; a window set was filtered and windowed when it was made.
+_FILTER_FLAGS = (
+    ("--notch", float, FilterSettings.notch_hz, "notch center frequency in Hz"),
+    ("--notch-q", float, FilterSettings.notch_q, "notch quality factor"),
+    ("--band-low", float, FilterSettings.band_low_hz, "bandpass low cutoff in Hz"),
+    ("--band-high", float, FilterSettings.band_high_hz, "bandpass high cutoff in Hz"),
+    ("--order", int, FilterSettings.band_order, "Butterworth bandpass order"),
+    ("--window", int, 128, "non-overlapping window length in samples"),
+)
+
+
+def _add_filter_flags(p: argparse.ArgumentParser, defaults: bool = True) -> None:
+    """The filter flags; without ``defaults`` one not given parses as None,
+    for ``_given_filter_flags`` to tell it from one given."""
+    for flag, kind, default, text in _FILTER_FLAGS:
+        p.add_argument(flag, type=kind, default=default if defaults else None, help=text)
+
+
+def _given_filter_flags(args) -> list[str]:
+    """The filter flags given; each one not given is set to its default."""
+    given = []
+    for flag, _, default, _ in _FILTER_FLAGS:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        else:
+            given.append(flag)
+    return given
 
 
 # ---------------------------------------------------------------- commands
@@ -182,6 +198,10 @@ def cmd_train(args) -> int:
                                args.mode == "adapter")):
         if value is not None and not read:
             raise ConfigurationError(f"--mode {args.mode} ignores {flag}; drop it")
+    given = _given_filter_flags(args)
+    if args.windows and given:
+        raise ConfigurationError(f"--windows ignores {given[0]}: the set was "
+                                 "filtered and windowed when it was made; drop it")
     source = _source(args)
     if args.auto_split:
         if args.windows:
@@ -190,7 +210,7 @@ def cmd_train(args) -> int:
         fractions = _parse_list("--auto-split", args.auto_split, float)
         source = split_subject_independent(source, fractions, seed=args.seed)
     want = _wanted(args, args.mode if aligns else "none", args.target_len)
-    wset = window_set_for(want, source, args.montage).in_memory()
+    wset = window_set_for(want, source, args.montage)
     wset.require_assigned()
 
     classes = dict(wset.classes)
@@ -242,7 +262,8 @@ def cmd_train(args) -> int:
     val_set = wset.select("val", classes)
     fingerprint = dict(wset.fingerprint)
     fingerprint["mode"] = args.mode
-    # The splits hold all the rows training reads: the set can go first.
+    # The splits hold all the rows training reads (or their file): the set
+    # can go first.
     del wset
     cfg = TrainConfig(
         epochs=args.epochs,
@@ -402,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--windows")
     p.add_argument("--mode", choices=MODES, required=True)
-    _add_filter_flags(p)
+    _add_filter_flags(p, defaults=False)
     p.add_argument("--montage", default=None)
     p.add_argument("--target-len", type=int, default=None)
     p.add_argument("--adapter-steps", type=int, default=None)

@@ -26,6 +26,7 @@ import os
 import struct
 import zlib
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -207,22 +208,25 @@ _BLOCK_BYTES = 1 << 16  # an array streams in blocks of this size, one row at le
 
 class BundleReader:
     """A bundle whose header, array specs and size are checked against each
-    other before any array is read. ``array`` reads one array by its offset;
+    other before any array is read; every read goes through the one file
+    object opened here, so a file renamed over the path changes nothing
+    read. ``array`` reads one array by its offset and ``take`` rows of one;
     ``blocks`` makes one pass in file order, folding the CRC over the bytes
-    it reads and the arrays already read, and checks it at the end. A fault
-    is raised as found: ``checksummed`` reports a corrupt file first."""
+    it reads and the arrays already read, and checks it at the end (then
+    ``checked`` is True). A fault is raised as found: ``checksummed``
+    reports a corrupt file first."""
 
     def __init__(self, path: str | Path):
         path = self.path = Path(path)
         if not path.exists():
             raise IntegrityError(f"file not found: {path}")
-        with open(path, "rb") as fh:
-            size = self.size = os.fstat(fh.fileno()).st_size
-            lead = fh.read(16)
-            if size < 20 or lead[:8] != BUNDLE_MAGIC:
-                raise IntegrityError(f"{path} is not an array bundle (bad magic)")
-            header_len = struct.unpack("<Q", lead[8:])[0]
-            head = fh.read(min(header_len, size - 16))
+        fh = self.file = open(path, "rb")
+        size = self.size = os.fstat(fh.fileno()).st_size
+        lead = fh.read(16)
+        if size < 20 or lead[:8] != BUNDLE_MAGIC:
+            raise IntegrityError(f"{path} is not an array bundle (bad magic)")
+        header_len = struct.unpack("<Q", lead[8:])[0]
+        head = fh.read(min(header_len, size - 16))
         self._head_crc = zlib.crc32(head, zlib.crc32(lead))
         try:
             header = json.loads(head.decode("utf-8"))
@@ -256,54 +260,65 @@ class BundleReader:
         # A name given twice names its last array.
         self.names = {spec["name"]: i for i, spec in enumerate(self.specs)}
         self._held: dict[int, np.ndarray] = {}
+        self.checked = False
 
-    def _fill(self, fh, spec, arr: np.ndarray) -> memoryview:
+    def _fill(self, spec, offset: int, arr: np.ndarray) -> memoryview:
+        """``arr`` filled from the file's bytes at ``offset`` on."""
         buf = memoryview(arr.reshape(-1)).cast("B")
-        if fh.readinto(buf) != len(buf):
+        self.file.seek(offset)
+        if self.file.readinto(buf) != len(buf):
             raise IntegrityError(f"{self.path} is truncated inside array {spec['name']}")
         return buf
 
-    def _read(self, fh, i: int) -> np.ndarray:
+    def _read(self, i: int) -> np.ndarray:
         """Array ``i`` read whole into a fresh array, held for the CRC."""
         spec = self.specs[i]
         arr = self._held[i] = np.empty(spec["shape"], dtype=spec["dtype"])
-        fh.seek(spec["offset"])
-        self._fill(fh, spec, arr)
+        self._fill(spec, spec["offset"], arr)
         return arr
 
     def array(self, name: str) -> np.ndarray:
         """Array ``name`` read whole into a fresh array."""
-        with open(self.path, "rb") as fh:
-            return self._read(fh, self.names[name])
+        return self._read(self.names[name])
+
+    def take(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of array ``name``, in that order, read by offset into
+        one fresh array: one read per run of consecutive rows."""
+        spec = self.specs[self.names[name]]
+        out = np.empty((len(rows), *spec["shape"][1:]), dtype=spec["dtype"])
+        row_bytes = out.itemsize * math.prod(out.shape[1:])
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
+        for a, b in zip(starts, [*starts[1:], len(rows)]):
+            self._fill(spec, spec["offset"] + int(rows[a]) * row_bytes, out[a:b])
+        return out
 
     def blocks(self, name: str | None = None):
         """(first row, rows) of array ``name`` (None: no array), a block at a
         time in one reused buffer; then the file's CRC is checked."""
         crc, stream = self._head_crc, self.names.get(name)
-        with open(self.path, "rb") as fh:
-            for i, spec in enumerate(self.specs):
-                if i in self._held:
-                    crc = zlib.crc32(memoryview(self._held[i].reshape(-1)).cast("B"), crc)
-                    continue
-                fh.seek(spec["offset"])
-                n, *row = spec["shape"] or [1]
-                k = max(1, _BLOCK_BYTES // max(1, np.dtype(spec["dtype"]).itemsize
-                                           * math.prod(row)))
-                buf = np.empty((min(k, n), *row), dtype=spec["dtype"])
-                for first in range(0, n, k):
-                    rows = buf[:min(k, n - first)]
-                    crc = zlib.crc32(self._fill(fh, spec, rows), crc)
-                    if i == stream:
-                        yield first, rows
-            fh.seek(self.size - 4)
-            if struct.pack("<I", crc) != fh.read(4):
-                raise ChecksumError(f"{self.path} failed its checksum; file is corrupt")
+        for i, spec in enumerate(self.specs):
+            if i in self._held:
+                crc = zlib.crc32(memoryview(self._held[i].reshape(-1)).cast("B"), crc)
+                continue
+            n, *row = spec["shape"] or [1]
+            row_bytes = np.dtype(spec["dtype"]).itemsize * math.prod(row)
+            k = max(1, _BLOCK_BYTES // max(1, row_bytes))
+            buf = np.empty((min(k, n), *row), dtype=spec["dtype"])
+            for first in range(0, n, k):
+                rows = buf[:min(k, n - first)]
+                crc = zlib.crc32(self._fill(spec, spec["offset"] + first * row_bytes,
+                                            rows), crc)
+                if i == stream:
+                    yield first, rows
+        self.file.seek(self.size - 4)
+        if struct.pack("<I", crc) != self.file.read(4):
+            raise ChecksumError(f"{self.path} failed its checksum; file is corrupt")
+        self.checked = True
 
     def whole(self) -> dict[str, np.ndarray]:
-        """Every array read whole in one pass in file order, once the file's
-        CRC has matched."""
-        with open(self.path, "rb") as fh:
-            arrays = {spec["name"]: self._read(fh, i) for i, spec in enumerate(self.specs)}
+        """Every array read whole in file order, once the file's CRC has
+        matched."""
+        arrays = {spec["name"]: self._read(i) for i, spec in enumerate(self.specs)}
         for _ in self.blocks():  # every array is held: the CRC is folded from memory
             pass
         return arrays
@@ -340,14 +355,20 @@ def check_subject_ids(subject_ids) -> None:
 def write_embeddings_text(path: str | Path, embeddings: np.ndarray,
                           labels: np.ndarray, subject_ids,
                           header_lines=()) -> None:
+    """Write an embeddings table atomically, ``_BLOCK_BYTES`` of embeddings'
+    rows at a time."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     check_subject_ids(subject_ids)
-    lines = [f"# {line}" for line in header_lines]
-    for row, label, sid in zip(embeddings, labels, subject_ids):
-        values = ",".join(repr(float(v)) for v in row)
-        lines.append(f"{values},{label},{sid}")
-    write_text(path, "\n".join(lines) + "\n")
+    rows = zip(embeddings, labels, subject_ids)
+    k = max(1, _BLOCK_BYTES // max(1, embeddings[:1].nbytes))
+    with _replacing(path) as fh:
+        fh.write("".join(f"# {line}\n" for line in header_lines).encode("utf-8"))
+        while block := list(islice(rows, k)):
+            fh.write("".join(f"{','.join(map(repr, row.tolist()))},{label},{sid}\n"
+                             for row, label, sid in block).encode("utf-8"))
+        if not fh.tell():  # a table of no line is one empty line
+            fh.write(b"\n")
 
 
 def read_embeddings_text(path: str | Path):

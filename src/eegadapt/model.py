@@ -58,14 +58,33 @@ def _forward_chunk(cfg: BfmConfig) -> int:
     return max(2, _FORWARD_CHUNK_BYTES // (21 * s * cfg.embed_dim * 8))
 
 
+# glibc's M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1) of malloc.h, at 2x
+# and 4x the chunk budget (see own_threads).
+_MALLOPT = ((-3, 2 * _FORWARD_CHUNK_BYTES), (-1, 4 * _FORWARD_CHUNK_BYTES))
+
+
 @functools.cache
 def own_threads() -> bool:
-    """Hold numpy's bundled OpenBLAS at one thread, once per process.
+    """Hold numpy's bundled OpenBLAS at one thread, and fix glibc's allocator
+    thresholds, once per process.
 
     Parallelism comes from the pool below; BLAS threads on top of it would
     oversubscribe the CPUs, and a weight-gradient product rounds differently
     at another BLAS thread count. Returns whether the setter was found: a
-    numpy built against another BLAS is left as it is."""
+    numpy built against another BLAS is left as it is.
+
+    glibc maps a block past its mmap threshold on its own and trims a heap
+    whose free top passes its trim threshold. Both start low and rise only
+    when a large mapped block is freed, so without one the workers' arenas
+    would hand a chunk's temporaries back after each chunk and fault them in
+    again. At 2x and 4x ``_FORWARD_CHUNK_BYTES`` every per-chunk temporary
+    (the kept attention probabilities too) is reused. Both are set: setting
+    one stops glibc adjusting the other. A C library without ``mallopt`` is
+    left as it is."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        for param, value in _MALLOPT:
+            mallopt(param, value)
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in libs.glob("libscipy_openblas64_*.so"):
         setter = getattr(ctypes.CDLL(str(lib)),
@@ -172,7 +191,7 @@ class EegClassifier:
         ``_forward_chunk`` samples; a last sample joins the chunk before it, as
         a one-sample chunk's head product (vector times matrix) would round
         differently."""
-        if not hasattr(x, "chunks"):
+        if not hasattr(x, "blocks"):
             x = np.asarray(x, dtype=np.float64)
         if len(x.shape) != 3:
             raise DimensionError(f"expected a batch (N, C, T), got shape {x.shape}")
@@ -183,14 +202,10 @@ class EegClassifier:
     def forward_batch(self, x):
         """(N, C, T) -> (logits (N, K), pooled (N, D)) on the pool, each chunk
         into its rows. ``x`` is an array or a source of rows: it has a shape,
-        and ``chunks(slices)`` yields each slice's rows, raising past the last
-        if the rows were bad."""
+        and indexing it by a slice gives those rows as a float64 array."""
         x, slices = self._chunks(x)
         n, cfg = x.shape[0], self.encoder_config
         logits, pooled = np.empty((n, cfg.num_classes)), np.empty((n, cfg.embed_dim))
-        # The samples come first, so that zip runs a source to its end.
-        chunks = zip((x[j] for j in slices) if isinstance(x, np.ndarray)
-                     else x.chunks(slices), slices)
 
         def run_chunk(chunk):
             h, j = chunk
@@ -198,7 +213,8 @@ class EegClassifier:
                 h, _ = adapter_forward_batch(h, self.adapter, self.adapter_config)
             logits[j], pooled[j], _ = encoder_forward_batch(h, self.encoder, cfg)
 
-        for _ in map_chunks(run_chunk, chunks):
+        # Each chunk's rows are read here, on the calling thread.
+        for _ in map_chunks(run_chunk, ((x[j], j) for j in slices)):
             pass
         return logits, pooled
 
@@ -213,13 +229,14 @@ class EegClassifier:
         returned: only the adapter's and the head's. Without an adapter too,
         only the head trains: the forward keeps no cache and no block runs
         backward."""
-        x, chunks = self._chunks(x)
+        x, slices = self._chunks(x)
         n, cfg, ac = x.shape[0], self.encoder_config, self.adapter_config
         head_only = freeze_bfm and ac is None
         logits = np.empty((n, cfg.num_classes))
 
-        def run_chunk(j):
-            h, adapter_cache, m = x[j], None, j.stop - j.start
+        def run_chunk(chunk):
+            (h, j), adapter_cache = chunk, None
+            m = j.stop - j.start
             if ac is not None:
                 h, adapter_cache = adapter_forward_batch(h, self.adapter, ac,
                                                          keep_cache=True)
@@ -240,7 +257,7 @@ class EegClassifier:
             return loss * m, grads
 
         loss_sum, grads = 0.0, None
-        for loss, chunk_grads in map_chunks(run_chunk, chunks):
+        for loss, chunk_grads in map_chunks(run_chunk, ((x[j], j) for j in slices)):
             loss_sum += loss
             if grads is None:
                 grads = chunk_grads

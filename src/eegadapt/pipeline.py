@@ -64,23 +64,32 @@ class FilterSettings:
 
 class StoredRows:
     """The rows of a stored set's 'data' a run keeps (under a boolean mask),
-    read as they are used: a source of rows for ``forward_batch`` and
-    ``mix_channels``. Each block read is checked finite; a read of the file
-    ends by checking its CRC."""
+    left in the file: a source of rows for the model and ``mix_channels``.
+    ``blocks`` reads the file in one pass, checking each block finite and
+    then the CRC; indexing reads rows by offset from the file that pass
+    checked, making the pass first if none has been made."""
 
     dtype = np.dtype(np.float64)  # of the rows read
 
     def __init__(self, reader: BundleReader, mask: np.ndarray | None = None):
         self.reader, self.mask = reader, mask
         n, *row = reader.specs[reader.names["data"]]["shape"]
-        self.shape = (n if mask is None else int(mask.sum()), *row)
+        self.rows = np.arange(n) if mask is None else np.flatnonzero(mask)
+        self.shape = (len(self.rows), *row)
 
-    def __getitem__(self, mask: np.ndarray) -> StoredRows:
-        """The rows under a boolean mask over these rows."""
-        if self.mask is not None:
-            mask, kept = self.mask.copy(), mask
-            mask[self.mask] = kept
-        return StoredRows(self.reader, mask)
+    def __getitem__(self, key):
+        """A boolean mask over these rows: the rows under it, still in the
+        file. A slice or integer indices: those rows, in that order, read
+        into one fresh float64 array."""
+        if isinstance(key, np.ndarray) and key.dtype == bool:
+            if self.mask is not None:
+                key, kept = self.mask.copy(), key
+                key[self.mask] = kept
+            return StoredRows(self.reader, key)
+        if not self.reader.checked:
+            for _ in self.blocks():
+                pass
+        return self.reader.take("data", self.rows[key]).astype(np.float64, copy=False)
 
     def blocks(self):
         """(first kept row, kept rows as float64) for each block read."""
@@ -92,21 +101,6 @@ class StoredRows:
                 rows = rows[self.mask[first:first + len(rows)]]
             yield kept, rows.astype(np.float64, copy=False)
             kept += len(rows)
-
-    def chunks(self, slices):
-        """A fresh array of each slice's rows, copied a block's run at a time;
-        the slices cover the rows in order."""
-        blocks, rows = self.blocks(), np.empty((0, *self.shape[1:]))
-        for j in slices:
-            chunk, k = np.empty((j.stop - j.start, *self.shape[1:])), 0
-            while k < len(chunk):
-                if not len(rows):
-                    _, rows = next(blocks)
-                m = min(len(rows), len(chunk) - k)
-                chunk[k:k + m], rows, k = rows[:m], rows[m:], k + m
-            yield chunk
-        for _ in blocks:  # the rest of the file, up to its CRC
-            pass
 
 
 @dataclass
@@ -158,10 +152,8 @@ class WindowSet:
 
     def in_memory(self) -> WindowSet:
         """This set with rows still in its file read into one array."""
-        if isinstance(self.data, StoredRows):
-            (data,) = self.data.chunks([slice(0, len(self))])
-            return replace(self, data=data)
-        return self
+        return replace(self, data=self.data[:]) if isinstance(self.data, StoredRows) \
+            else self
 
 
 def _alignment(mode: str, montage: MontageMap, target_len: int | None, window_len: int):

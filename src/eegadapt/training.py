@@ -66,7 +66,7 @@ class LabeledSet:
     subjects: np.ndarray | None = None  # (N,) str; all "" when not given
 
     def __post_init__(self):
-        if not hasattr(self.x, "chunks"):  # a model's source of rows stays one
+        if not hasattr(self.x, "blocks"):  # a model's source of rows stays one
             self.x = np.asarray(self.x, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.int64).reshape(-1)
         if self.x.shape[0] != self.y.shape[0]:

@@ -56,7 +56,7 @@ def dataset(tmp_path_factory):
 COMMON_TRAIN = [
     "--epochs", "2", "--batch", "16", "--lr", "1e-3", "--seed", "0",
     "--embed-dim", "16", "--encoder-layers", "1", "--heads", "2",
-    "--patch-len", "16", "--window", "128",
+    "--patch-len", "16",
 ]
 
 
@@ -743,8 +743,7 @@ def prep_mix(tmp_path_factory):
          root / "d" / "montage_map.txt", "--target-len", "112", "--out",
          root / "a.wset"],
         ["train", "--windows", root / "a.wset", "--mode", "mix", "--out-checkpoint",
-         root / "m.ckpt", *COMMON_TRAIN, "--epochs", "1", "--batch", "64",
-         "--window", "256"],
+         root / "m.ckpt", *COMMON_TRAIN, "--epochs", "1", "--batch", "64"],
     ):
         assert main([str(a) for a in argv]) == 0, argv[0]
     return root
@@ -946,6 +945,37 @@ def test_flag_the_mode_ignores_fails_in_one_line(windows, tmp_path, mode, flag,
                  "--out-checkpoint", str(ckpt), *COMMON_TRAIN]) == 2
     assert_one_line_error(capsys, f"--mode {mode} ignores {flag}")
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--notch", "60"), ("--notch-q", "30"), ("--band-low", "1"), ("--band-high", "40"),
+    ("--order", "2"), ("--window", "64"), ("--window", "128")])
+@pytest.mark.parametrize("mode", ["raw", "mix"])
+def test_filter_flag_with_windows_fails_in_one_line(windows, tmp_path, mode, flag,
+                                                    value, capsys):
+    # A window set was filtered and windowed when it was made: such a flag,
+    # even at its default, trained on the set as stored and wrote the
+    # defaults into the fingerprint, exiting 0.
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--windows", str(windows), "--mode", mode, flag, value,
+                 "--out-checkpoint", str(ckpt), *COMMON_TRAIN]) == 2
+    assert_one_line_error(capsys, f"--windows ignores {flag}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_filter_flags_not_given_keep_their_default_lines(dataset, windows, tmp_path):
+    # The flags parse as None when not given, then take the defaults the
+    # header has always shown.
+    for source in (["--windows", str(windows)],
+                   ["--manifest", str(dataset / "manifest.json")]):
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", *source, "--mode", "raw", "--out-checkpoint", str(ckpt),
+                     *COMMON_TRAIN, "--epochs", "1"]) == 0
+        log = Path(f"{ckpt}.log.csv").read_text()
+        for line in ("flag.notch = 50.0", "flag.notch_q = 30.0", "flag.band_low = 0.1",
+                     "flag.band_high = 75.0", "flag.order = 4", "flag.window = 128"):
+            assert f"# {line}\n" in log
+        assert load_checkpoint(ckpt).fingerprint["window_len"] == 128
 
 
 @pytest.mark.parametrize("argv", [

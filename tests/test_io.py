@@ -13,7 +13,7 @@ import pytest
 from scipy.signal import sosfiltfilt
 
 from eegadapt import manifest as manifest_module
-from eegadapt import pipeline
+from eegadapt import fileio, pipeline
 from eegadapt.adapter import default_adapter_config
 from eegadapt.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from eegadapt.core import extract_windows
@@ -240,6 +240,38 @@ class TestEmbeddingsText:
         with pytest.raises(ManifestError):
             write_embeddings_text(tmp_path / "e.csv", np.zeros((1, 2)),
                                   np.zeros(1), ["a,b"])
+
+    @staticmethod
+    def lines(emb, labels, subjects, header):
+        """The table as one string, the way it was written before it was
+        written in blocks."""
+        rows = [",".join(repr(float(v)) for v in row) + f",{label},{sid}"
+                for row, label, sid in zip(emb, labels, subjects)]
+        return "\n".join([f"# {line}" for line in header] + rows) + "\n"
+
+    @pytest.mark.parametrize("n, header", [(0, []), (0, ["h"]), (1, []),
+                                           (257, ["a", "b"])])
+    def test_blocks_keep_the_bytes(self, tmp_path, monkeypatch, n, header):
+        # 16-byte rows in blocks of 64 bytes: four rows a block.
+        monkeypatch.setattr(fileio, "_BLOCK_BYTES", 64)
+        emb = np.random.default_rng(n).normal(size=(n, 2))
+        labels, subjects = np.arange(n) % 3, [f"s{i % 5}" for i in range(n)]
+        write_embeddings_text(tmp_path / "e.csv", emb, labels, subjects, header)
+        expected = self.lines(emb, labels, subjects, header).encode()
+        assert (tmp_path / "e.csv").read_bytes() == expected
+
+    def test_write_peak_does_not_grow_with_the_rows(self, tmp_path):
+        # Holding every line, their join and its bytes at once, 8,192 x 32
+        # embeddings peaked at 15.31 MiB.
+        def peak(n):
+            emb = np.random.default_rng(n).normal(size=(n, 32))
+            labels, subjects = np.arange(n) % 4, [f"s{i % 16}" for i in range(n)]
+            return traced_peak(write_embeddings_text, tmp_path / f"{n}.csv", emb,
+                               labels, subjects, ["run"])[1]
+
+        small, large = peak(2048), peak(8192)
+        assert large <= 1.1 * small, (small, large)
+        assert large <= 0.25 * 15.31 * 2**20, large
 
 
 def write_manifest(tmp_path, entries, classes=None, montage="builtin-table1"):

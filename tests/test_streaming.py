@@ -6,10 +6,15 @@ corrupt set in one line without writing anything, and hold a few chunks of
 rows plus their outputs, however many windows the set holds.
 """
 
+import ctypes
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,8 +39,7 @@ from helpers import force_forward_chunk, traced_peak
 COUNTS = ("24", "8", "9")
 CHUNK, BLOCK_ROWS, ROW_BYTES = 4, 3, 23 * 64 * 8
 MODEL = ["--embed-dim", "16", "--encoder-layers", "1", "--heads", "2",
-         "--patch-len", "16", "--epochs", "1", "--batch", "16", "--seed", "0",
-         "--window", "128"]
+         "--patch-len", "16", "--epochs", "1", "--batch", "16", "--seed", "0"]
 
 
 def run(*argv):
@@ -169,7 +173,7 @@ def test_stored_rows_masked_twice_keep_the_rows_an_array_keeps(aligned, monkeypa
     first = np.arange(len(loaded)) % 3 != 0
     second = np.arange(int(first.sum())) % 2 == 0
     twice = stored[first][second]
-    (rows,) = twice.chunks([slice(0, twice.shape[0])])
+    rows = twice[:]
     assert twice.shape == loaded[first][second].shape
     assert rows.tobytes() == loaded[first][second].tobytes()
 
@@ -338,3 +342,165 @@ def test_map_chunks_takes_nothing_past_a_failed_chunk(workers, count):
     # Serially the failing chunk is the last taken; on the pool no more than
     # _WORKERS chunks behind it are.
     assert len(taken) == 4 if count == 1 else len(taken) <= 4 + count
+
+
+# ------------------------------------------------------------------ train
+
+
+def train_outputs(aligned, windows, out, *extra):
+    """The bytes of the checkpoint, log and metrics ``train`` writes."""
+    run("train", "--windows", windows, *MODEL, "--epochs", "2",
+        "--out-checkpoint", out, *extra)
+    files = [out, f"{out}.log.csv", f"{out}.metrics.txt"]
+    return [open(f, "rb").read() for f in files]
+
+
+TRAIN_CASES = {
+    # Classes 0 and 2 alternate with the others, so the val rows kept are
+    # scattered over the 3-row blocks; 12 train rows in batches of 5.
+    "mix-train-classes": ("a.wset", ["--mode", "mix", "--train-classes", "0,2",
+                                     "--batch", "5"]),
+    "adapter": ("w.wset", ["--mode", "adapter", "--batch", "7"]),
+    "raw": ("w.wset", ["--mode", "raw", "--batch", "7"]),
+}
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("case", TRAIN_CASES)
+def test_streamed_train_gives_the_bytes_of_the_loaded_set(aligned, workers, monkeypatch,
+                                                          tmp_path, count, case):
+    workers(count)
+    set_blocks(monkeypatch, BLOCK_ROWS)
+    name, extra = TRAIN_CASES[case]
+    real_loop, real_blocks, seen, passes = cli.train_loop, fileio.BundleReader.blocks, [], []
+
+    def loop(model, train_set, val_set, cfg):
+        seen.append((isinstance(train_set.x, StoredRows), isinstance(val_set.x, StoredRows),
+                     len(train_set) % cfg.batch_size))
+        return real_loop(model, train_set, val_set, cfg)
+
+    def blocks(self, *args):
+        passes.append(self.path)
+        return real_blocks(self, *args)
+
+    monkeypatch.setattr(cli, "train_loop", loop)
+    monkeypatch.setattr(fileio.BundleReader, "blocks", blocks)
+    streamed = train_outputs(aligned, aligned / name, tmp_path / "m.ckpt", *extra)
+    [(train_stored, val_stored, left)] = seen
+    assert train_stored and val_stored and left
+    assert passes == [aligned / name]  # one pass over the set for both epochs
+    real_window_set = cli.window_set_for
+    monkeypatch.setattr(cli, "window_set_for",
+                        lambda *args: real_window_set(*args).in_memory())
+    loaded = train_outputs(aligned, aligned / name, tmp_path / "m.ckpt", *extra)
+    assert seen[1][:2] == (False, False)
+    assert streamed == loaded
+
+
+@pytest.fixture
+def no_steps(monkeypatch):
+    """Fails a test that takes a training step."""
+    def step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(EegClassifier, "loss_and_grads", step)
+
+
+@pytest.mark.parametrize("case", ["last-block-flip", "nan-valid-crc"])
+def test_corrupt_set_fails_train_before_any_step(aligned, monkeypatch, no_steps,
+                                                 tmp_path, capsys, case):
+    set_blocks(monkeypatch, BLOCK_ROWS)
+    bad, ckpt = tmp_path / "bad.wset", tmp_path / "m.ckpt"
+    bad.write_bytes(corrupt((aligned / "a.wset").read_bytes(), case))
+    assert main(["train", "--windows", str(bad), "--mode", "mix", *MODEL,
+                 "--out-checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert CORRUPTIONS[case] in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.wset"]
+
+
+def test_a_set_renamed_over_the_path_mid_run_trains_as_checked(aligned, monkeypatch,
+                                                               tmp_path):
+    set_blocks(monkeypatch, BLOCK_ROWS)
+    path, other = tmp_path / "t.wset", tmp_path / "other.wset"
+    path.write_bytes((aligned / "a.wset").read_bytes())
+    meta, arrays = read_bundle(path)
+    write_bundle(other, meta, [(k, -v if k == "data" else v) for k, v in arrays.items()])
+    expected = train_outputs(aligned, path, tmp_path / "m.ckpt", "--mode", "mix")
+    real_take, renamed = fileio.BundleReader.take, []
+
+    def take(self, *args):
+        if not renamed:  # after the checking pass, before the first batch
+            assert self.checked
+            renamed.append(other.replace(path))
+        return real_take(self, *args)
+
+    monkeypatch.setattr(fileio.BundleReader, "take", take)
+    assert train_outputs(aligned, path, tmp_path / "m.ckpt", "--mode", "mix") == expected
+    assert renamed and not other.exists()
+
+
+def train_peak(root, n, tmp_path):
+    """Peak of one epoch of ``train --mode mix`` over a set of ``n`` train
+    rows (and the fixture's val rows)."""
+    meta, arrays = read_bundle(root / "a.wset")
+    val = [i for i, s in enumerate(meta["splits"]) if s == "val"]
+    train = [i for i, s in enumerate(meta["splits"]) if s == "train"]
+    take = np.array([train[i % len(train)] for i in range(n)] + val)
+    bundle = tmp_path / f"{n}.wset"
+    write_bundle(bundle, {**meta, "subjects": [meta["subjects"][i] for i in take],
+                          "splits": [meta["splits"][i] for i in take]},
+                 [(name, array[take]) for name, array in arrays.items()])
+    rc, peak = traced_peak(main, ["train", "--windows", str(bundle), "--mode", "mix",
+                                  *MODEL, "--out-checkpoint", str(tmp_path / f"{n}.ckpt")])
+    assert rc == 0
+    return peak
+
+
+def test_train_peak_does_not_grow_with_the_train_rows(aligned, workers, tmp_path):
+    workers(1)
+    small, large = (train_peak(aligned, n, tmp_path) for n in (100, 400))
+    assert large <= 1.1 * small, (small, large)
+
+
+# ---------------------------------------------------------------- allocator
+
+FAULTS = """
+import resource, sys
+import numpy as np
+from eegadapt.encoder import BfmConfig
+from eegadapt.model import build_classifier
+from eegadapt.pipeline import open_window_set
+
+x = open_window_set(sys.argv[1]).data
+model = build_classifier(BfmConfig(num_channels=23, num_classes=4, patch_len=16,
+                                   embed_dim=32, num_layers=2, num_heads=4,
+                                   channel_vocab=23, max_patches=7), None, seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(15):
+    model.embed_batch(x)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(os.name != "posix" or not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the C library has no mallopt")
+def test_streamed_forwards_reuse_their_memory(aligned, tmp_path):
+    # At the infer-mix shape, 224 windows of 23 x 112: with glibc's dynamic
+    # thresholds the worker arenas trimmed each chunk's temporaries and
+    # faulted them back in, 230k-880k minor faults over these calls.
+    meta, arrays = read_bundle(aligned / "a.wset")
+    rng = np.random.default_rng(0)
+    take = np.arange(224) % len(arrays["data"])
+    path = tmp_path / "infer.wset"
+    write_bundle(path, {**meta, "subjects": [meta["subjects"][i] for i in take],
+                        "splits": [meta["splits"][i] for i in take]},
+                 [("data", rng.normal(size=(224, 23, 112))),
+                  ("labels", arrays["labels"][take]),
+                  ("sample_rates", arrays["sample_rates"][take])])
+    src = Path(pipeline.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", FAULTS, str(path)], check=True,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert int(proc.stdout) < 20_000, proc.stdout
