@@ -26,7 +26,7 @@ from .fileio import (check_subject_ids, checksummed, read_embeddings_text,
                      write_embeddings_text, write_text)
 from .manifest import load_manifest, split_subject_independent
 from .model import build_classifier, own_threads
-from .montage import BUILTIN_MONTAGE_TOKEN, load_montage
+from .montage import load_montage
 from .pipeline import (
     FilterSettings,
     align_window_set,
@@ -45,7 +45,7 @@ from .training import (
 )
 from .zeroshot import ZeroShotProtocol, run_zeroshot, subject_aggregate
 
-MODES = ("adapter", "select", "mix", "raw")
+ALIGNS = ("select", "mix")
 
 
 def repro_header(command: str, args: argparse.Namespace) -> list[str]:
@@ -56,11 +56,8 @@ def repro_header(command: str, args: argparse.Namespace) -> list[str]:
         f"numpy = {np.__version__}",
         f"scipy = {scipy.__version__}",
     ]
-    for key in sorted(vars(args)):
-        if key == "func":
-            continue
-        lines.append(f"flag.{key} = {getattr(args, key)!r}")
-    return lines
+    return lines + [f"flag.{key} = {getattr(args, key)!r}"
+                    for key in sorted(vars(args)) if key != "func"]
 
 
 def _wanted(args, alignment: str = "none", target_len: int | None = None) -> dict:
@@ -107,23 +104,47 @@ _FILTER_FLAGS = (
 )
 
 
-def _add_filter_flags(p: argparse.ArgumentParser, defaults: bool = True) -> None:
-    """The filter flags; without ``defaults`` one not given parses as None,
-    for ``_given_filter_flags`` to tell it from one given."""
+def _add_filter_flags(p: argparse.ArgumentParser) -> None:
     for flag, kind, default, text in _FILTER_FLAGS:
-        p.add_argument(flag, type=kind, default=default if defaults else None, help=text)
+        p.add_argument(flag, type=kind, default=default, help=text)
 
 
-def _given_filter_flags(args) -> list[str]:
-    """The filter flags given; each one not given is set to its default."""
-    given = []
-    for flag, _, default, _ in _FILTER_FLAGS:
-        dest = flag[2:].replace("-", "_")
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        else:
-            given.append(flag)
-    return given
+# When each command reads each flag: always, only in the modes named, or only
+# with a --manifest (a window set was filtered, windowed and split when it was
+# made). main refuses a flag given to a run that does not read it.
+ALWAYS, MANIFEST = "always", "--manifest"
+READS = {
+    "synth": {ALWAYS: "--out --classes --channels --timesteps --fs --noise --train "
+                      "--val --test --train-subjects --val-subjects --test-subjects "
+                      "--labels --seed"},
+    "preprocess": {ALWAYS: "--manifest --notch --notch-q --band-low --band-high "
+                           "--order --window --out"},
+    "align": {ALWAYS: "--windows --mode --out", ALIGNS: "--montage --target-len"},
+    "train": {ALWAYS: "--manifest --windows --mode --embed-dim --encoder-layers "
+                      "--heads --patch-len --train-classes --epochs --batch --lr "
+                      "--weight-decay --optimizer --seed --freeze-bfm --out-checkpoint",
+              ("adapter",): "--adapter-steps --hidden-maps",
+              ALIGNS: "--montage --target-len",
+              MANIFEST: " ".join(f for f, *_ in _FILTER_FLAGS) + " --auto-split"},
+    "eval": {ALWAYS: "--checkpoint --windows --manifest --montage --split "
+                     "--subject-level --out"},
+    "extract": {ALWAYS: "--checkpoint --windows --manifest --montage --split "
+                        "--out-embeddings"},
+    "zeroshot": {ALWAYS: "--embeddings --held-out-classes --fit-fraction --knn-k "
+                         "--seed --out"},
+}
+
+
+def refuse_unread_flags(args: argparse.Namespace, argv: list[str]) -> None:
+    """Refuse each ``--name`` token of ``argv`` that the run ``args`` does not read."""
+    reads = {f: w for w, flags in READS[args.subcommand].items() for f in flags.split()}
+    for flag in (a.split("=", 1)[0] for a in argv if a.startswith("--")):
+        when = reads.get(flag, ALWAYS)
+        if isinstance(when, tuple) and args.mode not in when:
+            raise ConfigurationError(f"--mode {args.mode} ignores {flag}; drop it")
+        if when == MANIFEST and args.windows:
+            raise ConfigurationError(f"--windows ignores {flag}: the set was filtered, "
+                                     "windowed and split when it was made; drop it")
 
 
 # ---------------------------------------------------------------- commands
@@ -156,10 +177,6 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_align(args) -> int:
-    for flag, given in (("--target-len", args.target_len is not None),
-                        ("--montage", args.montage != BUILTIN_MONTAGE_TOKEN)):
-        if args.mode == "none" and given:
-            raise ConfigurationError(f"--mode none ignores {flag}; drop it")
     wset = open_window_set(args.windows)
     if args.mode != "none":
         wset = align_window_set(wset, args.mode, load_montage(args.montage),
@@ -186,36 +203,24 @@ def _choose_adapter_steps(in_timesteps: int, patch_len: int) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.patch_len < 1:
-        raise ConfigurationError(f"--patch-len must be >= 1, got {args.patch_len}")
-    if args.adapter_steps is not None and args.adapter_steps < 1:
-        raise ConfigurationError(
-            f"--adapter-steps must be >= 1, got {args.adapter_steps}")
-    aligns = args.mode in ("select", "mix")
-    for flag, value, read in (("--target-len", args.target_len, aligns),
-                              ("--montage", args.montage, aligns),
-                              ("--adapter-steps", args.adapter_steps,
-                               args.mode == "adapter")):
-        if value is not None and not read:
-            raise ConfigurationError(f"--mode {args.mode} ignores {flag}; drop it")
-    given = _given_filter_flags(args)
-    if args.windows and given:
-        raise ConfigurationError(f"--windows ignores {given[0]}: the set was "
-                                 "filtered and windowed when it was made; drop it")
+    for flag, value in (("--patch-len", args.patch_len),
+                        ("--adapter-steps", args.adapter_steps)):
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{flag} must be >= 1, got {value}")
     source = _source(args)
-    if args.auto_split:
-        if args.windows:
-            raise ConfigurationError(
-                "--auto-split splits a --manifest; a --windows set keeps its splits")
+    if args.auto_split is not None:
         fractions = _parse_list("--auto-split", args.auto_split, float)
         source = split_subject_independent(source, fractions, seed=args.seed)
-    want = _wanted(args, args.mode if aligns else "none", args.target_len)
+    want = _wanted(args, args.mode if args.mode in ALIGNS else "none", args.target_len)
     wset = window_set_for(want, source, args.montage)
     wset.require_assigned()
 
     classes = dict(wset.classes)
-    if args.train_classes:
-        keep = sorted(set(_parse_list("--train-classes", args.train_classes)))
+    if args.train_classes is not None:
+        keep = sorted(_parse_list("--train-classes", args.train_classes))
+        if len(set(keep)) < max(2, len(keep)):
+            raise ConfigurationError("--train-classes must name at least two classes, "
+                                     f"each once, got {args.train_classes!r}")
         name_of = {v: k for k, v in wset.classes.items()}
         unknown = [c for c in keep if c not in name_of]
         if unknown:
@@ -260,8 +265,7 @@ def cmd_train(args) -> int:
 
     train_set = wset.select("train", classes)
     val_set = wset.select("val", classes)
-    fingerprint = dict(wset.fingerprint)
-    fingerprint["mode"] = args.mode
+    fingerprint = {**wset.fingerprint, "mode": args.mode}
     # The splits hold all the rows training reads (or their file): the set
     # can go first.
     del wset
@@ -277,10 +281,9 @@ def cmd_train(args) -> int:
     result = train_loop(model, train_set, val_set, cfg)
     save_checkpoint(args.out_checkpoint, Checkpoint(model, classes, fingerprint))
 
-    header = repro_header("train", args)
+    header = [f"# {line}" for line in repro_header("train", args)]
     log_path = Path(str(args.out_checkpoint) + ".log.csv")
-    log_lines = [f"# {line}" for line in header]
-    log_lines.append("epoch,train_loss,train_acc,val_loss,val_acc")
+    log_lines = [*header, "epoch,train_loss,train_acc,val_loss,val_acc"]
     for ep in result.epochs:
         log_lines.append(
             f"{ep.epoch},{ep.train_loss!r},{ep.train_acc!r},"
@@ -293,8 +296,7 @@ def cmd_train(args) -> int:
     metrics_path = Path(str(args.out_checkpoint) + ".metrics.txt")
     write_text(metrics_path, format_metrics_report(
         val_report,
-        header_lines=[f"# {line}" for line in header]
-        + [f"# best_epoch = {result.best_epoch}", "# split = val"],
+        header_lines=[*header, f"# best_epoch = {result.best_epoch}", "# split = val"],
     ))
     print(f"wrote {args.out_checkpoint} (best epoch {result.best_epoch}, "
           f"val accuracy {result.best_val_accuracy:.4f})")
@@ -394,12 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timesteps", type=int, default=SynthSpec.timesteps)
     p.add_argument("--fs", type=float, default=SynthSpec.sample_rate_hz)
     p.add_argument("--noise", type=float, default=SynthSpec.noise)
-    p.add_argument("--train", type=int, default=SynthSpec.counts[0])
-    p.add_argument("--val", type=int, default=SynthSpec.counts[1])
-    p.add_argument("--test", type=int, default=SynthSpec.counts[2])
-    p.add_argument("--train-subjects", type=int, default=SynthSpec.subjects[0])
-    p.add_argument("--val-subjects", type=int, default=SynthSpec.subjects[1])
-    p.add_argument("--test-subjects", type=int, default=SynthSpec.subjects[2])
+    for split, count, subjects in zip(("train", "val", "test"), SynthSpec.counts,
+                                      SynthSpec.subjects):
+        p.add_argument(f"--{split}", type=int, default=count)
+        p.add_argument(f"--{split}-subjects", type=int, default=subjects)
     p.add_argument("--labels", choices=("per-recording", "per-subject"),
                    default=SynthSpec.label_mode)
     p.add_argument("--seed", type=int, default=SynthSpec.seed)
@@ -422,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a classifier end to end")
     p.add_argument("--manifest")
     p.add_argument("--windows")
-    p.add_argument("--mode", choices=MODES, required=True)
-    _add_filter_flags(p, defaults=False)
+    p.add_argument("--mode", choices=("adapter", *ALIGNS, "raw"), required=True)
+    _add_filter_flags(p)
     p.add_argument("--montage", default=None)
     p.add_argument("--target-len", type=int, default=None)
     p.add_argument("--adapter-steps", type=int, default=None)
@@ -481,10 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(argv)
     own_threads()
     try:
+        refuse_unread_flags(args, argv)
+        if getattr(args, "seed", 0) < 0:  # numpy's generators refuse it
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         # A fault found while a --windows set streams reports a corrupt set as such.
         with checksummed(getattr(args, "windows", None)):
             return args.func(args)
@@ -493,7 +496,3 @@ def main(argv=None) -> int:
             exc = ": ".join(filter(None, ["the run ran out of memory", str(exc)]))
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

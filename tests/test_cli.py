@@ -1,18 +1,26 @@
 """End-to-end command-line runs on a small synthetic dataset."""
 
+import argparse
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import os
+import re
 import resource
 import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import eegadapt
 from eegadapt import cli
@@ -185,7 +193,8 @@ class TestAlign:
                                       load_window_set(wpath).data)
 
     @pytest.mark.parametrize("flag,value", [("--montage", "nope.txt"),
-                                            ("--target-len", "5")])
+                                            ("--target-len", "5"),
+                                            ("--montage", "builtin-table1")])
     def test_pass_through_refuses_alignment_flags(self, windows, tmp_path, capsys,
                                                   flag, value):
         # --mode none copies the set; both flags were dropped without a word.
@@ -826,6 +835,19 @@ def test_non_finite_optimizer_setting_fails_in_one_line(windows, tmp_path, capsy
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("value", ["", "0", "0,0,1"])
+def test_train_classes_must_name_two_distinct_classes(windows, tmp_path, capsys,
+                                                      value):
+    # The empty list trained every class, one class trained a head whose loss
+    # is ln 1 = 0, and a repeated index was dropped without a word.
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--mode", "raw", "--windows", str(windows),
+                 f"--train-classes={value}", "--out-checkpoint", str(ckpt),
+                 *COMMON_TRAIN]) == 2
+    assert_one_line_error(capsys, "--train-classes")
+    assert not list(tmp_path.iterdir())
+
+
 def test_auto_split_with_windows_fails_in_one_line(windows, tmp_path, capsys):
     # A window set carries its splits; --auto-split would be silently dropped.
     ckpt = tmp_path / "m.ckpt"
@@ -904,7 +926,7 @@ def test_ragged_embeddings_fail_in_one_line(tmp_path, capsys):
     ("--test-subjects", "0", "subjects"), ("--channels", "0", "channels"),
     ("--timesteps", "0", "timesteps"), ("--train", "-1", "counts"),
     ("--fs", "0", "sample_rate_hz"), ("--fs", "nan", "sample_rate_hz"),
-    ("--noise", "-1", "noise"),
+    ("--noise", "-1", "noise"), ("--seed", "-1", "--seed must be >= 0"),
 ])
 def test_bad_synth_flag_fails_in_one_line(tmp_path, flag, value, needle, capsys):
     out = tmp_path / "d"
@@ -935,6 +957,9 @@ def test_bad_model_flag_fails_in_one_line(windows, tmp_path, mode, flag, value,
     ("adapter", "--montage", "builtin-table1"),
     ("mix", "--adapter-steps", "112"),
     ("raw", "--adapter-steps", "112"),
+    ("select", "--hidden-maps", "5"),
+    ("mix", "--hidden-maps", "5"),
+    ("raw", "--hidden-maps", "5"),
 ])
 def test_flag_the_mode_ignores_fails_in_one_line(windows, tmp_path, mode, flag,
                                                   value, capsys):
@@ -1201,3 +1226,220 @@ def test_readme_walkthrough_matches_the_parser():
                                              "eval", "extract", "zeroshot"]
     for argv in commands:
         cli.build_parser().parse_args(argv)
+
+
+# --------------------------------------------------- when each flag is read
+
+
+def subcommand_parsers() -> dict:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_flag_says_when_it_is_read():
+    # A flag cannot be added without a READS entry saying when it is read.
+    parsers = subcommand_parsers()
+    assert set(cli.READS) == set(parsers)
+    for command, parser in parsers.items():
+        flags = [o for a in parser._actions for o in a.option_strings
+                 if o.startswith("--") and o != "--help"]
+        listed = [f for names in cli.READS[command].values() for f in names.split()]
+        assert sorted(listed) == sorted(flags), command
+
+
+def readme_reads_table() -> set:
+    """README's table of the flags each command reads only in some modes or
+    from one source, as (command, condition, flags) rows in READS' terms."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command-line walkthrough", 1)[1]
+    lines = section.split("| command | mode | source | flags read only there |",
+                          1)[1].splitlines()[2:]
+    rows = set()
+    for line in lines[:next(i for i, ln in enumerate(lines) if not ln.startswith("|"))]:
+        command, mode, source, flags = (cell.strip().replace("`", "")
+                                        for cell in line.strip("|").split("|"))
+        when = source if mode == "any" else tuple(m.strip() for m in mode.split(","))
+        rows.add((command, when, tuple(sorted(f.strip() for f in flags.split(",")))))
+    return rows
+
+
+def test_readme_reads_table_matches_the_cli():
+    assert readme_reads_table() == {
+        (command, when, tuple(sorted(flags.split())))
+        for command, reads in cli.READS.items()
+        for when, flags in reads.items() if when != cli.ALWAYS}
+
+
+def test_benchmark_commands_pass_only_flags_their_runs_read(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = []
+    for workload in workloads.WORKLOADS.values():
+        root = tmp_path / workload.name
+        root.mkdir()
+        state = workload.setup(lambda argv: argvs.append([str(a) for a in argv]),
+                               root, 1)
+        argvs += [command.argv for command in workload.commands(state)]
+    assert {argv[0] for argv in argvs} == set(cli.READS)
+    for argv in argvs:
+        cli.refuse_unread_flags(cli.build_parser().parse_args(argv), argv)
+
+
+TINY_SYNTH = ["--classes", "3", "--channels", "4", "--timesteps", "64", "--fs", "200",
+              "--train", "9", "--val", "3", "--test", "3", "--train-subjects", "3",
+              "--val-subjects", "1", "--test-subjects", "1"]
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """Each input a run can read, made small: a manifest of 15 recordings of
+    4 x 64, its window set unaligned and mix-aligned, a mix and a raw
+    checkpoint, and the mix checkpoint's embeddings."""
+    root = tmp_path_factory.mktemp("tiny")
+    model = ["--embed-dim", "8", "--encoder-layers", "1", "--heads", "2",
+             "--patch-len", "16", "--epochs", "1", "--batch", "8"]
+    for argv in (
+        ["synth", "--out", root / "d", *TINY_SYNTH],
+        ["preprocess", "--manifest", root / "d" / "manifest.json", "--window", "64",
+         "--out", root / "w.wset"],
+        ["align", "--windows", root / "w.wset", "--mode", "mix", "--montage",
+         root / "d" / "montage_map.txt", "--out", root / "a.wset"],
+        ["train", "--windows", root / "a.wset", "--mode", "mix", *model,
+         "--out-checkpoint", root / "mix.ckpt"],
+        ["train", "--windows", root / "w.wset", "--mode", "raw", *model,
+         "--out-checkpoint", root / "raw.ckpt"],
+        ["extract", "--checkpoint", root / "mix.ckpt", "--windows", root / "a.wset",
+         "--out-embeddings", root / "e.csv"],
+    ):
+        assert main([str(a) for a in argv]) == 0, argv[0]
+    return {"MANIFEST": root / "d" / "manifest.json",
+            "MAP": root / "d" / "montage_map.txt", "WINDOWS": root / "w.wset",
+            "ALIGNED": root / "a.wset", "MIX": root / "mix.ckpt", "RAW": root / "raw.ckpt",
+            "EMB": root / "e.csv", "MISSING": root / "missing" / "file"}
+
+
+HUGE = str(10 ** 30)
+INTS = ["0", "-1", "1", "2", HUGE]
+# 10**30 for these escapes as numpy's "Maximum allowed dimension exceeded"
+# ValueError instead of one error line; until that is mended they draw the
+# other boundaries. (--encoder-layers is not drawn: a huge count grows the
+# parameter table until memory runs out.)
+SIZES = ["0", "-1", "1", "2"]
+FLOATS = ["0", "-1", "nan", "inf", "1e308", "0.5"]
+FILTERS = {"--notch": FLOATS, "--notch-q": FLOATS, "--band-low": FLOATS,
+           "--band-high": FLOATS, "--order": SIZES, "--window": SIZES}
+MONTAGES = ["builtin-table1", "MAP", "MISSING"]
+SOURCES = [["--manifest", "MANIFEST"], ["--windows", "WINDOWS"],
+           ["--windows", "ALIGNED"], ["--windows", "MISSING"], []]
+# Each command's argv before the draw (OUT is a fresh directory), its
+# sources and modes, and the values drawn for each of its flags: the
+# boundaries of its type (0, -1, nan, inf, huge), empty and repeated lists,
+# missing paths, and a value that often works.
+DRAWS = {
+    "synth": (["--out", "OUT/d", *TINY_SYNTH], [[]], [None], {
+        **{f: ["0", "-1", "1", "2"] for f in (
+            "--classes", "--channels", "--timesteps", "--train", "--val", "--test",
+            "--train-subjects", "--val-subjects", "--test-subjects")},
+        "--fs": FLOATS, "--noise": FLOATS, "--labels": ["per-subject"],
+        "--seed": INTS}),
+    "preprocess": (["--window", "64", "--out", "OUT/w.wset"],
+                   [["--manifest", "MANIFEST"], ["--manifest", "MISSING"]], [None],
+                   FILTERS),
+    "align": (["--out", "OUT/a.wset"], SOURCES[1:4], ["select", "mix", "none"],
+              {"--montage": MONTAGES, "--target-len": SIZES}),
+    "train": (["--embed-dim", "8", "--encoder-layers", "1", "--heads", "2",
+               "--patch-len", "16", "--epochs", "1", "--batch", "8",
+               "--out-checkpoint", "OUT/m.ckpt"],
+              [[*SOURCES[0], "--window=64"], *SOURCES[1:]],
+              ["adapter", "select", "mix", "raw"], {
+        **FILTERS, "--montage": MONTAGES, "--target-len": SIZES,
+        "--adapter-steps": INTS, "--hidden-maps": SIZES, "--embed-dim": SIZES,
+        "--heads": INTS, "--patch-len": INTS,
+        "--train-classes": ["", "0", "0,0,1", "0,2", "7"],
+        "--auto-split": ["", "0.6,0.2,0.2", "1,0,0", "nan,0.5,0.5", "0.5,0.5"],
+        "--epochs": ["0", "-1", "1"], "--batch": INTS, "--lr": FLOATS,
+        "--weight-decay": FLOATS, "--optimizer": ["sgd"], "--seed": INTS,
+        "--freeze-bfm": [None]}),
+    "eval": (["--checkpoint", "MIX"], SOURCES, [None], {
+        "--checkpoint": ["RAW", "MISSING"], "--montage": MONTAGES,
+        "--split": ["train", "all"], "--subject-level": [None],
+        "--out": ["OUT/r.txt", "OUT/no/r.txt"]}),
+    "extract": (["--checkpoint", "MIX", "--out-embeddings", "OUT/e.csv"], SOURCES,
+                [None], {"--checkpoint": ["RAW", "MISSING"], "--montage": MONTAGES,
+                         "--split": ["val", "test"],
+                         "--out-embeddings": ["OUT/no/e.csv"]}),
+    "zeroshot": (["--embeddings", "EMB", "--held-out-classes", "0,1"], [[]], [None], {
+        "--embeddings": ["MISSING"],
+        "--held-out-classes": ["", "0", "0,0", "0,1,2", "-1,0"], "--fit-fraction": FLOATS,
+        "--knn-k": INTS, "--seed": INTS, "--out": ["OUT/z.txt", "OUT/no/z.txt"]}),
+}
+
+
+@st.composite
+def runs(draw):
+    """An argv: a command, a source, a mode and some of its flags."""
+    command = draw(st.sampled_from(sorted(DRAWS)))
+    base, sources, modes, values = DRAWS[command]
+    mode = draw(st.sampled_from(modes))
+    argv = [command, *base, *draw(st.sampled_from(sources))]
+    argv += [] if mode is None else ["--mode", mode]
+    for flag in draw(st.lists(st.sampled_from(sorted(values)), unique=True, max_size=3)):
+        value = draw(st.sampled_from(values[flag]))
+        argv.append(flag if value is None else f"{flag}={value}")
+    return argv
+
+
+def run_reading(argv, monkeypatch):
+    """``main(argv)``: its exit code, its stderr, and the attributes read from
+    the parsed flags outside ``repro_header`` (which reads every one)."""
+    reads, paused = set(), []
+
+    class Reading(argparse.Namespace):
+        def __getattribute__(self, name):
+            if not paused:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    real_build, real_header = cli.build_parser, cli.repro_header
+
+    def build():
+        parser = real_build()
+        parse = parser.parse_args
+        parser.parse_args = lambda args: parse(args, namespace=Reading())
+        return parser
+
+    def header(command, args):
+        paused.append(True)
+        try:
+            return real_header(command, args)
+        finally:
+            paused.pop()
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", build)
+        m.setattr(cli, "repro_header", header)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+    return rc, err.getvalue(), reads
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(runs())
+def test_every_run_reads_each_flag_given_or_fails_in_one_line(tiny, monkeypatch,
+                                                              argv):
+    with tempfile.TemporaryDirectory() as out:
+        paths = {**tiny, "OUT": out}
+        argv = [re.sub("[A-Z]+", lambda m: str(paths.get(m[0], m[0])), a) for a in argv]
+        rc, err, reads = run_reading(argv, monkeypatch)
+        if rc == 0:
+            given = {a.split("=", 1)[0][2:].replace("-", "_") for a in argv
+                     if a.startswith("--")}
+            assert given <= reads, (argv, given - reads)
+        else:
+            assert rc == 2 and err.startswith("error:") and err.count("\n") == 1, err
+            assert not os.listdir(out), argv

@@ -1168,17 +1168,21 @@ class TestPreprocessFill:
         assert later_failed.is_set()
 
     def test_no_task_runs_after_the_error(self, tmp_path, workers, monkeypatch):
-        # a.raw fails at once while b.csv is still loading: the error waits
-        # for the tasks running, the ones queued behind them never start,
-        # and no task starts or finishes after it.
+        # a.raw fails once b.csv has started loading, while b.csv is still
+        # loading: the error waits for the tasks running, the ones queued
+        # behind them never start, and no task starts or finishes after it.
         workers(2)
         manifest, _ = mixed_manifest(tmp_path)
         real_load, real_cut = pipeline.load_recording, pipeline.extract_windows
         started, finished = [], []
+        b_started = threading.Event()
 
         def slow_load(entry, base_dir, data=None):
             started.append(entry.path)
+            if entry.path == "b.csv":
+                b_started.set()
             if entry.path == "a.raw":
+                assert b_started.wait(10)
                 write_recording_binary(base_dir / entry.path, np.zeros((2, 900)))
             else:
                 time.sleep(0.2)
