@@ -1,5 +1,6 @@
 """Exception hierarchy shared by every stage of the pipeline."""
 
+import os
 from dataclasses import fields
 from numbers import Integral
 
@@ -58,6 +59,17 @@ def require_positive_ints(config) -> None:
                 or value < 1):
             raise ConfigurationError(
                 f"{field.name} must be an integer >= 1, got {value!r}")
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Refuse ``what`` before anything is allocated when its ``nbytes``
+    exceed the machine's physical memory (no bound where the system does not
+    report it): numpy would refuse the allocation, or raise a ValueError past
+    the sizes it can index."""
+    if hasattr(os, "sysconf") and \
+            nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigurationError(f"{what} would take {nbytes} bytes, more than "
+                                 "this machine's memory")
 
 
 def require_number(value, error: type[PipelineError], where: str, integer=False):

@@ -21,13 +21,19 @@ import functools
 import numpy as np
 from scipy import signal as _sig
 
-from .errors import DimensionError, DomainError
+from .errors import ConfigurationError, DimensionError, DomainError
 
 __all__ = [
     "design_notch",
     "design_bandpass",
     "apply_chain_to_rows",
 ]
+
+# Past this order scipy's float64 Butterworth design overflows for some bands
+# (of 300 random bands, all were clean at order 70, one warned at 80 and one
+# raised OverflowError at 100), and a huge order would size arrays before
+# any check ran.
+_MAX_BAND_ORDER = 64
 
 
 def _checked(sos: np.ndarray) -> np.ndarray:
@@ -69,8 +75,9 @@ def design_bandpass(low_hz: float, high_hz: float, order: int,
             f"bandpass cutoffs must satisfy 0 < low < high < {nyquist}, "
             f"got low={low_hz}, high={high_hz}"
         )
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
+    if not 1 <= order <= _MAX_BAND_ORDER:
+        raise ConfigurationError(
+            f"order must be in [1, {_MAX_BAND_ORDER}], got {order}")
     return _checked(_sig.butter(order, [low_hz, high_hz], btype="bandpass",
                                 output="sos", fs=sample_rate_hz))
 

@@ -7,18 +7,21 @@ was configured for; without one the input must already fit the encoder grid
 This module alone splits a batch into chunks of samples and decides where
 they run: on a thread pool, with numpy's BLAS held at one thread. Other
 modules put their own independent tasks on the same pool through
-``map_chunks``: preprocessing runs one task per group of recordings.
+``map_chunks``: preprocessing runs one task per group of recordings, and a
+bundle write folds its CRC while its arrays are written.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
+import math
 import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, islice
 from pathlib import Path
 from typing import Optional
@@ -29,16 +32,18 @@ from .adapter import (
     AdapterConfig,
     adapter_backward_batch,
     adapter_forward_batch,
+    adapter_param_shapes,
     init_adapter_params,
 )
 from .encoder import (
     BfmConfig,
     encoder_backward_batch,
     encoder_forward_batch,
+    encoder_param_shapes,
     head_grads,
     init_encoder_params,
 )
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, require_memory
 
 __all__ = ["EegClassifier", "build_classifier", "map_chunks", "own_threads"]
 
@@ -121,7 +126,9 @@ def map_chunks(fn, chunks):
     memory. At most ``_WORKERS`` + 1 are taken ahead of the results, so the
     next is made while the workers run. The first chunk in order that fails
     raises its error, once none is running; none is taken after a failure
-    is known, and those taken that have not started never do."""
+    is known, and those taken that have not started never do. A chunk runs
+    in a copy of the caller's context, so numpy's error state
+    (``np.errstate``) holds on the workers too."""
     global _pool
     own_threads()
     chunks = iter(chunks)
@@ -137,7 +144,7 @@ def map_chunks(fn, chunks):
     futures = deque()
     try:
         for chunk in chunks:
-            futures.append(_pool.submit(fn, chunk))
+            futures.append(_pool.submit(contextvars.copy_context().run, fn, chunk))
             if len(futures) > _WORKERS:
                 yield futures.popleft().result()
             if any(f.done() and f.exception() is not None for f in futures):
@@ -274,7 +281,18 @@ class EegClassifier:
 def build_classifier(encoder_config: BfmConfig,
                      adapter_config: Optional[AdapterConfig],
                      seed: int) -> EegClassifier:
-    """Seeded construction; adapter and encoder draw from one generator."""
+    """Seeded construction; adapter and encoder draw from one generator.
+
+    The parameters are counted from the configs first, one block standing
+    for every layer, and a model that would not fit in memory is refused
+    before anything is built, as a checkpoint's configs are checked before
+    its model is."""
+    sizes = {name: math.prod(shape) for name, shape in chain(
+        adapter_param_shapes(adapter_config) if adapter_config else (),
+        encoder_param_shapes(replace(encoder_config, num_layers=1)))}
+    block = sum(size for name, size in sizes.items() if name.startswith("blocks."))
+    count = sum(sizes.values()) + (encoder_config.num_layers - 1) * block
+    require_memory(8 * count, f"a model of {count} parameters")
     rng = np.random.default_rng(seed)
     adapter = None
     if adapter_config is not None:

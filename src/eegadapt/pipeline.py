@@ -21,6 +21,7 @@ from .errors import (
     FingerprintMismatchError,
     IntegrityError,
     require_class_table,
+    require_memory,
     require_number,
 )
 from .fileio import BundleReader, checksummed, open_document, write_bundle
@@ -163,6 +164,7 @@ def _alignment(mode: str, montage: MontageMap, target_len: int | None, window_le
     if mode not in ("select", "mix"):
         raise ConfigurationError(f"alignment mode must be 'select' or 'mix', got {mode!r}")
     target_len = window_len if target_len is None else target_len
+    require_memory(8 * 23 * target_len, f"an aligned window of {target_len} samples")
     entries = {"alignment": mode, "montage": montage_identity(montage),
                "target_len": target_len, "channels": 23, "timesteps": target_len}
     return montage.first_sources() if mode == "select" else montage, entries

@@ -178,13 +178,16 @@ def predict(model, data: LabeledSet):
     return preds, softmax_last(logits)
 
 
+@np.errstate(all="ignore")
 def train_loop(model, train_set: LabeledSet, val_set: LabeledSet,
                cfg: TrainConfig) -> TrainResult:
     """Seeded epoch loop returning the best-validation-accuracy parameters.
 
     The training set is reshuffled each epoch with the run's generator;
     model selection keeps the earliest epoch on accuracy ties. The model is
-    left holding the selected parameters.
+    left holding the selected parameters. A step that overflows shows as a
+    non-finite loss or logits, raised as a NumericError, so numpy's floating
+    point warnings are off here (and on the pool's workers).
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise ConfigurationError("train and validation splits must be nonempty")

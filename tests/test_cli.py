@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import importlib.util
 import io
@@ -40,6 +41,7 @@ from test_io import (
     MALFORMED_MANIFESTS,
     basic_entry,
     break_window_set,
+    full_disk,
     write_digit_limit_manifest,
     write_malformed_manifest,
     write_manifest,
@@ -191,6 +193,21 @@ class TestAlign:
         assert rc == 0
         np.testing.assert_array_equal(load_window_set(out).data,
                                       load_window_set(wpath).data)
+
+    def test_full_disk_fails_in_one_line_and_keeps_the_old_set(
+            self, windows, tmp_path, monkeypatch, capsys):
+        # The disk filling up is found as the file's first range is
+        # reserved, before any byte of it is written.
+        out = tmp_path / "a.wset"
+        argv = ["align", "--windows", str(windows), "--mode", "none", "--out", str(out)]
+        assert main(argv) == 0
+        before = out.read_bytes()
+        monkeypatch.setattr(os, "posix_fallocate", full_disk)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert_one_line_error(capsys, os.strerror(errno.ENOSPC))
+        assert out.read_bytes() == before
+        assert os.listdir(tmp_path) == ["a.wset"]
 
     @pytest.mark.parametrize("flag,value", [("--montage", "nope.txt"),
                                             ("--target-len", "5"),
@@ -379,16 +396,24 @@ class TestTrain:
     def test_fresh_processes_write_identical_bytes(self, subject_windows,
                                                    tmp_path, threads):
         # The determinism contract: the same seed, flags and numpy/BLAS build
-        # give the same bytes in every new process, for train's outputs and
-        # for the eval and extract passes over its checkpoint, whatever the
-        # BLAS thread count and the number of CPUs. BLAS is held at one
-        # thread; the model spreads its chunks over every CPU the process
-        # may run on, and OpenBLAS would cap its own threads at those CPUs.
+        # give the same bytes in every new process, for the window sets of
+        # preprocess and align, for train's outputs and for the eval and
+        # extract passes over its checkpoint, whatever the BLAS thread count
+        # and the number of CPUs. BLAS is held at one thread; the model
+        # spreads its chunks over every CPU the process may run on, and
+        # OpenBLAS would cap its own threads at those CPUs.
         def run_chain(run, threads, preexec_fn=None):
             run_dir = tmp_path / run
             run_dir.mkdir()
-            shutil.copy(subject_windows, run_dir / "w.wset")
+
+            def sha(name):
+                return hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+
             for argv in (
+                ["preprocess", "--manifest", str(subject_windows.parent / "manifest.json"),
+                 "--window", "128", "--out", "w.wset"],
+                ["align", "--windows", "w.wset", "--mode", "mix", "--montage",
+                 str(subject_windows.parent / "montage_map.txt"), "--out", "a.wset"],
                 ["train", "--windows", "w.wset", "--mode", "adapter",
                  "--out-checkpoint", "m.ckpt", *COMMON_TRAIN, "--epochs", "1"],
                 ["eval", "--checkpoint", "m.ckpt", "--windows", "w.wset",
@@ -397,10 +422,14 @@ class TestTrain:
                  "--out-embeddings", "emb.csv"],
             ):
                 run_fresh(argv, run_dir, threads, preexec_fn)
-            return {
-                name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-                for name in ("m.ckpt", "m.ckpt.log.csv", "m.ckpt.metrics.txt",
-                             "eval.txt", "emb.csv")}
+                if argv[0] in ("preprocess", "align"):
+                    # A second write replaces the first's file with its bytes.
+                    first = sha(argv[-1])
+                    run_fresh(argv, run_dir, threads, preexec_fn)
+                    assert sha(argv[-1]) == first, argv
+            return {name: sha(name) for name in (
+                "w.wset", "a.wset", "m.ckpt", "m.ckpt.log.csv", "m.ckpt.metrics.txt",
+                "eval.txt", "emb.csv")}
 
         # Each case compares a fresh run at its own thread count, free and
         # pinned to one CPU, with a run at one BLAS thread.
@@ -471,19 +500,8 @@ class TestEval:
         meta["encoder_config"]["num_layers"] = 2 ** 70
         bad = tmp_path / "bad.ckpt"
         write_bundle(bad, meta, list(arrays.items()))
-        src = str(Path(eegadapt.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "eegadapt", "eval", "--checkpoint", str(bad),
-             "--windows", str(windows)],
-            env=env, preexec_fn=limit_memory, capture_output=True, text=True,
-            timeout=600)
+        proc = run_limited(["eval", "--checkpoint", bad, "--windows", windows],
+                           tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert "do not match the stored configs" in proc.stderr
@@ -941,6 +959,9 @@ def test_bad_synth_flag_fails_in_one_line(tmp_path, flag, value, needle, capsys)
     ("adapter", "--adapter-steps", "0", "--adapter-steps"),
     ("raw", "--patch-len", "0", "--patch-len"),
     ("raw", "--heads", "0", "num_heads"),
+    # 10**30 escaped as numpy's "Maximum allowed dimension exceeded".
+    ("adapter", "--hidden-maps", str(10 ** 30), "a model of"),
+    ("raw", "--embed-dim", str(10 ** 30), "a model of"),
 ])
 def test_bad_model_flag_fails_in_one_line(windows, tmp_path, mode, flag, value,
                                           needle, capsys):
@@ -948,6 +969,72 @@ def test_bad_model_flag_fails_in_one_line(windows, tmp_path, mode, flag, value,
             "--out-checkpoint", str(tmp_path / "m.ckpt"), *COMMON_TRAIN]
     assert main([*argv, flag, value]) == 2
     assert_one_line_error(capsys, needle)
+
+
+HUGE_FLAGS = {
+    "--order": (["preprocess", "--manifest", "MANIFEST", "--out", "OUT/w.wset"],
+                "order must be in [1, 64]"),
+    "--target-len": (["align", "--windows", "WINDOWS", "--mode", "mix", "--montage",
+                      "MAP", "--out", "OUT/a.wset"], "an aligned window of"),
+    "--window": (["train", "--manifest", "MANIFEST", "--mode", "mix", "--montage", "MAP",
+                  "--out-checkpoint", "OUT/m.ckpt", *COMMON_TRAIN], "an aligned window of"),
+}
+
+
+@pytest.mark.parametrize("flag", HUGE_FLAGS)
+def test_huge_int_flag_fails_in_one_line(dataset, windows, tmp_path, flag, capsys):
+    # 10**30 escaped as numpy's "Maximum allowed size/dimension exceeded"
+    # ValueError; each size is bounded where it is first used.
+    argv, needle = HUGE_FLAGS[flag]
+    paths = {"MANIFEST": dataset / "manifest.json", "WINDOWS": windows,
+             "MAP": dataset / "montage_map.txt", "OUT": tmp_path}
+    argv = [re.sub("[A-Z]+", lambda m: str(paths.get(m[0], m[0])), a) for a in argv]
+    assert main([*argv, f"{flag}={10 ** 30}"]) == 2
+    assert_one_line_error(capsys, needle)
+    assert not os.listdir(tmp_path)
+
+
+def run_limited(argv, cwd):
+    """``python -m eegadapt *argv`` in a new process under a 2 GiB address
+    space limit, so a run that grows without bound fails instead of taking
+    the machine's memory."""
+    src = str(Path(eegadapt.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run([sys.executable, "-m", "eegadapt", *map(str, argv)],
+                          cwd=cwd, env=env, preexec_fn=limit_memory,
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_huge_layer_flag_refused_without_allocating(windows, tmp_path):
+    # The parameter table of 10**12 layers grew until memory ran out.
+    proc = run_limited(["train", "--windows", windows, "--mode", "raw",
+                        "--out-checkpoint", "m.ckpt", *COMMON_TRAIN,
+                        "--encoder-layers", 10 ** 12], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: a model of") and proc.stderr.count("\n") == 1
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("flag,extra", [
+    ("--lr", ["--batch", "64", "--epochs", "1"]), ("--lr", []), ("--weight-decay", [])])
+def test_overflowing_step_prints_no_numpy_warning(windows, tmp_path, flag, extra):
+    # Overflow in a step is reported as a non-finite loss or logits; numpy's
+    # RuntimeWarnings from the pool's workers and the main thread printed
+    # ahead of that line, or on a run that exited 0.
+    proc = run_limited(["train", "--windows", windows, "--mode", "raw",
+                        "--out-checkpoint", "m.ckpt", *COMMON_TRAIN,
+                        f"{flag}=1e308", *extra], tmp_path)
+    if extra:  # one step, whose loss is finite: the run succeeds
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    else:
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "non-finite" in proc.stderr
 
 
 @pytest.mark.parametrize("mode,flag,value", [
@@ -1323,14 +1410,9 @@ def tiny(tmp_path_factory):
 
 HUGE = str(10 ** 30)
 INTS = ["0", "-1", "1", "2", HUGE]
-# 10**30 for these escapes as numpy's "Maximum allowed dimension exceeded"
-# ValueError instead of one error line; until that is mended they draw the
-# other boundaries. (--encoder-layers is not drawn: a huge count grows the
-# parameter table until memory runs out.)
-SIZES = ["0", "-1", "1", "2"]
 FLOATS = ["0", "-1", "nan", "inf", "1e308", "0.5"]
 FILTERS = {"--notch": FLOATS, "--notch-q": FLOATS, "--band-low": FLOATS,
-           "--band-high": FLOATS, "--order": SIZES, "--window": SIZES}
+           "--band-high": FLOATS, "--order": INTS, "--window": INTS}
 MONTAGES = ["builtin-table1", "MAP", "MISSING"]
 SOURCES = [["--manifest", "MANIFEST"], ["--windows", "WINDOWS"],
            ["--windows", "ALIGNED"], ["--windows", "MISSING"], []]
@@ -1349,14 +1431,15 @@ DRAWS = {
                    [["--manifest", "MANIFEST"], ["--manifest", "MISSING"]], [None],
                    FILTERS),
     "align": (["--out", "OUT/a.wset"], SOURCES[1:4], ["select", "mix", "none"],
-              {"--montage": MONTAGES, "--target-len": SIZES}),
+              {"--montage": MONTAGES, "--target-len": INTS}),
     "train": (["--embed-dim", "8", "--encoder-layers", "1", "--heads", "2",
                "--patch-len", "16", "--epochs", "1", "--batch", "8",
                "--out-checkpoint", "OUT/m.ckpt"],
               [[*SOURCES[0], "--window=64"], *SOURCES[1:]],
               ["adapter", "select", "mix", "raw"], {
-        **FILTERS, "--montage": MONTAGES, "--target-len": SIZES,
-        "--adapter-steps": INTS, "--hidden-maps": SIZES, "--embed-dim": SIZES,
+        **FILTERS, "--montage": MONTAGES, "--target-len": INTS,
+        "--adapter-steps": INTS, "--hidden-maps": INTS, "--embed-dim": INTS,
+        "--encoder-layers": INTS,
         "--heads": INTS, "--patch-len": INTS,
         "--train-classes": ["", "0", "0,0,1", "0,2", "7"],
         "--auto-split": ["", "0.6,0.2,0.2", "1,0,0", "nan,0.5,0.5", "0.5,0.5"],

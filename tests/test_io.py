@@ -1,6 +1,8 @@
 """File formats, manifests, subject splitting, checkpoints, and window sets."""
 
+import errno
 import json
+import os
 import re
 import struct
 import threading
@@ -35,6 +37,7 @@ from eegadapt.fileio import (
     write_bundle,
     write_embeddings_text,
     write_recording_binary,
+    write_text,
 )
 from eegadapt.filters import design_bandpass, design_notch
 from eegadapt.manifest import (
@@ -272,6 +275,101 @@ class TestEmbeddingsText:
         small, large = peak(2048), peak(8192)
         assert large <= 1.1 * small, (small, large)
         assert large <= 0.25 * 15.31 * 2**20, large
+
+
+def write_each_kind(root):
+    """One file of each kind into ``root`` (a bundle with an array of more
+    than one block and an empty one, a text file, an empty one, an
+    embeddings table and a recording); their bytes by name."""
+    rng = np.random.default_rng(7)
+    root.mkdir()
+    write_bundle(root / "b.bundle", {"k": 1},
+                 [("big", rng.normal(size=(40, 300))), ("empty", np.zeros((0, 3))),
+                  ("i", np.arange(5))])
+    write_text(root / "t.txt", "line\n" * 1000)
+    write_text(root / "empty.txt", "")
+    write_embeddings_text(root / "e.csv", rng.normal(size=(3000, 4)),
+                          np.arange(3000) % 3, [f"s{i % 5}" for i in range(3000)], ["h"])
+    write_recording_binary(root / "r.raw", rng.normal(size=(4, 100)))
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+def full_disk(fd, offset, length):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestReservedWrites:
+    def test_each_write_reserves_its_range_first(self, tmp_path, monkeypatch):
+        # The reserved ranges of a file tile it in order, each reserved while
+        # the file holds only the ranges before it: nothing is written
+        # outside a reserved range, and no range is empty (EINVAL).
+        ranges, real = {}, os.posix_fallocate
+
+        def spy(fd, offset, length):
+            assert length > 0 and os.fstat(fd).st_size == offset
+            ranges.setdefault(os.fstat(fd).st_ino, []).append(length)
+            real(fd, offset, length)
+
+        monkeypatch.setattr(os, "posix_fallocate", spy)
+        for path in map((tmp_path / "out").joinpath, write_each_kind(tmp_path / "out")):
+            assert sum(ranges.get(path.stat().st_ino, [])) == path.stat().st_size
+
+    @pytest.mark.parametrize("how", ["unsupported", "missing"])
+    def test_unreserved_writes_keep_the_bytes(self, tmp_path, monkeypatch, how):
+        expected, asked = write_each_kind(tmp_path / "reserved"), []
+        if how == "missing":
+            monkeypatch.delattr(os, "posix_fallocate")
+        else:
+            def unsupported(fd, offset, length):
+                asked.append(length)
+                raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
+
+            monkeypatch.setattr(os, "posix_fallocate", unsupported)
+        assert write_each_kind(tmp_path / "plain") == expected
+        # A file asks once, then writes as it is; the empty one never asks.
+        assert len(asked) == (4 if how == "unsupported" else 0)
+
+    def test_an_empty_text_file_still_writes(self, tmp_path):
+        path = tmp_path / "t.txt"
+        write_text(path, "old")
+        write_text(path, "")
+        assert path.read_bytes() == b""
+        assert [p.name for p in tmp_path.iterdir()] == ["t.txt"]
+
+    def test_full_disk_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "b.bundle"
+        write_bundle(path, {"v": 1}, [("a", np.ones(50))])
+        before = path.read_bytes()
+        monkeypatch.setattr(os, "posix_fallocate", full_disk)
+        with pytest.raises(OSError) as info:
+            write_bundle(path, {"v": 2}, [("a", np.zeros(50))])
+        assert info.value.errno == errno.ENOSPC
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["b.bundle"]
+
+    @pytest.mark.parametrize("arrays", [
+        [("big", np.arange(3 * fileio._BLOCK_BYTES // 8 + 5, dtype=np.float64)),
+         ("empty", np.zeros((0, 4))), ("small", np.arange(7))],
+        [("empty", np.zeros((0, 4)))],
+        [],
+    ], ids=["big-empty-small", "empty", "none"])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_overlapped_crc_is_the_serial_fold(self, tmp_path, workers,
+                                                monkeypatch, count, arrays):
+        # The arrays' CRC is folded on a worker while the writer writes them,
+        # at two workers; at one both run in turn. Either way the CRC is
+        # zlib's fold over every byte before it.
+        workers(count)
+        threads, real = set(), zlib.crc32
+        monkeypatch.setattr(zlib, "crc32", lambda data, crc=0: threads.add(
+            threading.current_thread()) or real(data, crc))
+        path = tmp_path / "b.bundle"
+        write_bundle(path, {"k": 1}, arrays)
+        raw = path.read_bytes()
+        assert raw[-4:] == struct.pack("<I", real(raw[:-4]))
+        assert list(read_bundle(path)[1]) == [name for name, _ in arrays]
+        if arrays:
+            assert (threads == {threading.main_thread()}) == (count == 1)
 
 
 def write_manifest(tmp_path, entries, classes=None, montage="builtin-table1"):
